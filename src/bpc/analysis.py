@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -30,6 +29,7 @@ from .perm_core import (
     BalanceSpec,
     NeighborSpec,
     Permutation,
+    _window_violations,
     check_two_neighbor,
     format_permutation,
     prefix_deviations_doubled,
@@ -74,6 +74,14 @@ def _resolve_workers(workers: int | None) -> int:
     if workers < 0:
         raise ParamInvalid("worker count must be >= 0")
     return workers
+
+
+def _fan_out(scan, tasks, workers: int) -> list:
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(scan, tasks))
+    return [scan(t) for t in tasks]
 
 
 def _check_limit(n: int, limit: int) -> None:
@@ -169,12 +177,7 @@ def census(n: int, spec: BalanceSpec, neighbor: NeighborSpec | None = None,
     checks = _balance_checks(spec)
     neighbor_k = neighbor.k if neighbor else None
     tasks = [(n, first, checks, neighbor_k, cap) for first in range(1, n + 1)]
-    workers = _resolve_workers(workers)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_census_scan, tasks))
-    else:
-        parts = [_census_scan(t) for t in tasks]
+    parts = _fan_out(_census_scan, tasks, _resolve_workers(workers))
     count = sum(c for c, _ in parts)
     achievers = []
     for _, ach in parts:
@@ -224,12 +227,7 @@ def min_disc(n: int, b: int, limit: int = DEFAULT_ENUM_LIMIT,
     if not 2 <= b <= n:
         raise IndexOutOfRange(f"window length {b} outside [2, {n}]")
     tasks = [(n, first, b) for first in range(1, n + 1)]
-    workers = _resolve_workers(workers)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_min_disc_scan, tasks))
-    else:
-        parts = [_min_disc_scan(t) for t in tasks]
+    parts = _fan_out(_min_disc_scan, tasks, _resolve_workers(workers))
     best = min(worst for worst, _ in parts if worst is not None)
     count = sum(c for worst, c in parts if worst == best)
     return Fraction(best, 2), count
@@ -452,8 +450,16 @@ class _BoundTally:
         return BoundResult(self.name, self.checked, self.failures, self.first)
 
 
-def _prefix_bound_detail(devs2: list[int], allowed2: int) -> dict[str, str] | None:
-    for j in range(1, len(devs2)):
+def _checked(perms, n: int):
+    for pi in perms:
+        if pi.n != n:
+            raise ParamInvalid(f"expected permutations of length {n}, got {pi.n}")
+        yield pi
+
+
+def _prefix_bound_detail(devs2: list[int], allowed2: int,
+                         step: int = 1) -> dict[str, str] | None:
+    for j in range(step, len(devs2), step):
         if abs(devs2[j]) > allowed2:
             return {"j": str(j), "dev": str(Fraction(devs2[j], 2)),
                     "allowed": str(Fraction(allowed2, 2))}
@@ -463,119 +469,91 @@ def _prefix_bound_detail(devs2: list[int], allowed2: int) -> dict[str, str] | No
 def _window_spread_detail(devs2: list[int], allowed2: int) -> dict[str, str] | None:
     # A window's doubled deviation is a difference of two prefix entries, so
     # the worst window over all lengths is the spread of the prefix sequence.
-    lo_i = max(range(len(devs2)), key=lambda i: -devs2[i])
-    hi_i = max(range(len(devs2)), key=lambda i: devs2[i])
-    if devs2[hi_i] - devs2[lo_i] <= 2 * allowed2:
+    lo, hi = min(devs2), max(devs2)
+    if hi - lo <= 2 * allowed2:
         return None
-    a, c = sorted((lo_i, hi_i))
-    return {
-        "b": str(c - a), "j": str(a + 1),
-        "dev": str(Fraction(abs(devs2[c] - devs2[a]), 2)),
-        "allowed": str(Fraction(allowed2, 2)),
-    }
+    a, c = sorted((devs2.index(lo), devs2.index(hi)))
+    return {"b": str(c - a), "j": str(a + 1), "dev": str(Fraction(hi - lo, 2)),
+            "allowed": str(Fraction(allowed2, 2))}
+
+
+def _containment_failure(n: int, span: int, lengths) -> tuple[int, int] | None:
+    """First (b, i) with window end i+b-1 past cell ceil(i/span)+1: b > span+1
+    is needed (never so for valid params) and i is the first with i+b-1 > 2*span."""
+    return next(((b, i) for b in lengths for i in [max(1, 2 * span - b + 2)]
+                 if b > span + 1 and i <= n - b + 1), None)
 
 
 def d1_claim_suite(perms, n: int) -> ClaimReport:
     """Check the two-source codeword bounds: every prefix deviation within
-    n+1 and every window deviation (any length) within 2*(n+1)."""
+    n+1 and every window deviation (any length) within 2*(n+1); O(n) each."""
     prefix = _BoundTally("prefix_bound")
     window = _BoundTally("window_bound")
-    total = 0
-    for pi in perms:
-        if pi.n != n:
-            raise ParamInvalid(f"expected permutations of length {n}, got {pi.n}")
-        total += 1
+    for pi in _checked(perms, n):
         devs2 = prefix_deviations_doubled(pi)
         prefix.record(pi, _prefix_bound_detail(devs2, 2 * (n + 1)))
         window.record(pi, _window_spread_detail(devs2, 2 * (n + 1)))
-    return ClaimReport(config=f"d1(n={n})", total=total,
+    return ClaimReport(config=f"d1(n={n})", total=window.checked,
                        bounds=(prefix.result(), window.result()))
 
 
 def d2_claim_suite(perms, params: D2Params) -> ClaimReport:
     """Check the block codeword bounds: even-prefix deviation within 2n/N,
     pair locality within 4n/N (with its cell-window containment), and every
-    spec'd even-length window deviation within 8*(n+1)/N."""
+    spec'd even-length window deviation within 8*(n+1)/N.  Costs O(n) per
+    permutation, plus the lengths at each start failing the last two."""
     n, N = params.n, params.N
     span = 4 * n // N
     even_prefix = _BoundTally("even_prefix_bound")
     locality = _BoundTally("pair_locality")
     window = _BoundTally("window_bound")
     lengths = params.window_lengths
-    total = 0
-    for pi in perms:
-        if pi.n != n:
-            raise ParamInvalid(f"expected permutations of length {n}, got {pi.n}")
-        total += 1
+    gap_limits = dict.fromkeys(lengths, span)
+    # dev2 * N > 16 * (n + 1)  <=>  dev2 > 16 * (n + 1) // N
+    window_limits = dict.fromkeys(lengths, 16 * (n + 1) // N)
+    containment = _containment_failure(n, span, lengths)
+    for pi in _checked(perms, n):
         devs2 = prefix_deviations_doubled(pi)
+        even_prefix.record(pi, _prefix_bound_detail(devs2, span, step=2))  # 2n/N
 
-        detail = None
-        for j in range(0, n + 1, 2):
-            if abs(devs2[j]) > 4 * n // N:
-                detail = {"j": str(j), "dev": str(Fraction(devs2[j], 2)),
-                          "allowed": str(Fraction(2 * n, N))}
-                break
-        even_prefix.record(pi, detail)
-
-        detail = None
+        # symbols i and i+b at most span apart; first (b, i) wins, containment on a tie
         v = pi.values
-        for b in lengths:
-            for i in range(1, n - b + 2):
-                j = i + b - 1
-                cell = (i + span - 1) // span
-                if j > (cell + 1) * span:
-                    detail = {"i": str(i), "j": str(j), "cell": str(cell),
-                              "reason": "containment"}
-                    break
-                if j < n and abs(v[j] - v[i - 1]) > span:
-                    detail = {"i": str(i), "j+1": str(j + 1),
-                              "gap": str(abs(v[j] - v[i - 1])),
-                              "allowed": str(span)}
-                    break
-            if detail:
-                break
-        locality.record(pi, detail)
+        gap = next(_window_violations(v, lengths, gap_limits), None)
+        if containment and (gap is None or containment <= (gap[0], gap[1] + 1)):
+            b, i = containment
+            gap = {"i": str(i), "j": str(i + b - 1), "cell": "1",
+                   "reason": "containment"}
+        elif gap:
+            b, s = gap
+            gap = {"i": str(s + 1), "j+1": str(s + b + 1),
+                   "gap": str(abs(v[s + b] - v[s])), "allowed": str(span)}
+        locality.record(pi, gap)
 
-        detail = None
-        for b in lengths:
-            target2 = b * (n + 1)
-            for j in range(n - b + 1):
-                dev2 = abs(devs2[j + b] - devs2[j])
-                if dev2 * N > 16 * (n + 1):
-                    detail = {"b": str(b), "j": str(j + 1),
-                              "dev": str(Fraction(dev2, 2)),
-                              "allowed": str(Fraction(8 * (n + 1), N))}
-                    break
-            if detail:
-                break
-        window.record(pi, detail)
-    return ClaimReport(config=f"d2(n={n},N={N})", total=total,
+        first = next(_window_violations(devs2, lengths, window_limits), None)
+        if first:
+            b, s = first
+            first = {"b": str(b), "j": str(s + 1),
+                     "dev": str(Fraction(abs(devs2[s + b] - devs2[s]), 2)),
+                     "allowed": str(Fraction(8 * (n + 1), N))}
+        window.record(pi, first)
+    return ClaimReport(config=f"d2(n={n},N={N})", total=window.checked,
                        bounds=(even_prefix.result(), locality.result(),
                                window.result()))
 
 
 def tn_claim_suite(perms, params: TnParams) -> ClaimReport:
     """Check neighbor-constrained codewords: the two-neighbor bound at k,
-    and the full-window balance bound with allowance 2*(n+1)."""
+    and the full-window balance bound with allowance 2*(n+1); O(n) each."""
     n, k = params.n, params.k
     neighbor = _BoundTally("two_neighbor")
     window = _BoundTally("window_bound")
-    total = 0
-    for pi in perms:
-        if pi.n != n:
-            raise ParamInvalid(f"expected permutations of length {n}, got {pi.n}")
-        total += 1
-        report = check_two_neighbor(pi, NeighborSpec(k))
-        if report.is_valid:
-            neighbor.record(pi, None)
-        else:
-            first = report.entries[0]
-            neighbor.record(pi, {"i": str(first.i), "left": str(first.left_diff),
-                                 "right": str(first.right_diff),
-                                 "allowed": str(k)})
+    for pi in _checked(perms, n):
+        entries = check_two_neighbor(pi, NeighborSpec(k)).entries
+        neighbor.record(pi, {key: str(value) for key, value
+                             in entries[0].to_json_dict().items()} if entries else None)
         devs2 = prefix_deviations_doubled(pi)
         window.record(pi, _window_spread_detail(devs2, 2 * (n + 1)))
-    return ClaimReport(config=f"tn(n={n},k={k})", total=total,
+    return ClaimReport(config=f"tn(n={n},k={k})", total=window.checked,
                        bounds=(neighbor.result(), window.result()))
 
 

@@ -10,6 +10,7 @@ with a newline.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -67,6 +68,19 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
+@contextlib.contextmanager
+def _exact_decimal_ints():
+    """Convert ranks of any length exactly; the digit limit is restored after."""
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+    if saved:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
+
+
 def _read_source(value: str) -> str:
     if value == "-":
         return sys.stdin.read()
@@ -89,14 +103,6 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParamInvalid(f"bad rational {text!r}") from exc
-
-
-def _fraction_arg(text: str) -> Fraction:
-    # argparse only maps ValueError/ArgumentTypeError to a usage error
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad rational {text!r}") from exc
 
 
 def _int_list(text: str) -> list[int]:
@@ -191,9 +197,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rat.add_argument("--n", required=True,
                      help="length, or comma-separated list for a table")
     rat.add_argument("--N", type=int, dest="num_blocks")
-    rat.add_argument("--epsilon", type=_fraction_arg)
+    rat.add_argument("--epsilon")
     rat.add_argument("--k", type=int)
-    rat.add_argument("--epsilon-k", dest="epsilon_k", type=_fraction_arg)
+    rat.add_argument("--epsilon-k", dest="epsilon_k")
     rat.add_argument("--limit", type=int, default=analysis.DEFAULT_ENUM_LIMIT)
     rat.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -222,11 +228,12 @@ def _cmd_encode_d1(args) -> int:
     elif rank_form:
         if args.i1 is None or args.i2 is None:
             raise ParamInvalid("both --i1 and --i2 are required")
-        try:
-            i1, i2 = int(args.i1), int(args.i2)
-        except ValueError as exc:
-            raise ParamInvalid("ranks must be decimal integers") from exc
-        inp = d1_message_input(i1, i2, args.n)
+        with _exact_decimal_ints():
+            try:
+                i1, i2 = int(args.i1), int(args.i2)
+            except ValueError as exc:
+                raise ParamInvalid("ranks must be decimal integers") from exc
+            inp = d1_message_input(i1, i2, args.n)
     else:
         raise ParamInvalid("supply --gamma1/--gamma2 or --i1/--i2")
 
@@ -269,10 +276,11 @@ def _cmd_decode_d1(args) -> int:
     pi = _perm_arg(args.perm)
     if args.message:
         i1, i2 = d1_message_decode(pi)
-        if args.format == "json":
-            _emit_json({"i1": str(i1), "i2": str(i2)})
-        else:
-            print(f"{i1} {i2}")
+        with _exact_decimal_ints():
+            if args.format == "json":
+                _emit_json({"i1": str(i1), "i2": str(i2)})
+            else:
+                print(f"{i1} {i2}")
         return 0
     inp = decode_d1(pi)
     if args.format == "json":
@@ -358,11 +366,13 @@ def _cmd_min_disc(args) -> int:
 
 
 def _cmd_rate(args) -> int:
+    epsilon, epsilon_k = (None if text is None else _fraction(text)
+                          for text in (args.epsilon, args.epsilon_k))
     lengths = _int_list(args.n)
     reports = [
         analysis.rate_report(args.config, n, N=args.num_blocks,
-                             epsilon=args.epsilon, k=args.k,
-                             epsilon_k=args.epsilon_k, limit=args.limit)
+                             epsilon=epsilon, k=args.k,
+                             epsilon_k=epsilon_k, limit=args.limit)
         for n in lengths
     ]
     if args.format == "csv":

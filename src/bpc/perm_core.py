@@ -10,10 +10,13 @@ verdicts are bit-identical across platforms.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate
+from math import factorial, gcd
+from operator import sub
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -121,15 +124,6 @@ def format_permutation(pi: Permutation) -> str:
     return " ".join(str(v) for v in pi.values)
 
 
-def _prefix_sums(values: tuple[int, ...]) -> list[int]:
-    sums = [0]
-    acc = 0
-    for v in values:
-        acc += v
-        sums.append(acc)
-    return sums
-
-
 def window_sum(pi: Permutation, j: int, b: int) -> int:
     """Sum of the length-``b`` window starting at position ``j`` (1-based)."""
     n = pi.n
@@ -151,35 +145,62 @@ def prefix_deviation(pi: Permutation, j: int) -> Fraction:
 def prefix_deviations_doubled(pi: Permutation) -> list[int]:
     """All doubled prefix deviations ``2*sum(pi[:j]) - j*(n+1)`` for j=0..n.
 
-    Doubling keeps the sequence integral for every ``n``; position 0 is
-    always 0.  Batch checkers use this to get O(1) window deviations.
+    Every verifier reads this sequence D: the length-``b`` window after ``j``
+    deviates by ``(D[j+b] - D[j]) / 2``.  D is integral for every ``n``.
     """
-    n = pi.n
-    out = [0]
-    acc = 0
-    for j, v in enumerate(pi.values, 1):
-        acc += v
-        out.append(2 * acc - j * (n + 1))
+    step = pi.n + 1
+    return list(accumulate([2 * v - step for v in pi.values], initial=0))
+
+
+def _sliding_max(xs, width: int) -> list:
+    """``max(xs[t:t+width])`` for every t, by one monotone deque: O(len(xs))."""
+    window, out = deque(), []
+    for t in range(len(xs) - 1, -1, -1):
+        while window and xs[window[-1]] <= xs[t]:
+            window.pop()
+        window.append(t)
+        if window[0] >= t + width:
+            window.popleft()
+        out.append(xs[window[0]])
+    out.reverse()
     return out
+
+
+def _window_violations(xs, steps: tuple[int, ...], limits: Mapping[int, int]):
+    """Yield each ``(b, s)`` with ``|xs[s+b] - xs[s]| > limits[b]``, b in the
+    ascending ``steps``, in (b, s) order.  If the spread of ``xs`` exceeds the
+    least limit, sliding extremes over each residue class mod gcd(steps) pick,
+    in O(len(xs)), the starts that can fail; only those are enumerated."""
+    floor = min((limits[b] for b in steps), default=None)
+    if floor is None or max(xs) - min(xs) <= floor:
+        return
+    g = gcd(*steps)
+    ahead, width = steps[0] // g, (steps[-1] - steps[0]) // g + 1
+    starts = []
+    for r in range(g):
+        ys = xs[r::g]
+        hi = _sliding_max(ys, width)[ahead:]
+        neg_lo = _sliding_max([-y for y in ys], width)[ahead:]
+        starts += [r + k * g for k, (y, h, nl) in enumerate(zip(ys, hi, neg_lo))
+                   if h - y > floor or y + nl > floor]
+    starts.sort()
+    for b in steps:
+        for s in starts[:bisect_right(starts, len(xs) - 1 - b)]:
+            if abs(xs[s + b] - xs[s]) > limits[b]:
+                yield b, s
 
 
 def disc(pi: Permutation, b: int) -> Fraction:
     """Maximum absolute deviation of any ``b``-window sum from ``b*(n+1)/2``.
 
-    Every window start ``j`` in ``[1, n-b+1]`` is considered.  The result is
-    an integer when ``b*(n+1)`` is even and a half-integer otherwise.
+    Every window start ``j`` in ``[1, n-b+1]`` is considered, in O(n).  The
+    result is an integer when ``b*(n+1)`` is even, else a half-integer.
     """
     n = pi.n
     if not 1 <= b <= n:
         raise IndexOutOfRange(f"block length {b} outside [1, {n}]")
-    sums = _prefix_sums(pi.values)
-    target2 = b * (n + 1)
-    worst = 0
-    for j in range(0, n - b + 1):
-        dev2 = abs(2 * (sums[j + b] - sums[j]) - target2)
-        if dev2 > worst:
-            worst = dev2
-    return Fraction(worst, 2)
+    devs2 = prefix_deviations_doubled(pi)
+    return Fraction(max(map(abs, map(sub, devs2[b:], devs2))), 2)
 
 
 @dataclass(frozen=True)
@@ -311,28 +332,19 @@ class ViolationReport:
 
 
 def verify_balance(pi: Permutation, spec: BalanceSpec) -> ViolationReport:
-    """Check every window of every spec'd length against its deviation bound."""
+    """Check every window of every spec'd length against its deviation bound
+    in O(n), plus the spec'd lengths at each window start with a violation."""
     n = pi.n
     if spec.n != n:
         raise SpecMismatch(f"spec is for n={spec.n}, permutation has n={n}")
-    sums = _prefix_sums(pi.values)
-    entries = []
-    for b in spec.blocks:
-        allowed = spec.dev_max[b]
-        target2 = b * (n + 1)
-        # |w - target2/2| > allowed  <=>  |2w - target2| * q > 2p, exact in ints
-        p, q = allowed.numerator, allowed.denominator
-        for j in range(1, n - b + 2):
-            w = sums[j + b - 1] - sums[j - 1]
-            dev2 = abs(2 * w - target2)
-            if dev2 * q > 2 * p:
-                entries.append(BalanceViolation(
-                    b=b, j=j, window_sum=w,
-                    target=Fraction(target2, 2),
-                    allowed_dev=allowed,
-                    actual_dev=Fraction(dev2, 2),
-                ))
-    return ViolationReport(tuple(entries))
+    # |w - b*(n+1)/2| > p/q  <=>  |2w - b*(n+1)| * q > 2p  <=>  dev2 > 2p // q
+    limits = {b: 2 * a.numerator // a.denominator for b, a in spec.dev_max.items()}
+    D = prefix_deviations_doubled(pi)
+    return ViolationReport(tuple(
+        BalanceViolation(b=b, j=s + 1, window_sum=(D[s + b] - D[s] + b * (n + 1)) // 2,
+                         target=Fraction(b * (n + 1), 2), allowed_dev=spec.dev_max[b],
+                         actual_dev=Fraction(abs(D[s + b] - D[s]), 2))
+        for b, s in _window_violations(D, spec.blocks, limits)))
 
 
 def check_two_neighbor(pi: Permutation, spec: NeighborSpec) -> ViolationReport:

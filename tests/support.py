@@ -12,13 +12,19 @@ import random
 from fractions import Fraction
 
 from bpc import (
+    BalanceViolation,
+    ClaimReport,
     D1Input,
     D2Input,
     D2Params,
+    NeighborSpec,
     Permutation,
     TnInput,
     TnParams,
+    ViolationReport,
+    check_two_neighbor,
 )
+from bpc.analysis import _BoundTally, _prefix_bound_detail
 
 # Golden two-source example: n=12.
 EX1_GAMMA1 = (3, 4, 1, 2, 5, 6)
@@ -181,3 +187,153 @@ def random_permutation(rng: random.Random, n: int) -> Permutation:
     vals = list(range(1, n + 1))
     rng.shuffle(vals)
     return Permutation(tuple(vals))
+
+
+# ---------------------------------------------------------------------------
+# Slow reference verifiers.  They rescan every (length, start) window and are
+# the oracles the prefix-deviation kernel in bpc is checked against.
+
+
+def reference_devs2(pi: Permutation) -> list[int]:
+    """Doubled prefix deviations ``2*sum(pi[:j]) - j*(n+1)``, j = 0..n."""
+    n = pi.n
+    out = [0]
+    acc = 0
+    for j, v in enumerate(pi.values, 1):
+        acc += v
+        out.append(2 * acc - j * (n + 1))
+    return out
+
+
+def reference_verify_balance(pi: Permutation, spec) -> ViolationReport:
+    """Every window of every spec'd length, summed afresh: O(n * |blocks|)."""
+    n = pi.n
+    sums = [0]
+    for v in pi.values:
+        sums.append(sums[-1] + v)
+    entries = []
+    for b in spec.blocks:
+        allowed = spec.dev_max[b]
+        target2 = b * (n + 1)
+        p, q = allowed.numerator, allowed.denominator
+        for j in range(1, n - b + 2):
+            w = sums[j + b - 1] - sums[j - 1]
+            dev2 = abs(2 * w - target2)
+            if dev2 * q > 2 * p:
+                entries.append(BalanceViolation(
+                    b=b, j=j, window_sum=w,
+                    target=Fraction(target2, 2),
+                    allowed_dev=allowed,
+                    actual_dev=Fraction(dev2, 2),
+                ))
+    return ViolationReport(tuple(entries))
+
+
+def reference_window_spread_detail(devs2, allowed2):
+    lo_i = max(range(len(devs2)), key=lambda i: -devs2[i])
+    hi_i = max(range(len(devs2)), key=lambda i: devs2[i])
+    if devs2[hi_i] - devs2[lo_i] <= 2 * allowed2:
+        return None
+    a, c = sorted((lo_i, hi_i))
+    return {
+        "b": str(c - a), "j": str(a + 1),
+        "dev": str(Fraction(abs(devs2[c] - devs2[a]), 2)),
+        "allowed": str(Fraction(allowed2, 2)),
+    }
+
+
+def reference_containment(n: int, span: int, lengths):
+    """First (b, i) of the per-window cell containment scan, or None."""
+    for b in lengths:
+        for i in range(1, n - b + 2):
+            cell = (i + span - 1) // span
+            if i + b - 1 > (cell + 1) * span:
+                return b, i
+    return None
+
+
+def reference_d1_claim_suite(perms, n: int) -> ClaimReport:
+    prefix = _BoundTally("prefix_bound")
+    window = _BoundTally("window_bound")
+    perms = list(perms)
+    for pi in perms:
+        devs2 = reference_devs2(pi)
+        prefix.record(pi, _prefix_bound_detail(devs2, 2 * (n + 1)))
+        window.record(pi, reference_window_spread_detail(devs2, 2 * (n + 1)))
+    return ClaimReport(config=f"d1(n={n})", total=len(perms),
+                       bounds=(prefix.result(), window.result()))
+
+
+def reference_d2_claim_suite(perms, params: D2Params) -> ClaimReport:
+    """The block suite scanning every (length, start) pair in order."""
+    n, N = params.n, params.N
+    span = 4 * n // N
+    even_prefix = _BoundTally("even_prefix_bound")
+    locality = _BoundTally("pair_locality")
+    window = _BoundTally("window_bound")
+    lengths = params.window_lengths
+    perms = list(perms)
+    for pi in perms:
+        devs2 = reference_devs2(pi)
+
+        detail = None
+        for j in range(0, n + 1, 2):
+            if abs(devs2[j]) > 4 * n // N:
+                detail = {"j": str(j), "dev": str(Fraction(devs2[j], 2)),
+                          "allowed": str(Fraction(2 * n, N))}
+                break
+        even_prefix.record(pi, detail)
+
+        detail = None
+        v = pi.values
+        for b in lengths:
+            for i in range(1, n - b + 2):
+                j = i + b - 1
+                cell = (i + span - 1) // span
+                if j > (cell + 1) * span:
+                    detail = {"i": str(i), "j": str(j), "cell": str(cell),
+                              "reason": "containment"}
+                    break
+                if j < n and abs(v[j] - v[i - 1]) > span:
+                    detail = {"i": str(i), "j+1": str(j + 1),
+                              "gap": str(abs(v[j] - v[i - 1])),
+                              "allowed": str(span)}
+                    break
+            if detail:
+                break
+        locality.record(pi, detail)
+
+        detail = None
+        for b in lengths:
+            for j in range(n - b + 1):
+                dev2 = abs(devs2[j + b] - devs2[j])
+                if dev2 * N > 16 * (n + 1):
+                    detail = {"b": str(b), "j": str(j + 1),
+                              "dev": str(Fraction(dev2, 2)),
+                              "allowed": str(Fraction(8 * (n + 1), N))}
+                    break
+            if detail:
+                break
+        window.record(pi, detail)
+    return ClaimReport(config=f"d2(n={n},N={N})", total=len(perms),
+                       bounds=(even_prefix.result(), locality.result(),
+                               window.result()))
+
+
+def reference_tn_claim_suite(perms, params: TnParams) -> ClaimReport:
+    n, k = params.n, params.k
+    neighbor = _BoundTally("two_neighbor")
+    window = _BoundTally("window_bound")
+    perms = list(perms)
+    for pi in perms:
+        report = check_two_neighbor(pi, NeighborSpec(k))
+        detail = None
+        if not report.is_valid:
+            first = report.entries[0]
+            detail = {"i": str(first.i), "left": str(first.left_diff),
+                      "right": str(first.right_diff), "allowed": str(k)}
+        neighbor.record(pi, detail)
+        devs2 = reference_devs2(pi)
+        window.record(pi, reference_window_spread_detail(devs2, 2 * (n + 1)))
+    return ClaimReport(config=f"tn(n={n},k={k})", total=len(perms),
+                       bounds=(neighbor.result(), window.result()))

@@ -85,6 +85,44 @@ class TestEncodeDecodeD1:
         assert code == 0
         assert back == f"{i1} 12345678901234567890\n"
 
+    def test_ranks_past_the_int_str_digit_limit(self, capsys):
+        # (2000)! has 5736 digits, past the interpreter's default limit of 4300
+        import random
+        import sys
+        from math import factorial
+
+        rng = random.Random(4000)
+        bound = factorial(2000)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            i1, i2 = str(bound - 1), str(rng.randrange(bound))
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        assert len(i1) > 4300
+        code, out, err = run(capsys, "encode", "d1", "--n", "4000",
+                             "--i1", i1, "--i2", i2)
+        assert code == 0, err
+        for fmt in ("text", "json"):
+            code, back, err = run(capsys, "decode", "d1", "--perm", out.strip(),
+                                  "--message", "--format", fmt)
+            assert code == 0, err
+            if fmt == "text":
+                assert back == f"{i1} {i2}\n"
+            else:
+                assert json.loads(back) == {"i1": i1, "i2": i2}
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
+
+    def test_long_rank_out_of_range_is_not_a_parse_error(self, capsys):
+        code, _, err = run(capsys, "encode", "d1", "--n", "12",
+                           "--i1", "9" * 5000, "--i2", "0")
+        assert code == 2
+        assert "outside" in err
+        assert "decimal integers" not in err
+
     def test_rank_too_large(self, capsys):
         code, _, err = run(capsys, "encode", "d1", "--n", "6",
                            "--i1", "6", "--i2", "0")
@@ -339,6 +377,23 @@ class TestSubprocessPipes:
         assert dec.returncode == 0
         assert dec.stdout == payload  # byte-exact through the pipe
         assert perm == " ".join(str(v) for v in EX3_CODEWORD)
+
+
+class TestImportCost:
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import bpc
+
+        src = str(Path(bpc.__file__).resolve().parent.parent)
+        probe = ("import sys, bpc.cli; "
+                 "print('concurrent.futures.process' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env={"PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestExitCodes:
