@@ -2,7 +2,7 @@
 
 Encoders and decoders for three constructions (two-source interleaving,
 blockwise cell schedule, and a two-neighbor-constrained variant), exact
-verifiers for the balancing and neighbor constraints, and brute-force
+verifiers for the balancing and neighbor constraints, and exhaustive
 analysis oracles (censuses, minimum discrepancy, rate reports).
 """
 

@@ -44,3 +44,11 @@ def log2_int(x: int) -> float:
         return math.log2(x)
     shift = bits - 960
     return math.log2(x >> shift) + shift
+
+
+def json_int(value: object) -> int:
+    """``value`` itself if it is an int, else ``ParamInvalid``: a JSON 2.7 or
+    true is rejected, never coerced to 2 or 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParamInvalid(f"expected an integer, got {value!r}")
+    return value

@@ -1,11 +1,15 @@
-"""Brute-force oracles: censuses over S_n, minimum-discrepancy search,
-claim batch-checkers, and code-rate reports.
+"""Exhaustive oracles: censuses over S_n, minimum-discrepancy search and
+neighbor-code sizes, plus claim batch-checkers and code-rate reports.
 
+The census and min_disc run one pruned depth-first search over prefixes: a
+window is tested when its last symbol is placed, so a failing prefix costs
+one test instead of a rescan of each of its completions.  The tn code size
+is counted by a search memoized on the set of symbols already emitted.
 Counts are exact integers; logarithms are taken only at the very end of a
-rate computation.  Enumerations may fan out over processes (worker count
-from the ``BPC_THREADS`` environment variable or an explicit argument), and
-results are merged in first-symbol order so the output never depends on the
-degree of parallelism.
+rate computation.  Searches may fan out over processes, one task per first
+symbol (worker count from the ``BPC_THREADS`` environment variable or an
+explicit argument), and results are merged in first-symbol order so the
+output never depends on the degree of parallelism.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .errors import (
     IndexOutOfRange,
     LimitExceeded,
     ParamInvalid,
-    SelectorViolation,
+    SourceExhausted,
     SpecMismatch,
 )
 from .perm_core import (
@@ -34,7 +38,7 @@ from .perm_core import (
     format_permutation,
     prefix_deviations_doubled,
 )
-from .tn_codec import TnInput, TnParams, encode_tn
+from .tn_codec import Half, TnParams, mandated_half
 
 __all__ = [
     "DEFAULT_ENUM_LIMIT",
@@ -77,6 +81,7 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 def _fan_out(scan, tasks, workers: int) -> list:
+    workers = min(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -93,46 +98,42 @@ def _check_limit(n: int, limit: int) -> None:
             "raise the limit explicitly to acknowledge the cost")
 
 
-def _balance_checks(spec: BalanceSpec) -> tuple[tuple[int, int, int, int], ...]:
-    # (b, doubled target, doubled allowed numerator, allowed denominator):
-    # a window sum w violates iff |2w - target2| * den > num2.
-    checks = []
-    for b in spec.blocks:
-        allowed = spec.dev_max[b]
-        checks.append((b, b * (spec.n + 1),
-                       2 * allowed.numerator, allowed.denominator))
-    return tuple(checks)
-
-
-def _passes_checks(values, n, checks, neighbor_k) -> bool:
-    sums = [0] * (n + 1)
-    acc = 0
-    for i, v in enumerate(values, 1):
-        acc += v
-        sums[i] = acc
-    for b, target2, num2, den in checks:
-        for j in range(n - b + 1):
-            if abs(2 * (sums[j + b] - sums[j]) - target2) * den > num2:
-                return False
-    if neighbor_k is not None:
-        for i in range(1, n - 1):
-            if (abs(values[i] - values[i - 1]) > neighbor_k
-                    and abs(values[i] - values[i + 1]) > neighbor_k):
-                return False
-    return True
-
-
-def _census_scan(args):
-    n, first, checks, neighbor_k, cap = args
-    rest = [v for v in range(1, n + 1) if v != first]
-    count = 0
+def _search(args):
+    """Depth-first search, in ascending order, over the permutations starting
+    with ``first``.  Placing a symbol at position i tests only the windows
+    ending there (``|D[i+1] - D[i+1-b]| > lim`` on the doubled prefix
+    deviations D) and the neighbor bound at i-1; a failure prunes the subtree.
+    With no check at all, a subtree whose achievers are no longer wanted is
+    counted as (n-i)! without being entered."""
+    n, first, limits, neighbor_k, cap = args
+    unchecked = not limits and neighbor_k is None
+    k = n if neighbor_k is None else neighbor_k  # no two symbols are n apart
+    ends = [[(i + 1 - b, lim) for b, lim in limits if b <= i + 1] for i in range(n)]
+    values, devs, free = [0] * n, [0] * (n + 1), [True] * (n + 1)
     achievers = []
-    for tail in itertools.permutations(rest):
-        values = (first,) + tail
-        if _passes_checks(values, n, checks, neighbor_k):
+    count = 0
+
+    def descend(i):
+        nonlocal count
+        if i == n:
             count += 1
             if len(achievers) < cap:
-                achievers.append(values)
+                achievers.append(tuple(values))
+            return
+        if i and unchecked and len(achievers) >= cap:  # i = 0 is all of S_n
+            count += factorial(n - i)
+            return
+        for v in range(1, n + 1) if i else (first,):
+            d = devs[i] + 2 * v - n - 1
+            if (not free[v] or any(abs(d - devs[j]) > lim for j, lim in ends[i])
+                    or i >= 2 and abs(values[i - 1] - values[i - 2]) > k
+                    and abs(values[i - 1] - v) > k):
+                continue
+            values[i], devs[i + 1], free[v] = v, d, False
+            descend(i + 1)
+            free[v] = True
+
+    descend(0)
     return count, achievers
 
 
@@ -161,10 +162,14 @@ class CensusResult:
 def census(n: int, spec: BalanceSpec, neighbor: NeighborSpec | None = None,
            cap: int = 0, limit: int = DEFAULT_ENUM_LIMIT,
            workers: int | None = None) -> CensusResult:
-    """Exhaustively filter S_n by a balance spec and optional neighbor bound.
+    """Count the permutations of S_n passing a balance spec and an optional
+    neighbor bound, by a pruned depth-first search over prefixes.
 
-    ``cap`` bounds how many achievers are materialized (always the
-    lexicographically first ones); the count itself is always exact.
+    The cost is O(|blocks|) exact int tests per surviving prefix, not n! rescans.
+    A length allowed b*(n-b) or more, the most any length-b window can deviate
+    (doubled), is skipped; with nothing left to check only the first ``cap``
+    achievers are visited.  ``cap`` bounds how many achievers are materialized
+    (always the lexicographically first ones); the count is always exact.
     """
     _check_limit(n, limit)
     if spec.n != n:
@@ -174,63 +179,37 @@ def census(n: int, spec: BalanceSpec, neighbor: NeighborSpec | None = None,
             raise SpecMismatch("two-neighbor check needs n >= 3")
         if not 1 <= neighbor.k <= n - 1:
             raise SpecMismatch(f"neighbor bound {neighbor.k} outside [1, {n - 1}]")
-    checks = _balance_checks(spec)
+    if cap < 0:
+        raise ParamInvalid(f"achiever cap must be >= 0, got {cap}")
+    # doubled deviation d breaks allowance p/q iff d*q > 2p iff d > 2p//q
+    limits = [(b, lim) for b, a in spec.dev_max.items()
+              for lim in [2 * a.numerator // a.denominator] if lim < b * (n - b)]
     neighbor_k = neighbor.k if neighbor else None
-    tasks = [(n, first, checks, neighbor_k, cap) for first in range(1, n + 1)]
-    parts = _fan_out(_census_scan, tasks, _resolve_workers(workers))
-    count = sum(c for c, _ in parts)
-    achievers = []
-    for _, ach in parts:
-        for values in ach:
-            if len(achievers) >= cap:
-                break
-            achievers.append(Permutation(values))
-    return CensusResult(n=n, spec=spec, neighbor=neighbor, count=count,
-                        achievers=tuple(achievers))
-
-
-def _min_disc_scan(args):
-    n, first, b = args
-    rest = [v for v in range(1, n + 1) if v != first]
-    target2 = b * (n + 1)
-    best = None
-    count = 0
-    for tail in itertools.permutations(rest):
-        values = (first,) + tail
-        w = sum(values[:b])
-        worst = abs(2 * w - target2)
-        if best is not None and worst > best:
-            continue
-        abandoned = False
-        for j in range(b, n):
-            w += values[j] - values[j - b]
-            d = abs(2 * w - target2)
-            if d > worst:
-                worst = d
-                if best is not None and worst > best:
-                    abandoned = True
-                    break
-        if abandoned:
-            continue
-        if best is None or worst < best:
-            best, count = worst, 1
-        elif worst == best:
-            count += 1
-    return best, count
+    tasks = [(n, first, limits, neighbor_k, cap) for first in range(1, n + 1)]
+    parts = _fan_out(_search, tasks, _resolve_workers(workers))
+    achievers = itertools.chain.from_iterable(ach for _, ach in parts)
+    return CensusResult(n=n, spec=spec, neighbor=neighbor,
+                        count=sum(c for c, _ in parts),
+                        achievers=tuple(map(Permutation, itertools.islice(achievers, cap))))
 
 
 def min_disc(n: int, b: int, limit: int = DEFAULT_ENUM_LIMIT,
              workers: int | None = None) -> tuple[Fraction, int]:
     """Minimum discrepancy over all of S_n for window length ``b``, with the
-    exact number of permutations achieving it."""
+    exact number of permutations achieving it.
+
+    The answer is the least doubled allowance t whose census is non-empty.
+    Every doubled window deviation has the parity of b*(n+1), so t steps by
+    2 from that parity, and each census prunes every prefix already past t.
+    """
     _check_limit(n, limit)
     if not 2 <= b <= n:
         raise IndexOutOfRange(f"window length {b} outside [2, {n}]")
-    tasks = [(n, first, b) for first in range(1, n + 1)]
-    parts = _fan_out(_min_disc_scan, tasks, _resolve_workers(workers))
-    best = min(worst for worst, _ in parts if worst is not None)
-    count = sum(c for worst, c in parts if worst == best)
-    return Fraction(best, 2), count
+    for t in itertools.count(b * (n + 1) % 2, 2):
+        count = census(n, BalanceSpec(n, (b,), {b: Fraction(t, 2)}),
+                       limit=limit, workers=workers).count
+        if count:
+            return Fraction(t, 2), count
 
 
 @dataclass(frozen=True)
@@ -298,40 +277,48 @@ def rate_report_d2(n: int, N: int | None = None,
                       target=target)
 
 
-def _selector_multiset(params: TnParams) -> tuple[int, ...]:
-    reps = params.k // 2
-    out = []
-    for i in range(1, params.m + 1):
-        out.extend([i] * reps)
-    return tuple(out)
-
-
 def tn_code_size(params: TnParams, limit: int = DEFAULT_ENUM_LIMIT) -> int:
-    """Exact size of the neighbor-constrained code by exhausting all inputs.
+    """Exact size of the neighbor-constrained code.
 
     Distinct inputs give distinct codewords (decoding is a projection), so
-    counting the inputs that encode without a selector violation counts the
-    codewords.
+    the count is that of the encoder's runs: at each step some non-empty set
+    of the mandated half emits an ordered pair of its remaining symbols.
+    The deviation after a prefix, hence the mandate, depends only on the set
+    of symbols emitted, so the completions are counted once per such set
+    (a bitmask): O(m * k**2) work for each of at most 2**((k-1)*m) states,
+    instead of running the encoder on k!**m * (selectors) inputs.
     """
     _check_limit(params.n, limit)
-    per_set = list(itertools.permutations(range(1, params.k + 1)))
-    selectors = sorted(set(itertools.permutations(_selector_multiset(params))))
-    count = 0
-    for combo in itertools.product(per_set, repeat=params.m):
-        sigmas = tuple(Permutation(s) for s in combo)
-        for sel in selectors:
-            try:
-                encode_tn(TnInput(params, sigmas, sel))
-            except SelectorViolation:
-                continue
-            count += 1
-    return count
+    n, k, m = params.n, params.k, params.m
+    full = (1 << n + 1) - 2  # bit v set: symbol v emitted
+    memo = {}
+
+    def completions(emitted: int, dev2: int) -> int:
+        if emitted == full:
+            return 1
+        if emitted in memo:
+            return memo[emitted]
+        rests = [[v for v in range(s * k + 1, s * k + k + 1) if not emitted >> v & 1]
+                 for s in range(m)]
+        half = mandated_half(dev2)
+        mandated = rests[:m // 2] if half is Half.LOWER else rests[m // 2:]
+        if not any(mandated):
+            step = emitted.bit_count() // 2 + 1
+            raise SourceExhausted(
+                f"every {half.value} set empty at step {step}"
+                " (encoder invariant broken)", step=step, mandated=half.value,
+                remaining={s + 1: len(rest) for s, rest in enumerate(rests)})
+        memo[emitted] = total = sum(
+            completions(emitted | 1 << a | 1 << b, dev2 + 2 * (a + b - n - 1))
+            for rest in mandated for a, b in itertools.permutations(rest, 2))
+        return total
+
+    return completions(0, 0)
 
 
 def rate_report_tn(n: int, k: int | None = None,
                    epsilon_k: Fraction | None = None,
-                   limit: int = DEFAULT_ENUM_LIMIT,
-                   workers: int | None = None) -> RateReport:
+                   limit: int = DEFAULT_ENUM_LIMIT) -> RateReport:
     """Rate of the neighbor-constrained codec.
 
     The code size has no closed form here; it is counted exhaustively when

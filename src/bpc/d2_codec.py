@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import ceil_rational_power
+from ._util import ceil_rational_power, json_int
 from .errors import ParamInvalid, SourceExhausted
 from .perm_core import Permutation
 
@@ -190,9 +190,8 @@ def d2_input_to_json_dict(inp: D2Input) -> dict:
 
 def d2_input_from_json_dict(obj: dict) -> D2Input:
     try:
-        params = D2Params(int(obj["n"]), int(obj["N"]))
-        sigmas = tuple(Permutation(tuple(int(v) for v in s))
-                       for s in obj["sigmas"])
-    except (KeyError, TypeError, ValueError) as exc:
+        params = D2Params(json_int(obj["n"]), json_int(obj["N"]))
+        sigmas = tuple(Permutation(tuple(map(json_int, s))) for s in obj["sigmas"])
+    except (KeyError, TypeError) as exc:
         raise ParamInvalid(f"malformed block-codec input: {exc!r}") from exc
     return D2Input(params, sigmas)

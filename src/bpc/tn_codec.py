@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._util import json_int
 from .errors import NotCodeword, ParamInvalid, SelectorViolation, SourceExhausted
 from .perm_core import Permutation
 
@@ -216,10 +217,9 @@ def tn_input_to_json_dict(inp: TnInput) -> dict:
 
 def tn_input_from_json_dict(obj: dict) -> TnInput:
     try:
-        params = TnParams(int(obj["n"]), int(obj["k"]))
-        sigmas = tuple(Permutation(tuple(int(v) for v in s))
-                       for s in obj["sigmas"])
-        selector = tuple(int(s) for s in obj["selector"])
-    except (KeyError, TypeError, ValueError) as exc:
+        params = TnParams(json_int(obj["n"]), json_int(obj["k"]))
+        sigmas = tuple(Permutation(tuple(map(json_int, s))) for s in obj["sigmas"])
+        selector = tuple(map(json_int, obj["selector"]))
+    except (KeyError, TypeError) as exc:
         raise ParamInvalid(f"malformed neighbor-codec input: {exc!r}") from exc
     return TnInput(params, sigmas, selector)

@@ -13,16 +13,19 @@ from fractions import Fraction
 
 from bpc import (
     BalanceViolation,
+    CensusResult,
     ClaimReport,
     D1Input,
     D2Input,
     D2Params,
     NeighborSpec,
     Permutation,
+    SelectorViolation,
     TnInput,
     TnParams,
     ViolationReport,
     check_two_neighbor,
+    encode_tn,
 )
 from bpc.analysis import _BoundTally, _prefix_bound_detail
 
@@ -337,3 +340,92 @@ def reference_tn_claim_suite(perms, params: TnParams) -> ClaimReport:
         window.record(pi, reference_window_spread_detail(devs2, 2 * (n + 1)))
     return ClaimReport(config=f"tn(n={n},k={k})", total=len(perms),
                        bounds=(neighbor.result(), window.result()))
+
+
+# ---------------------------------------------------------------------------
+# Slow reference oracles.  They visit every permutation (or every codec
+# input) and rescan it from scratch; the pruned searches in bpc.analysis are
+# checked against them.
+
+
+def _passes_checks(values, n, checks, neighbor_k) -> bool:
+    sums = [0] * (n + 1)
+    acc = 0
+    for i, v in enumerate(values, 1):
+        acc += v
+        sums[i] = acc
+    for b, target2, num2, den in checks:
+        for j in range(n - b + 1):
+            if abs(2 * (sums[j + b] - sums[j]) - target2) * den > num2:
+                return False
+    if neighbor_k is not None:
+        for i in range(1, n - 1):
+            if (abs(values[i] - values[i - 1]) > neighbor_k
+                    and abs(values[i] - values[i + 1]) > neighbor_k):
+                return False
+    return True
+
+
+def reference_census(n: int, spec, neighbor=None, cap: int = 0) -> CensusResult:
+    """Filter all n! permutations in lexicographic order: O(n! * n * |blocks|)."""
+    # (b, doubled target, doubled allowed numerator, allowed denominator):
+    # a window sum w violates iff |2w - target2| * den > num2.
+    checks = [(b, b * (n + 1), 2 * spec.dev_max[b].numerator,
+               spec.dev_max[b].denominator) for b in spec.blocks]
+    neighbor_k = neighbor.k if neighbor else None
+    count = 0
+    achievers = []
+    for values in itertools.permutations(range(1, n + 1)):
+        if _passes_checks(values, n, checks, neighbor_k):
+            count += 1
+            if len(achievers) < cap:
+                achievers.append(Permutation(values))
+    return CensusResult(n=n, spec=spec, neighbor=neighbor, count=count,
+                        achievers=tuple(achievers))
+
+
+def reference_min_disc(n: int, b: int) -> tuple[Fraction, int]:
+    """Least worst doubled b-window deviation over S_n, with its count; each
+    permutation is abandoned once it is worse than the best so far."""
+    target2 = b * (n + 1)
+    best = None
+    count = 0
+    for values in itertools.permutations(range(1, n + 1)):
+        w = sum(values[:b])
+        worst = abs(2 * w - target2)
+        if best is not None and worst > best:
+            continue
+        abandoned = False
+        for j in range(b, n):
+            w += values[j] - values[j - b]
+            d = abs(2 * w - target2)
+            if d > worst:
+                worst = d
+                if best is not None and worst > best:
+                    abandoned = True
+                    break
+        if abandoned:
+            continue
+        if best is None or worst < best:
+            best, count = worst, 1
+        elif worst == best:
+            count += 1
+    return Fraction(best, 2), count
+
+
+def reference_tn_code_size(params: TnParams) -> int:
+    """Run the encoder on all k!**m orderings times every distinct selector
+    (each set named k/2 times) and count the inputs it accepts."""
+    per_set = list(itertools.permutations(range(1, params.k + 1)))
+    multiset = [i for i in range(1, params.m + 1) for _ in range(params.k // 2)]
+    selectors = sorted(set(itertools.permutations(multiset)))
+    count = 0
+    for combo in itertools.product(per_set, repeat=params.m):
+        sigmas = tuple(Permutation(s) for s in combo)
+        for sel in selectors:
+            try:
+                encode_tn(TnInput(params, sigmas, sel))
+            except SelectorViolation:
+                continue
+            count += 1
+    return count

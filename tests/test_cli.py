@@ -210,6 +210,16 @@ class TestEncodeDecodeTn:
         assert code == 1
         assert "mandated" in err
 
+    def test_non_integer_sigma_is_usage_error(self, capsys, tmp_path):
+        for bad in (2.7, True):
+            obj = tn_input_to_json_dict(ex4_input())
+            obj["sigmas"][0][0] = bad
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(obj))
+            code, out, err = run(capsys, "encode", "tn", "--input", str(path))
+            assert (code, out) == (2, "")
+            assert "integer" in err
+
 
 class TestVerifyAndDisc:
     def test_verify_valid(self, capsys):
@@ -288,6 +298,12 @@ class TestAnalyze:
         assert obj["dev_max"] == {"2": "18"}
         assert obj["neighbor_k"] == 3
         assert int(obj["count"]) > 0
+
+    def test_census_negative_cap_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "analyze", "census", "--n", "4",
+                             "--blocks", "2", "--dev-max", "1", "--cap", "-3")
+        assert (code, out) == (2, "")
+        assert "cap" in err
 
     def test_census_limit(self, capsys):
         code, _, err = run(capsys, "analyze", "census", "--n", "11",

@@ -216,6 +216,17 @@ class TestJson:
         with pytest.raises(ParamInvalid):
             d2_input_from_json_dict({"n": 8, "sigmas": []})
 
+    @pytest.mark.parametrize("field,index,bad", [
+        ("sigmas", 0, 2.7), ("sigmas", 1, True), ("n", None, 32.0), ("N", None, "8")])
+    def test_non_integers_rejected_not_coerced(self, field, index, bad):
+        obj = d2_input_to_json_dict(ex3_input())
+        if index is None:
+            obj[field] = bad
+        else:
+            obj[field][0][index] = bad
+        with pytest.raises(ParamInvalid):
+            d2_input_from_json_dict(obj)
+
     def test_shape_validation(self):
         with pytest.raises(ParamInvalid):
             D2Input(D2Params(8, 4), (Permutation((1, 2)),) * 3)

@@ -209,3 +209,17 @@ class TestJson:
     def test_missing_field(self):
         with pytest.raises(ParamInvalid):
             tn_input_from_json_dict({"n": 8, "k": 2, "sigmas": []})
+
+    @pytest.mark.parametrize("field,index,bad", [
+        ("sigmas", 0, 2.7), ("sigmas", 1, True), ("selector", None, 1.0),
+        ("selector", None, False), ("n", None, 24.0), ("k", None, "4")])
+    def test_non_integers_rejected_not_coerced(self, field, index, bad):
+        obj = tn_input_to_json_dict(ex4_input())
+        if field == "sigmas":
+            obj[field][0][index] = bad
+        elif field == "selector":
+            obj[field][0] = bad
+        else:
+            obj[field] = bad
+        with pytest.raises(ParamInvalid):
+            tn_input_from_json_dict(obj)
