@@ -26,9 +26,7 @@ from .analysis import (
 )
 from .d1_codec import (
     D1Input,
-    SourceState,
     TranspositionStep,
-    TranspositionTrace,
     d1_message_decode,
     d1_message_encode,
     d1_message_input,
@@ -38,8 +36,6 @@ from .d1_codec import (
     interleave,
 )
 from .d2_codec import (
-    Cell,
-    CellSchedule,
     D2Input,
     D2Params,
     cell_schedule,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -89,6 +90,11 @@ def _fan_out(scan, tasks, workers: int) -> list:
     return [scan(t) for t in tasks]
 
 
+# Frames a search may stack on top of one per position: its own, and those
+# of a process-pool worker, which runs it on a fresh stack.
+_SEARCH_FRAMES = 24
+
+
 def _check_limit(n: int, limit: int) -> None:
     if n < 1:
         raise ParamInvalid("n must be >= 1")
@@ -96,6 +102,14 @@ def _check_limit(n: int, limit: int) -> None:
         raise LimitExceeded(
             f"exhaustive enumeration over S_{n} exceeds the limit {limit}; "
             "raise the limit explicitly to acknowledge the cost")
+    # the searches recurse once per position; refuse before they hit the limit
+    frame, depth = sys._getframe(), n + _SEARCH_FRAMES
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    if depth > sys.getrecursionlimit():
+        raise LimitExceeded(
+            f"a search over S_{n} recurses {n} calls deep, past the interpreter's "
+            f"recursion limit {sys.getrecursionlimit()}")
 
 
 def _search(args):

@@ -81,21 +81,21 @@ def _exact_decimal_ints():
             sys.set_int_max_str_digits(saved)
 
 
-def _read_source(value: str) -> str:
-    if value == "-":
-        return sys.stdin.read()
-    return value
-
-
 def _read_file_or_stdin(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of the file at ``path`` ('-' for stdin); input that is not
+    UTF-8 is a usage error."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParamInvalid(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _perm_arg(value: str) -> Permutation:
-    return parse_permutation(_read_source(value))
+    """A permutation given inline, or read from stdin when ``value`` is '-'."""
+    return parse_permutation(_read_file_or_stdin(value) if value == "-" else value)
 
 
 def _fraction(text: str) -> Fraction:
@@ -170,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dsc.add_argument("--perm", required=True)
     dsc.add_argument("--b", type=int, required=True)
 
-    ana = sub.add_parser("analyze", help="brute-force censuses and rate reports")
+    ana = sub.add_parser("analyze", help="pruned-search censuses and rate reports")
     ana_sub = ana.add_subparsers(dest="what", required=True)
 
     cen = ana_sub.add_parser("census", help="count permutations passing checks")

@@ -2,25 +2,23 @@
 
 The encoder splits {1, ..., n} into a low half and a high half, orders each
 half by an input permutation, and emits whichever half pulls the running
-average back toward (n+1)/2.  Its streaming twin starts from the interleaving
-of the two orderings and fixes one position per step, reinserting a symbol by
-adjacent transpositions whenever the slot disagrees with the mandated half.
-Both emit identical codewords; the decoder is the half-membership projection.
+average back toward (n+1)/2.  Its streaming twin describes the same codeword
+as edits of the interleaving of the two orderings: one forward pointer over
+the interleaving finds the symbol each slot would hold, and a reinsert is
+recorded wherever that is not the codeword's symbol, in O(n) overall.  The
+decoder is the half-membership projection.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
-from .errors import IndexOutOfRange, OddLength, ParamInvalid, SourceExhausted
-from .perm_core import Permutation, rank, unrank
+from .errors import IndexOutOfRange, OddLength, ParamInvalid
+from .perm_core import Permutation, _Emitter, _project, rank, unrank
 
 __all__ = [
     "D1Input",
-    "SourceState",
     "TranspositionStep",
     "TranspositionTrace",
     "interleave",
@@ -31,9 +29,6 @@ __all__ = [
     "d1_message_encode",
     "d1_message_decode",
 ]
-
-LOW = 1
-HIGH = 2
 
 
 @dataclass(frozen=True)
@@ -52,65 +47,20 @@ class D1Input:
         return 2 * self.gamma1.n
 
 
-@dataclass
-class SourceState:
-    """Mutable working state of one encoding run (single use, single thread).
-
-    ``o1`` holds the unemitted low symbols (values in [1, n/2]) and ``o2``
-    the unemitted high symbols, each in emission order.  ``dev_twice`` is
-    twice the running deviation from the mean prefix sum, kept doubled so the
-    update per emitted symbol stays in exact integer arithmetic.
-    """
-
-    n: int
-    o1: deque[int]
-    o2: deque[int]
-    emitted: int = 0
-    dev_twice: int = 0
-
-    @classmethod
-    def from_input(cls, inp: D1Input) -> "SourceState":
-        half = inp.gamma1.n
-        return cls(
-            n=2 * half,
-            o1=deque(inp.gamma1.values),
-            o2=deque(v + half for v in inp.gamma2.values),
-        )
-
-    @property
-    def dev(self) -> Fraction:
-        return Fraction(self.dev_twice, 2)
-
-    def mandated_source(self) -> int:
-        """LOW when the running sum is above the mean, HIGH otherwise (ties high)."""
-        return LOW if self.dev_twice > 0 else HIGH
-
-    def take(self, source: int) -> int:
-        queue = self.o1 if source == LOW else self.o2
-        if not queue:
-            raise SourceExhausted(
-                f"source {source} empty after {self.emitted} symbols"
-                " (encoder invariant broken)",
-                n=self.n, emitted=self.emitted, dev_twice=self.dev_twice,
-                remaining_low=len(self.o1), remaining_high=len(self.o2),
-            )
-        v = queue.popleft()
-        self.emitted += 1
-        self.dev_twice += 2 * v - (self.n + 1)
-        return v
-
-
 def encode_d1(inp: D1Input) -> Permutation:
     """Greedy encoder: one pass, deviation maintained incrementally.
 
+    Block 1 is the low ordering and block 2 the high one (shifted by n/2).
     The first symbol is unconditionally the head of the low ordering; every
-    later step takes from the half mandated by the sign of the deviation.
+    later step takes low when the deviation is positive, else high.
     """
-    state = SourceState.from_input(inp)
-    out = [state.take(LOW)]
-    for _ in range(1, state.n):
-        out.append(state.take(state.mandated_source()))
-    return Permutation(tuple(out))
+    half = inp.gamma1.n
+    em = _Emitter(2 * half, (inp.gamma1.values, [v + half for v in inp.gamma2.values]))
+    take = em.take
+    take(1)
+    for _ in range(1, 2 * half):
+        take(1 if em.dev2 > 0 else 2)
+    return Permutation(tuple(em.out))
 
 
 @dataclass(frozen=True)
@@ -143,40 +93,26 @@ def interleave(inp: D1Input) -> Permutation:
 
 
 def encode_d1_streaming(inp: D1Input) -> tuple[Permutation, TranspositionTrace]:
-    """In-place encoder over the interleaving; equivalent to ``encode_d1``.
+    """The ``encode_d1`` codeword plus the reinserts that turn the
+    interleaving into it, slot by slot, in O(n).
 
-    State beyond the working sequence is two source queues and the doubled
-    deviation.  Position 1 is fixed by construction; for each later slot, if
-    the symbol sitting there is not the mandated source's next candidate,
-    that candidate is deleted and reinserted at the slot (one trace entry).
+    Slots 1..j-1 hold the codeword's first symbols and the rest keep their
+    interleaving order, so slot j holds the first unemitted symbol of the
+    interleaving; one pointer that only moves forward finds it.  When it is
+    not the codeword's symbol v, v is reinserted at slot j (one trace entry).
     """
-    n = inp.n
-    half = n // 2
-    work = list(interleave(inp).values)
-    low = deque(inp.gamma1.values)
-    high = deque(v + half for v in inp.gamma2.values)
-    low.popleft()  # slot 1 already holds it
-    dev2 = 2 * work[0] - (n + 1)
+    pi = encode_d1(inp)
+    merged = interleave(inp).values
+    emitted = [False] * (pi.n + 1)
+    p = 0
     steps = []
-    for j in range(2, n + 1):
-        source = low if dev2 > 0 else high
-        if not source:
-            raise SourceExhausted(
-                f"mandated source empty at slot {j} (encoder invariant broken)",
-                n=n, slot=j, dev_twice=dev2,
-                remaining_low=len(low), remaining_high=len(high),
-            )
-        v = source.popleft()
-        slot = j - 1
-        # The candidate is the first of its half in the unfixed region, so
-        # the scan never passes another same-half symbol.
-        p = work.index(v, slot)
-        if p != slot:
-            del work[p]
-            work.insert(slot, v)
+    for j, v in enumerate(pi.values, 1):
+        while emitted[merged[p]]:
+            p += 1
+        if merged[p] != v:
             steps.append(TranspositionStep(position=j, moved_symbol=v))
-        dev2 += 2 * v - (n + 1)
-    return Permutation(tuple(work)), TranspositionTrace(tuple(steps))
+        emitted[v] = True
+    return pi, TranspositionTrace(tuple(steps))
 
 
 def decode_d1(pi: Permutation) -> D1Input:
@@ -185,13 +121,9 @@ def decode_d1(pi: Permutation) -> D1Input:
     Total on all even-length permutations, codeword or not; on codewords it
     inverts both encoders.
     """
-    n = pi.n
-    if n % 2 != 0:
-        raise OddLength(f"length {n} is odd")
-    half = n // 2
-    lows = tuple(v for v in pi.values if v <= half)
-    highs = tuple(v - half for v in pi.values if v > half)
-    return D1Input(Permutation(lows), Permutation(highs))
+    if pi.n % 2 != 0:
+        raise OddLength(f"length {pi.n} is odd")
+    return D1Input(*_project(pi, pi.n // 2))
 
 
 def d1_message_input(i1: int, i2: int, n: int) -> D1Input:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._util import ceil_rational_power, json_int
-from .errors import ParamInvalid, SourceExhausted
-from .perm_core import Permutation
+from .errors import ParamInvalid
+from .perm_core import Permutation, _Emitter, _project
 
 __all__ = [
     "D2Params",
@@ -127,42 +127,20 @@ def encode_d2(inp: D2Input, *, tie_to_upper: bool = False) -> Permutation:
     the upper pair (``tie_to_upper`` flips only the zero case); within a
     pair the smaller source index is emitted first.  Cell 1's first visit
     is the lower pair by construction.  A cell is left only once all four
-    of its sources are empty; an empty mandated pair raises
-    ``SourceExhausted`` with a reproducible witness.
+    of its sources are empty; an empty source of the mandated pair raises
+    ``SourceExhausted``.
     """
     params = inp.params
-    n = params.n
     schedule = cell_schedule(params)
-    sources = {i: inp.ordering(i) for i in range(1, params.N + 1)}
-    heads = {i: 0 for i in sources}
-
-    out = []
-    dev2 = 0  # doubled running deviation from the mean prefix sum
+    em = _Emitter(params.n, (inp.ordering(i) for i in range(1, params.N + 1)))
+    take = em.take
     for cell in schedule.cells:
-        for visit in range(schedule.visits_per_cell):
-            if tie_to_upper:
-                take_lower = dev2 > 0
-            else:
-                take_lower = dev2 >= 0
-            if cell.index == 1 and visit == 0:
-                take_lower = True
-            pair = cell.lower if take_lower else cell.upper
-            if any(heads[i] >= len(sources[i]) for i in pair):
-                raise SourceExhausted(
-                    f"mandated {'lower' if take_lower else 'upper'} pair of "
-                    f"cell {cell.index} empty at visit {visit + 1}",
-                    cell=cell.index, visit=visit + 1,
-                    mandated="lower" if take_lower else "upper",
-                    dev=Fraction(dev2, 2),
-                    remaining={i: len(sources[i]) - heads[i] for i in sources},
-                    input=inp, tie_to_upper=tie_to_upper,
-                )
-            for i in pair:
-                v = sources[i][heads[i]]
-                heads[i] += 1
-                out.append(v)
-                dev2 += 2 * v - (n + 1)
-    return Permutation(tuple(out))
+        for _ in range(schedule.visits_per_cell):
+            lower = em.dev2 > 0 if tie_to_upper else em.dev2 >= 0
+            a, b = cell.lower if lower or not em.out else cell.upper
+            take(a)
+            take(b)
+    return Permutation(tuple(em.out))
 
 
 def decode_d2(pi: Permutation, params: D2Params) -> D2Input:
@@ -172,12 +150,7 @@ def decode_d2(pi: Permutation, params: D2Params) -> D2Input:
     """
     if params.n != pi.n:
         raise ParamInvalid(f"params are for n={params.n}, permutation has n={pi.n}")
-    size = params.block_size
-    buckets: list[list[int]] = [[] for _ in range(params.N)]
-    for v in pi.values:
-        block = (v - 1) // size
-        buckets[block].append(v - block * size)
-    return D2Input(params, tuple(Permutation(tuple(b)) for b in buckets))
+    return D2Input(params, _project(pi, params.block_size))
 
 
 def d2_input_to_json_dict(inp: D2Input) -> dict:

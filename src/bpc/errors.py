@@ -39,8 +39,8 @@ class SourceExhausted(BpcError):
     """A mandated symbol source was empty.
 
     This signals a broken encoder invariant, never a caller mistake: it is
-    raised as a defect witness (the ``state`` payload reproduces the run)
-    and is deliberately never caught or patched inside the package.
+    raised as a defect witness (the ``state`` payload records where the run
+    stopped) and is deliberately never caught or patched inside the package.
     """
 
     def __init__(self, message: str, **state: object):

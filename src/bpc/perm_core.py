@@ -1,5 +1,6 @@
-"""Permutation values, windowed-sum balance verifiers, discrepancy, and
-lexicographic rank/unrank.
+"""Permutation values, windowed-sum balance verifiers, discrepancy,
+lexicographic rank/unrank, and the symbol emitter and block projection that
+the three codecs share.
 
 Symbols are 1-based throughout: a permutation of length ``n`` holds each of
 ``{1, ..., n}`` exactly once, and window/position arguments follow the same
@@ -23,6 +24,7 @@ from .errors import (
     IndexOutOfRange,
     NotPermutation,
     ParamInvalid,
+    SourceExhausted,
     SpecMismatch,
 )
 
@@ -150,6 +152,54 @@ def prefix_deviations_doubled(pi: Permutation) -> list[int]:
     """
     step = pi.n + 1
     return list(accumulate([2 * v - step for v in pi.values], initial=0))
+
+
+class _Emitter:
+    """Working state of one encoder run: a queue per block of symbols, the
+    emitted symbols, and their doubled prefix deviation ``dev2`` (the last
+    entry of ``prefix_deviations_doubled`` of the output so far).
+
+    Every codec draws from it; each keeps only its own rule for which block
+    the sign of ``dev2`` mandates.  Blocks are 1-based, in the order given.
+    """
+
+    __slots__ = ("queues", "out", "dev2", "_step")
+
+    def __init__(self, n: int, orderings: Iterable[Iterable[int]]):
+        self.queues = {i: deque(o) for i, o in enumerate(orderings, 1)}
+        self.out: list[int] = []
+        self.dev2 = 0
+        self._step = n + 1
+
+    def take(self, block: int) -> None:
+        """Emit the head of ``block``; an empty block is a defect witness."""
+        try:
+            v = self.queues[block].popleft()
+        except IndexError:
+            raise self.exhausted((block,)) from None
+        self.out.append(v)
+        self.dev2 += 2 * v - self._step
+
+    def remaining(self) -> dict[int, int]:
+        return {i: len(q) for i, q in self.queues.items()}
+
+    def exhausted(self, mandated: tuple[int, ...]) -> SourceExhausted:
+        """The defect witness for an empty mandated block (or set of blocks)."""
+        return SourceExhausted(
+            f"mandated block(s) {', '.join(map(str, mandated))} empty after "
+            f"{len(self.out)} symbols (encoder invariant broken)",
+            emitted=len(self.out), dev_twice=self.dev2, mandated=mandated,
+            remaining=self.remaining())
+
+
+def _project(pi: Permutation, size: int) -> tuple[Permutation, ...]:
+    """Split ``pi`` into its blocks of ``size`` consecutive symbols, block
+    ``(v-1)//size`` in order of appearance, each shifted onto [1, size]."""
+    blocks: list[list[int]] = [[] for _ in range(pi.n // size)]
+    for v in pi.values:
+        b = (v - 1) // size
+        blocks[b].append(v - b * size)
+    return tuple(Permutation(tuple(b)) for b in blocks)
 
 
 def _sliding_max(xs, width: int) -> list:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._util import json_int
-from .errors import NotCodeword, ParamInvalid, SelectorViolation, SourceExhausted
-from .perm_core import Permutation
+from .errors import NotCodeword, ParamInvalid, SelectorViolation
+from .perm_core import Permutation, _Emitter, _project
 
 __all__ = [
     "Half",
@@ -103,6 +103,29 @@ class TnInput:
         return [v + offset for v in self.sigmas[i - 1].values]
 
 
+def _encode_pairs(params: TnParams, sigmas, pick) -> tuple[int, ...]:
+    """The encoder run shared by ``encode_tn`` and ``random_valid_input``.
+
+    Step t emits two symbols from the set ``pick(t, sets, em)`` names, where
+    ``sets`` is the range of the half mandated by the deviation after 2(t-1)
+    symbols (ties go low) and ``em`` is the run's emitter.  ``pick`` returns
+    None only when every set of that half is empty, a ``SourceExhausted``
+    defect.
+    """
+    k, half = params.k, params.m // 2
+    em = _Emitter(params.n, ([v + i * k for v in s.values] for i, s in enumerate(sigmas)))
+    lower, upper = range(1, half + 1), range(half + 1, params.m + 1)
+    take = em.take
+    for t in range(1, params.n // 2 + 1):
+        sets = lower if em.dev2 >= 0 else upper
+        sel = pick(t, sets, em)
+        if sel is None:
+            raise em.exhausted(tuple(sets))
+        take(sel)
+        take(sel)
+    return tuple(em.out)
+
+
 def encode_tn(inp: TnInput) -> Permutation:
     """Emit two symbols per step from the selector's set.
 
@@ -112,42 +135,21 @@ def encode_tn(inp: TnInput) -> Permutation:
     an entirely empty mandated half cannot happen and is raised as a
     ``SourceExhausted`` defect if it ever does.
     """
-    params = inp.params
-    n, m = params.n, params.m
-    sources = {i: inp.ordering(i) for i in range(1, m + 1)}
-    heads = {i: 0 for i in sources}
+    selector = inp.selector
 
-    def remaining() -> dict[int, int]:
-        return {i: len(sources[i]) - heads[i] for i in sources}
+    def check(t, sets, em):
+        sel = selector[t - 1]
+        if sel in sets and em.queues[sel]:
+            return sel
+        if not any(em.queues[i] for i in sets):
+            return None
+        half = mandated_half(em.dev2).value
+        reason = ("is already exhausted" if sel in sets
+                  else f"is not in the mandated {half} half")
+        raise SelectorViolation(f"step {t}: set {sel} {reason}", step=t, selected=sel,
+                                mandated=half, remaining=em.remaining())
 
-    out = []
-    dev2 = 0  # doubled deviation: same sign as the exact value
-    for t, sel in enumerate(inp.selector, 1):
-        half = mandated_half(dev2)
-        low = half is Half.LOWER
-        half_sets = range(1, m // 2 + 1) if low else range(m // 2 + 1, m + 1)
-        if all(heads[i] >= len(sources[i]) for i in half_sets):
-            raise SourceExhausted(
-                f"every {half.value} set empty at step {t}"
-                " (encoder invariant broken)",
-                step=t, mandated=half.value, remaining=remaining(), input=inp,
-            )
-        if (sel <= m // 2) != low:
-            raise SelectorViolation(
-                f"step {t}: set {sel} is not in the mandated {half.value} half",
-                step=t, selected=sel, mandated=half.value, remaining=remaining(),
-            )
-        if heads[sel] >= len(sources[sel]):
-            raise SelectorViolation(
-                f"step {t}: set {sel} is already exhausted",
-                step=t, selected=sel, mandated=half.value, remaining=remaining(),
-            )
-        for _ in range(2):
-            v = sources[sel][heads[sel]]
-            heads[sel] += 1
-            out.append(v)
-            dev2 += 2 * v - (n + 1)
-    return Permutation(tuple(out))
+    return Permutation(_encode_pairs(inp.params, inp.sigmas, check))
 
 
 def decode_tn(pi: Permutation, params: TnParams) -> TnInput:
@@ -167,42 +169,32 @@ def decode_tn(pi: Permutation, params: TnParams) -> TnInput:
                 f"pair ({v[t]}, {v[t + 1]}) at positions {t + 1},{t + 2} "
                 f"straddles sets {a} and {b}")
         selector.append(a)
-    buckets: list[list[int]] = [[] for _ in range(params.m)]
-    for val in v:
-        block = (val - 1) // params.k
-        buckets[block].append(val - block * params.k)
-    sigmas = tuple(Permutation(tuple(b)) for b in buckets)
-    return TnInput(params, sigmas, tuple(selector))
+    return TnInput(params, _project(pi, params.k), tuple(selector))
 
 
 def random_valid_input(params: TnParams, rng: random.Random) -> TnInput:
     """Sample orderings uniformly and a selector consistent with the mandates.
 
-    The selector is built by simulating the encoder and picking uniformly
+    The selector is built by running the encoder and picking uniformly
     among the non-empty sets of each step's mandated half, so the result
     always encodes without violations.
     """
-    k, m, n = params.k, params.m, params.n
     sigmas = []
-    for _ in range(m):
-        vals = list(range(1, k + 1))
+    for _ in range(params.m):
+        vals = list(range(1, params.k + 1))
         rng.shuffle(vals)
         sigmas.append(Permutation(tuple(vals)))
-    orderings = {i: [v + (i - 1) * k for v in sigmas[i - 1].values]
-                 for i in range(1, m + 1)}
-    heads = {i: 0 for i in orderings}
     selector = []
-    dev2 = 0
-    for _ in range(n // 2):
-        low = mandated_half(dev2) is Half.LOWER
-        half_sets = range(1, m // 2 + 1) if low else range(m // 2 + 1, m + 1)
-        options = [i for i in half_sets if heads[i] < k]
+
+    def choose(t, sets, em):
+        options = [i for i in sets if em.queues[i]]
+        if not options:
+            return None
         sel = rng.choice(options)
         selector.append(sel)
-        for _ in range(2):
-            v = orderings[sel][heads[sel]]
-            heads[sel] += 1
-            dev2 += 2 * v - (n + 1)
+        return sel
+
+    _encode_pairs(params, sigmas, choose)
     return TnInput(params, tuple(sigmas), tuple(selector))
 
 

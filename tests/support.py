@@ -429,3 +429,58 @@ def reference_tn_code_size(params: TnParams) -> int:
                 continue
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# Slow reference encoders kept from earlier versions of bpc, so the faster
+# paths there are checked against the behaviour they replaced.
+
+
+def reference_encode_d1_streaming(inp: D1Input):
+    """The quadratic in-place encoder: for each slot, find the mandated
+    source's next symbol in the unfixed region of the working sequence and,
+    if it is not already there, delete and reinsert it at the slot.
+    Returns (codeword, [(position, moved_symbol)])."""
+    n = inp.n
+    half = n // 2
+    work = [v for a, b in zip(inp.gamma1.values, inp.gamma2.values)
+            for v in (a, b + half)]
+    low = list(inp.gamma1.values)
+    high = [v + half for v in inp.gamma2.values]
+    dev2 = 2 * low.pop(0) - (n + 1)  # slot 1 already holds it
+    steps = []
+    for j in range(2, n + 1):
+        v = (low if dev2 > 0 else high).pop(0)
+        slot = j - 1
+        p = work.index(v, slot)
+        if p != slot:
+            del work[p]
+            work.insert(slot, v)
+            steps.append((j, v))
+        dev2 += 2 * v - (n + 1)
+    return tuple(work), steps
+
+
+def reference_random_valid_input(params: TnParams, rng: random.Random) -> TnInput:
+    """The selector sampler as a stand-alone encoder simulation: the same
+    draws from ``rng`` as ``bpc.random_valid_input``, in the same order."""
+    k, m, n = params.k, params.m, params.n
+    sigmas = []
+    for _ in range(m):
+        vals = list(range(1, k + 1))
+        rng.shuffle(vals)
+        sigmas.append(Permutation(tuple(vals)))
+    orderings = {i: [v + (i - 1) * k for v in sigmas[i - 1].values]
+                 for i in range(1, m + 1)}
+    heads = {i: 0 for i in orderings}
+    selector = []
+    dev2 = 0
+    for _ in range(n // 2):
+        half_sets = range(1, m // 2 + 1) if dev2 >= 0 else range(m // 2 + 1, m + 1)
+        sel = rng.choice([i for i in half_sets if heads[i] < k])
+        selector.append(sel)
+        for _ in range(2):
+            v = orderings[sel][heads[sel]]
+            heads[sel] += 1
+            dev2 += 2 * v - (n + 1)
+    return TnInput(params, tuple(sigmas), tuple(selector))

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from bpc import cli
 from bpc.errors import SourceExhausted
 from support import (
@@ -311,6 +313,12 @@ class TestAnalyze:
         assert code == 2
         assert "limit" in err
 
+    def test_census_past_the_recursion_limit(self, capsys):
+        code, out, err = run(capsys, "analyze", "census", "--n", "1200", "--blocks", "1",
+                             "--dev-max", "100000", "--cap", "1", "--limit", "2000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "recursion limit" in err
+
     def test_min_disc(self, capsys):
         code, out, _ = run(capsys, "analyze", "min-disc", "--n", "4", "--b", "2")
         assert code == 0
@@ -413,6 +421,23 @@ class TestImportCost:
 
 
 class TestExitCodes:
+    def test_help_names_the_pruned_search(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert "pruned-search censuses and rate reports" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("encode", "d2", "--input"),
+        ("encode", "tn", "--input"),
+        ("analyze", "claims", "--config", "d1", "--perms"),
+    ])
+    def test_non_utf8_file_is_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"\xff\xfe" + EX1_TEXT.encode("utf-16-le"))
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "not UTF-8" in err
+
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "encode", "d1", "--n", "12")
         assert code == 2

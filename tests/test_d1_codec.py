@@ -12,7 +12,7 @@ from bpc import (
     OddLength,
     ParamInvalid,
     Permutation,
-    SourceState,
+    SourceExhausted,
     d1_message_decode,
     d1_message_encode,
     d1_preset,
@@ -23,6 +23,7 @@ from bpc import (
     prefix_deviation,
     verify_balance,
 )
+from bpc.perm_core import _Emitter
 from support import (
     EX1_CODEWORD,
     EX1_INTERLEAVING,
@@ -30,6 +31,7 @@ from support import (
     ex1_input,
     random_d1_input,
     reference_encode_d1,
+    reference_encode_d1_streaming,
 )
 
 d1_inputs_strategy = st.integers(1, 30).flatmap(
@@ -69,39 +71,48 @@ class TestEncode:
 
 
 class TestSourceState:
+    """The shared emitter's per-block source state, driven by the d1 rule."""
+
+    @staticmethod
+    def emitter(inp):
+        half = inp.gamma1.n
+        return _Emitter(2 * half, (inp.gamma1.values,
+                                   [v + half for v in inp.gamma2.values]))
+
     def test_tracks_counts_and_deviation(self):
-        state = SourceState.from_input(ex1_input())
-        taken = [state.take(1)]
-        assert state.emitted == 1
-        assert state.dev == Fraction(-7, 2)
-        while state.emitted < 12:
-            assert len(state.o1) + len(state.o2) + state.emitted == 12
-            taken.append(state.take(state.mandated_source()))
-        assert tuple(taken) == EX1_CODEWORD
-        assert state.dev == 0
+        em = self.emitter(ex1_input())
+        em.take(1)
+        assert len(em.out) == 1
+        assert Fraction(em.dev2, 2) == Fraction(-7, 2)
+        while len(em.out) < 12:
+            assert sum(em.remaining().values()) + len(em.out) == 12
+            em.take(1 if em.dev2 > 0 else 2)
+        assert tuple(em.out) == EX1_CODEWORD
+        assert em.dev2 == 0
 
     def test_empty_source_is_a_defect_signal(self):
-        from collections import deque
-
-        from bpc import SourceExhausted
-
-        state = SourceState(n=2, o1=deque(), o2=deque([2]))
+        em = _Emitter(2, ((), (2,)))
         with pytest.raises(SourceExhausted) as err:
-            state.take(1)
-        assert err.value.state["remaining_high"] == 1
+            em.take(1)
+        assert err.value.state == {"emitted": 0, "dev_twice": 0, "mandated": (1,),
+                                   "remaining": {1: 0, 2: 1}}
+        em.take(2)
+        with pytest.raises(SourceExhausted) as err:
+            em.take(2)
+        assert err.value.state == {"emitted": 1, "dev_twice": 1, "mandated": (2,),
+                                   "remaining": {1: 0, 2: 0}}
 
     def test_mandated_source_never_empty(self):
         # availability: over full runs the mandated queue always has a symbol
         rng = random.Random(7)
         for _ in range(200):
             n = 2 * rng.randint(1, 40)
-            state = SourceState.from_input(random_d1_input(rng, n))
-            state.take(1)
+            em = self.emitter(random_d1_input(rng, n))
+            em.take(1)
             for _ in range(n - 1):
-                source = state.mandated_source()
-                queue = state.o1 if source == 1 else state.o2
-                assert queue
-                state.take(source)
+                source = 1 if em.dev2 > 0 else 2
+                assert em.queues[source]
+                em.take(source)
 
 
 class TestStreaming:
@@ -125,6 +136,26 @@ class TestStreaming:
     def test_equivalent_to_greedy_exhaustively(self, n):
         for inp in all_d1_inputs(n):
             assert encode_d1_streaming(inp)[0] == encode_d1(inp)
+
+    @staticmethod
+    def assert_matches_reference(inp):
+        pi, trace = encode_d1_streaming(inp)
+        got = (pi.values, [(s.position, s.moved_symbol) for s in trace.steps])
+        assert got == reference_encode_d1_streaming(inp)
+
+    @pytest.mark.parametrize("n", (2, 4, 6, 8))
+    def test_matches_reference_exhaustively(self, n):
+        for inp in all_d1_inputs(n):
+            self.assert_matches_reference(inp)
+
+    def test_matches_reference_random(self):
+        rng = random.Random(4096)
+        for half in range(1, 65):
+            for _ in range(3):
+                self.assert_matches_reference(random_d1_input(rng, 2 * half))
+
+    def test_matches_reference_at_n4096(self):
+        self.assert_matches_reference(random_d1_input(random.Random(12), 4096))
 
     @given(d1_inputs_strategy)
     def test_equivalent_to_greedy_random(self, inp):

@@ -23,7 +23,13 @@ from bpc import (
     tn_input_from_json_dict,
     tn_input_to_json_dict,
 )
-from support import EX4_CODEWORD, EX4_SELECTOR, ex4_input, reference_encode_tn
+from support import (
+    EX4_CODEWORD,
+    EX4_SELECTOR,
+    ex4_input,
+    reference_encode_tn,
+    reference_random_valid_input,
+)
 
 # (n, k) shapes with k even, k | n, and an even number of sets
 VALID_SHAPES = [(24, 4), (32, 4), (48, 4), (64, 4), (96, 4),
@@ -188,6 +194,14 @@ class TestRandomEnvelope:
             # pairs come from one set, so the bound holds already at k-1
             assert check_two_neighbor(pi, NeighborSpec(k - 1)).is_valid
             assert check_two_neighbor(pi, NeighborSpec(k)).is_valid
+
+    @pytest.mark.parametrize("n,k", [(8, 2), (12, 2), (24, 4), (48, 4)])
+    def test_seeded_stream_matches_reference(self, n, k):
+        # the sampler draws from rng exactly as before, so seeded inputs stay put
+        for seed in range(40):
+            params = TnParams(n, k)
+            assert (random_valid_input(params, random.Random(seed))
+                    == reference_random_valid_input(params, random.Random(seed)))
 
     def test_even_prefix_deviations_bounded(self):
         # the half rule contracts the deviation: even prefixes stay within n-2
