@@ -116,11 +116,8 @@ def _search(args):
     """Depth-first search, in ascending order, over the permutations starting
     with ``first``.  Placing a symbol at position i tests only the windows
     ending there (``|D[i+1] - D[i+1-b]| > lim`` on the doubled prefix
-    deviations D) and the neighbor bound at i-1; a failure prunes the subtree.
-    With no check at all, a subtree whose achievers are no longer wanted is
-    counted as (n-i)! without being entered."""
+    deviations D) and the neighbor bound at i-1; a failure prunes the subtree."""
     n, first, limits, neighbor_k, cap = args
-    unchecked = not limits and neighbor_k is None
     k = n if neighbor_k is None else neighbor_k  # no two symbols are n apart
     ends = [[(i + 1 - b, lim) for b, lim in limits if b <= i + 1] for i in range(n)]
     values, devs, free = [0] * n, [0] * (n + 1), [True] * (n + 1)
@@ -133,9 +130,6 @@ def _search(args):
             count += 1
             if len(achievers) < cap:
                 achievers.append(tuple(values))
-            return
-        if i and unchecked and len(achievers) >= cap:  # i = 0 is all of S_n
-            count += factorial(n - i)
             return
         for v in range(1, n + 1) if i else (first,):
             d = devs[i] + 2 * v - n - 1
@@ -181,9 +175,9 @@ def census(n: int, spec: BalanceSpec, neighbor: NeighborSpec | None = None,
 
     The cost is O(|blocks|) exact int tests per surviving prefix, not n! rescans.
     A length allowed b*(n-b) or more, the most any length-b window can deviate
-    (doubled), is skipped; with nothing left to check only the first ``cap``
-    achievers are visited.  ``cap`` bounds how many achievers are materialized
-    (always the lexicographically first ones); the count is always exact.
+    (doubled), is skipped; with nothing left to check the count is n! and no
+    search runs.  ``cap`` bounds how many achievers are materialized (always
+    the lexicographically first ones); the count is always exact.
     """
     _check_limit(n, limit)
     if spec.n != n:
@@ -199,11 +193,14 @@ def census(n: int, spec: BalanceSpec, neighbor: NeighborSpec | None = None,
     limits = [(b, lim) for b, a in spec.dev_max.items()
               for lim in [2 * a.numerator // a.denominator] if lim < b * (n - b)]
     neighbor_k = neighbor.k if neighbor else None
-    tasks = [(n, first, limits, neighbor_k, cap) for first in range(1, n + 1)]
-    parts = _fan_out(_search, tasks, _resolve_workers(workers))
-    achievers = itertools.chain.from_iterable(ach for _, ach in parts)
-    return CensusResult(n=n, spec=spec, neighbor=neighbor,
-                        count=sum(c for c, _ in parts),
+    workers = _resolve_workers(workers)
+    if not limits and neighbor_k is None:
+        count, achievers = factorial(n), itertools.permutations(range(1, n + 1))
+    else:
+        tasks = [(n, first, limits, neighbor_k, cap) for first in range(1, n + 1)]
+        parts = _fan_out(_search, tasks, workers)
+        count, achievers = sum(c for c, _ in parts), [a for _, ach in parts for a in ach]
+    return CensusResult(n=n, spec=spec, neighbor=neighbor, count=count,
                         achievers=tuple(map(Permutation, itertools.islice(achievers, cap))))
 
 
@@ -255,15 +252,18 @@ class RateReport:
         }
 
 
+def _rate_report(config: str, n: int, code_log2, target, note=None) -> RateReport:
+    perm_log2 = log2_int(factorial(n))
+    return RateReport(config=config, n=n, code_log2=code_log2, perm_log2=perm_log2,
+                      rate=None if code_log2 is None else code_log2 / perm_log2,
+                      target=target, note=note)
+
+
 def rate_report_d1(n: int) -> RateReport:
     """Rate of the two-source codec: code size ((n/2)!)**2."""
     if n < 2 or n % 2 != 0:
         raise ParamInvalid("the two-source codec needs an even n >= 2")
-    code_log2 = 2 * log2_int(factorial(n // 2))
-    perm_log2 = log2_int(factorial(n))
-    return RateReport(config="d1", n=n, code_log2=code_log2,
-                      perm_log2=perm_log2, rate=code_log2 / perm_log2,
-                      target=1.0)
+    return _rate_report("d1", n, 2 * log2_int(factorial(n // 2)), 1.0)
 
 
 def rate_report_d2(n: int, N: int | None = None,
@@ -283,12 +283,9 @@ def rate_report_d2(n: int, N: int | None = None,
         raise ParamInvalid("either N or epsilon is required")
     params = D2Params(n, N, Fraction(epsilon) if epsilon is not None else None)
     code_log2 = params.N * log2_int(factorial(params.block_size))
-    perm_log2 = log2_int(factorial(n))
     target = float(1 - Fraction(epsilon)) if epsilon is not None else None
     label = f"d2(N={params.N}" + (f", eps={epsilon}" if epsilon is not None else "") + ")"
-    return RateReport(config=label, n=n, code_log2=code_log2,
-                      perm_log2=perm_log2, rate=code_log2 / perm_log2,
-                      target=target)
+    return _rate_report(label, n, code_log2, target)
 
 
 def tn_code_size(params: TnParams, limit: int = DEFAULT_ENUM_LIMIT) -> int:
@@ -347,18 +344,12 @@ def rate_report_tn(n: int, k: int | None = None,
     if k is None:
         raise ParamInvalid("either k or epsilon_k is required")
     params = TnParams(n, k, Fraction(epsilon_k) if epsilon_k is not None else None)
-    perm_log2 = log2_int(factorial(n))
     target = float((1 + Fraction(epsilon_k)) / 2) if epsilon_k is not None else None
     label = f"tn(k={k}" + (f", eps_k={epsilon_k}" if epsilon_k is not None else "") + ")"
     if n <= limit:
-        size = tn_code_size(params, limit=limit)
-        code_log2 = log2_int(size)
-        return RateReport(config=label, n=n, code_log2=code_log2,
-                          perm_log2=perm_log2, rate=code_log2 / perm_log2,
-                          target=target)
-    return RateReport(config=label, n=n, code_log2=None, perm_log2=perm_log2,
-                      rate=None, target=target,
-                      note=f"not computed: n={n} exceeds enumeration limit {limit}")
+        return _rate_report(label, n, log2_int(tn_code_size(params, limit=limit)), target)
+    return _rate_report(label, n, None, target,
+                        note=f"not computed: n={n} exceeds enumeration limit {limit}")
 
 
 def rate_report(config: str, n: int, *, N: int | None = None,

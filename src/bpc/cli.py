@@ -130,16 +130,19 @@ def _build_parser() -> argparse.ArgumentParser:
     e1.add_argument("--streaming", action="store_true",
                     help="use the transposition encoder (same output)")
     e1.add_argument("--format", choices=("text", "json"), default="text")
+    e1.set_defaults(handler=_cmd_encode_d1)
 
     e2 = enc_sub.add_parser("d2", help="block codec")
     e2.add_argument("--input", required=True,
                     help="JSON file with n, N, sigmas ('-' for stdin)")
     e2.add_argument("--tie-upper", action="store_true",
                     help="route exact balance ties to the upper pair")
+    e2.set_defaults(handler=_cmd_encode_d2)
 
     et = enc_sub.add_parser("tn", help="neighbor-constrained codec")
     et.add_argument("--input", required=True,
                     help="JSON file with n, k, sigmas, selector ('-' for stdin)")
+    et.set_defaults(handler=_cmd_encode_tn)
 
     dec = sub.add_parser("decode", help="decode a permutation back to its inputs")
     dec_sub = dec.add_subparsers(dest="codec", required=True)
@@ -149,26 +152,31 @@ def _build_parser() -> argparse.ArgumentParser:
     d1p.add_argument("--message", action="store_true",
                      help="emit the two decimal ranks instead of orderings")
     d1p.add_argument("--format", choices=("text", "json"), default="text")
+    d1p.set_defaults(handler=_cmd_decode_d1)
 
     d2p = dec_sub.add_parser("d2")
     d2p.add_argument("--perm", required=True)
     d2p.add_argument("--n", type=int, required=True)
     d2p.add_argument("--N", type=int, required=True, dest="num_blocks")
+    d2p.set_defaults(handler=_cmd_decode_d2)
 
     dtp = dec_sub.add_parser("tn")
     dtp.add_argument("--perm", required=True)
     dtp.add_argument("--n", type=int, required=True)
     dtp.add_argument("--k", type=int, required=True)
+    dtp.set_defaults(handler=_cmd_decode_tn)
 
     ver = sub.add_parser("verify", help="check a permutation against a preset")
     ver.add_argument("--preset", choices=("d1", "d2", "tn-neighbor"), required=True)
     ver.add_argument("--N", type=int, dest="num_blocks")
     ver.add_argument("--k", type=int)
     ver.add_argument("--perm", required=True)
+    ver.set_defaults(handler=_cmd_verify)
 
     dsc = sub.add_parser("disc", help="discrepancy of a permutation at one length")
     dsc.add_argument("--perm", required=True)
     dsc.add_argument("--b", type=int, required=True)
+    dsc.set_defaults(handler=_cmd_disc)
 
     ana = sub.add_parser("analyze", help="pruned-search censuses and rate reports")
     ana_sub = ana.add_subparsers(dest="what", required=True)
@@ -185,12 +193,14 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="how many achievers to list")
     cen.add_argument("--limit", type=int, default=analysis.DEFAULT_ENUM_LIMIT)
     cen.add_argument("--threads", type=int)
+    cen.set_defaults(handler=_cmd_census)
 
     mnd = ana_sub.add_parser("min-disc", help="minimum discrepancy over S_n")
     mnd.add_argument("--n", type=int, required=True)
     mnd.add_argument("--b", type=int, required=True)
     mnd.add_argument("--limit", type=int, default=analysis.DEFAULT_ENUM_LIMIT)
     mnd.add_argument("--threads", type=int)
+    mnd.set_defaults(handler=_cmd_min_disc)
 
     rat = ana_sub.add_parser("rate", help="code-size and rate report")
     rat.add_argument("--config", choices=("d1", "d2", "tn"), required=True)
@@ -202,6 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rat.add_argument("--epsilon-k", dest="epsilon_k")
     rat.add_argument("--limit", type=int, default=analysis.DEFAULT_ENUM_LIMIT)
     rat.add_argument("--format", choices=("json", "csv"), default="json")
+    rat.set_defaults(handler=_cmd_rate)
 
     clm = ana_sub.add_parser("claims", help="batch-check codeword bounds")
     clm.add_argument("--config", choices=("d1", "d2", "tn"), required=True)
@@ -209,6 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     clm.add_argument("--k", type=int)
     clm.add_argument("--perms", required=True,
                      help="file of permutations, one per line ('-' for stdin)")
+    clm.set_defaults(handler=_cmd_claims)
 
     return parser
 
@@ -237,38 +249,30 @@ def _cmd_encode_d1(args) -> int:
     else:
         raise ParamInvalid("supply --gamma1/--gamma2 or --i1/--i2")
 
-    if args.streaming:
-        pi, trace = encode_d1_streaming(inp)
-        if args.format == "json":
-            _emit_json({
-                "perm": list(pi.values),
-                "interleaving": list(interleave(inp).values),
-                "trace": [{"position": s.position, "moved": s.moved_symbol}
-                          for s in trace.steps],
-            })
-            return 0
+    pi, trace = encode_d1_streaming(inp) if args.streaming else (encode_d1(inp), None)
+    if args.format == "text":
+        print(format_permutation(pi))
+    elif trace is None:
+        _emit_json({"perm": list(pi.values)})
     else:
-        pi = encode_d1(inp)
-        if args.format == "json":
-            _emit_json({"perm": list(pi.values)})
-            return 0
-    print(format_permutation(pi))
+        _emit_json({
+            "perm": list(pi.values),
+            "interleaving": list(interleave(inp).values),
+            "trace": [{"position": s.position, "moved": s.moved_symbol}
+                      for s in trace.steps],
+        })
     return 0
 
 
 def _cmd_encode_d2(args) -> int:
-    obj = json.loads(_read_file_or_stdin(args.input))
-    inp = d2_input_from_json_dict(obj)
-    pi = encode_d2(inp, tie_to_upper=args.tie_upper)
-    print(format_permutation(pi))
+    inp = d2_input_from_json_dict(json.loads(_read_file_or_stdin(args.input)))
+    print(format_permutation(encode_d2(inp, tie_to_upper=args.tie_upper)))
     return 0
 
 
 def _cmd_encode_tn(args) -> int:
-    obj = json.loads(_read_file_or_stdin(args.input))
-    inp = tn_input_from_json_dict(obj)
-    pi = encode_tn(inp)
-    print(format_permutation(pi))
+    inp = tn_input_from_json_dict(json.loads(_read_file_or_stdin(args.input)))
+    print(format_permutation(encode_tn(inp)))
     return 0
 
 
@@ -293,15 +297,13 @@ def _cmd_decode_d1(args) -> int:
 
 
 def _cmd_decode_d2(args) -> int:
-    pi = _perm_arg(args.perm)
-    inp = decode_d2(pi, D2Params(args.n, args.num_blocks))
+    inp = decode_d2(_perm_arg(args.perm), D2Params(args.n, args.num_blocks))
     _emit_json(d2_input_to_json_dict(inp))
     return 0
 
 
 def _cmd_decode_tn(args) -> int:
-    pi = _perm_arg(args.perm)
-    inp = decode_tn(pi, TnParams(args.n, args.k))
+    inp = decode_tn(_perm_arg(args.perm), TnParams(args.n, args.k))
     _emit_json(tn_input_to_json_dict(inp))
     return 0
 
@@ -378,14 +380,10 @@ def _cmd_rate(args) -> int:
     if args.format == "csv":
         rows = ["config,n,code_log2,perm_log2,rate,target,note"]
         for r in reports:
-            rows.append(",".join([
-                r.config.replace(",", ";"), str(r.n),
-                "" if r.code_log2 is None else repr(r.code_log2),
-                repr(r.perm_log2),
-                "" if r.rate is None else repr(r.rate),
-                "" if r.target is None else repr(r.target),
-                r.note or "",
-            ]))
+            numbers = ("" if x is None else repr(x)
+                       for x in (r.code_log2, r.perm_log2, r.rate, r.target))
+            rows.append(",".join([r.config.replace(",", ";"), str(r.n), *numbers,
+                                  r.note or ""]))
         sys.stdout.write("\n".join(rows) + "\n")
         return 0
     if len(reports) == 1:
@@ -415,16 +413,6 @@ def _cmd_claims(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    ("encode", "d1"): _cmd_encode_d1,
-    ("encode", "d2"): _cmd_encode_d2,
-    ("encode", "tn"): _cmd_encode_tn,
-    ("decode", "d1"): _cmd_decode_d1,
-    ("decode", "d2"): _cmd_decode_d2,
-    ("decode", "tn"): _cmd_decode_tn,
-}
-
-
 def run(argv: list[str]) -> int:
     """Parse and execute; returns the process exit code."""
     parser = _build_parser()
@@ -434,17 +422,7 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
 
     try:
-        if args.command in ("encode", "decode"):
-            return _HANDLERS[(args.command, args.codec)](args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "disc":
-            return _cmd_disc(args)
-        if args.command == "analyze":
-            handler = {"census": _cmd_census, "min-disc": _cmd_min_disc,
-                       "rate": _cmd_rate, "claims": _cmd_claims}[args.what]
-            return handler(args)
-        raise ParamInvalid(f"unknown command {args.command!r}")
+        return args.handler(args)
     except SourceExhausted as exc:
         print(f"defect: {exc}", file=sys.stderr)
         print(f"defect state: {exc.state!r}", file=sys.stderr)
@@ -459,6 +437,9 @@ def run(argv: list[str]) -> int:
     except (BpcError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:  # a bug, not an input: still a documented exit code
+        print(f"defect: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return DEFECT
 
 
 def main() -> None:

@@ -82,14 +82,14 @@ class TranspositionTrace:
     steps: tuple[TranspositionStep, ...] = ()
 
 
+def _merged(inp: D1Input) -> list[int]:
+    half = inp.gamma1.n
+    return [v for a, b in zip(inp.gamma1.values, inp.gamma2.values) for v in (a, b + half)]
+
+
 def interleave(inp: D1Input) -> Permutation:
     """The streaming encoder's start state: orderings merged alternately."""
-    half = inp.gamma1.n
-    merged = []
-    for a, b in zip(inp.gamma1.values, inp.gamma2.values):
-        merged.append(a)
-        merged.append(b + half)
-    return Permutation(tuple(merged))
+    return Permutation(tuple(_merged(inp)))
 
 
 def encode_d1_streaming(inp: D1Input) -> tuple[Permutation, TranspositionTrace]:
@@ -102,7 +102,7 @@ def encode_d1_streaming(inp: D1Input) -> tuple[Permutation, TranspositionTrace]:
     not the codeword's symbol v, v is reinserted at slot j (one trace entry).
     """
     pi = encode_d1(inp)
-    merged = interleave(inp).values
+    merged = _merged(inp)
     emitted = [False] * (pi.n + 1)
     p = 0
     steps = []

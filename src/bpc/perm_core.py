@@ -11,12 +11,14 @@ verdicts are bit-identical across platforms.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
-from math import factorial, gcd
+from math import gcd
 from operator import sub
 from typing import Iterable, Iterator, Mapping
 
@@ -416,39 +418,65 @@ def check_two_neighbor(pi: Permutation, spec: NeighborSpec) -> ViolationReport:
     return ViolationReport(tuple(entries))
 
 
+@lru_cache(maxsize=64)
+def _radix_groups(n: int) -> tuple[tuple[int, range], ...]:
+    """The factoradic radices 1..n in runs whose product fits one CPython int
+    digit, as ``(product, radices)``, least significant run first."""
+    groups, start, prod, digit = [], 1, 1, 1 << sys.int_info.bits_per_digit
+    for r in range(1, n + 1):
+        if prod * r >= digit:
+            groups.append((prod, range(start, r)))
+            start, prod = r, 1
+        prod *= r
+    return (*groups, (prod, range(start, n + 1)))
+
+
 def rank(pi: Permutation) -> int:
     """Lexicographic index of ``pi`` among all permutations of its length.
 
-    The identity has rank 0; results are exact for any ``n``.
+    The identity has rank 0; results are exact for any ``n``.  The Lehmer
+    digits come from ``bisect``/``pop`` (O(n^2) word moves, in C); Horner's
+    rule folds them with one big-int multiply-add per radix group.
 
     >>> rank(Permutation((3, 2, 1)))
     5
     """
-    remaining = list(range(1, pi.n + 1))
+    n = pi.n
+    remaining = list(range(1, n + 1))
+    digits = []  # digits[i] has radix n - i
+    for v in pi.values:
+        digits.append(d := bisect_left(remaining, v))
+        del remaining[d]
     r = 0
-    for i, v in enumerate(pi.values):
-        d = bisect_left(remaining, v)
-        r = r * (pi.n - i) + d
-        remaining.pop(d)
+    for prod, radices in reversed(_radix_groups(n)):
+        low = 0
+        for radix in reversed(radices):
+            low = low * radix + digits[n - radix]
+        r = r * prod + low
     return r
 
 
 def unrank(index: int, n: int) -> Permutation:
     """The permutation at lexicographic position ``index`` in S_n.
 
+    One big-int ``divmod`` by a one-digit int per radix group peels the
+    factoradic digits, which small ints then split; the symbols are popped
+    from a sorted list (O(n^2) word moves, in C).  What is left of ``index``
+    after all n radices is ``index // n!``, which is 0 exactly when the index
+    is in range: no factorial is computed.
+
     >>> unrank(5, 3).values
     (3, 2, 1)
     """
     if n < 1:
         raise ParamInvalid("length must be >= 1")
-    if not 0 <= index < factorial(n):
+    q, digits = index, []  # digits[k] has radix k + 1
+    for prod, radices in _radix_groups(n):
+        q, low = divmod(q, prod)
+        for radix in radices:
+            low, d = divmod(low, radix)
+            digits.append(d)
+    if q:
         raise IndexOutOfRange(f"rank {index} outside [0, {n}!)")
     remaining = list(range(1, n + 1))
-    out = []
-    f = factorial(n - 1)
-    for i in range(n):
-        d, index = divmod(index, f)
-        out.append(remaining.pop(d))
-        if i < n - 1:
-            f //= n - 1 - i
-    return Permutation(tuple(out))
+    return Permutation(tuple([remaining.pop(d) for d in reversed(digits)]))

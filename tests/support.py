@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from fractions import Fraction
+from math import factorial
 
 from bpc import (
     BalanceViolation,
@@ -18,7 +20,9 @@ from bpc import (
     D1Input,
     D2Input,
     D2Params,
+    IndexOutOfRange,
     NeighborSpec,
+    ParamInvalid,
     Permutation,
     SelectorViolation,
     TnInput,
@@ -484,3 +488,32 @@ def reference_random_valid_input(params: TnParams, rng: random.Random) -> TnInpu
             heads[sel] += 1
             dev2 += 2 * v - (n + 1)
     return TnInput(params, tuple(sigmas), tuple(selector))
+
+
+def reference_rank(pi: Permutation) -> int:
+    """The per-symbol rank: one big-int multiply-add per symbol."""
+    remaining = list(range(1, pi.n + 1))
+    r = 0
+    for i, v in enumerate(pi.values):
+        d = bisect_left(remaining, v)
+        r = r * (pi.n - i) + d
+        remaining.pop(d)
+    return r
+
+
+def reference_unrank(index: int, n: int) -> Permutation:
+    """The per-symbol unrank: one full-width ``divmod(index, (n-1-i)!)`` per
+    symbol, with the range check against ``factorial(n)``."""
+    if n < 1:
+        raise ParamInvalid("length must be >= 1")
+    if not 0 <= index < factorial(n):
+        raise IndexOutOfRange(f"rank {index} outside [0, {n}!)")
+    remaining = list(range(1, n + 1))
+    out = []
+    f = factorial(n - 1)
+    for i in range(n):
+        d, index = divmod(index, f)
+        out.append(remaining.pop(d))
+        if i < n - 1:
+            f //= n - 1 - i
+    return Permutation(tuple(out))

@@ -319,6 +319,24 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "recursion limit" in err
 
+    def test_census_with_nothing_to_check_is_n_factorial(self):
+        # every window of length 1 deviates less than 100000, so nothing is
+        # checked: the count is 950! and the first achiever the identity,
+        # without a search (in a subprocess, whose stack is shallow enough
+        # for n = 950 to pass the recursion-limit guard)
+        import subprocess
+        import sys
+        from math import factorial
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "bpc.cli", "analyze", "census", "--n", "950",
+             "--blocks", "1", "--dev-max", "100000", "--cap", "1", "--limit", "2000"],
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        obj = json.loads(proc.stdout)
+        assert obj["count"] == str(factorial(950))
+        assert obj["achievers"] == [" ".join(map(str, range(1, 951)))]
+
     def test_min_disc(self, capsys):
         code, out, _ = run(capsys, "analyze", "min-disc", "--n", "4", "--b", "2")
         assert code == 0
@@ -449,6 +467,15 @@ class TestExitCodes:
     def test_bad_perm_text(self, capsys):
         code, _, err = run(capsys, "disc", "--perm", "1 two 3", "--b", "2")
         assert code == 2
+
+    def test_unexpected_exception_is_a_defect(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("handler fell over")
+
+        monkeypatch.setattr(cli, "_cmd_disc", boom)
+        code, out, err = run(capsys, "disc", "--perm", "1 2 3", "--b", "2")
+        assert (code, out) == (3, "")
+        assert err == "defect: unexpected RuntimeError: handler fell over\n"
 
     def test_defect_exit_three(self, capsys, monkeypatch):
         def boom(inp):

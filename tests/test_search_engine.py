@@ -2,6 +2,7 @@
 exactly with the slow full-enumeration oracles in ``support``."""
 
 import concurrent.futures
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -10,14 +11,17 @@ import pytest
 
 from bpc import (
     BalanceSpec,
+    LimitExceeded,
     NeighborSpec,
     ParamInvalid,
+    SpecMismatch,
     TnParams,
     census,
     d1_preset,
     min_disc,
     tn_code_size,
 )
+from bpc import analysis
 from support import reference_census, reference_min_disc, reference_tn_code_size
 
 
@@ -111,6 +115,27 @@ def test_tn_code_size_matches_encoder_enumeration(n, k):
 def test_negative_cap_rejected():
     with pytest.raises(ParamInvalid):
         census(4, d1_preset(4), cap=-3)
+
+
+def test_census_with_nothing_to_check_runs_no_search(monkeypatch):
+    def no_search(scan, tasks, workers):
+        raise AssertionError("a census with nothing to check searched")
+
+    monkeypatch.setattr(analysis, "_fan_out", no_search)
+    result = census(9, d1_preset(9), cap=3)  # 2(n+1) is past every window's reach
+    assert result.count == factorial(9)
+    assert [p.values for p in result.achievers] == list(
+        itertools.islice(itertools.permutations(range(1, 10)), 3))
+    # the arguments are still checked first, with the same errors as a search
+    with pytest.raises(LimitExceeded):
+        census(11, d1_preset(11))
+    with pytest.raises(SpecMismatch):
+        census(5, d1_preset(4))
+    with pytest.raises(ParamInvalid):
+        census(4, d1_preset(4), cap=-1)
+    monkeypatch.setenv(analysis.THREADS_ENV_VAR, "two")
+    with pytest.raises(ParamInvalid):
+        census(4, d1_preset(4))
 
 
 def test_pool_is_clamped_to_the_task_count(monkeypatch):
