@@ -46,6 +46,15 @@ def log2_int(x: int) -> float:
     return math.log2(x >> shift) + shift
 
 
+def int_text(value: int) -> str:
+    """The decimal digits of ``value``, or its sign and bit length when the
+    interpreter's int-to-str digit limit refuses them."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+
+
 def json_int(value: object) -> int:
     """``value`` itself if it is an int, else ``ParamInvalid``: a JSON 2.7 or
     true is rejected, never coerced to 2 or 1."""

@@ -1,10 +1,10 @@
-"""Exhaustive oracles: censuses over S_n, minimum-discrepancy search and
-neighbor-code sizes, plus claim batch-checkers and code-rate reports.
+"""Exhaustive oracles: censuses over S_n and minimum-discrepancy search,
+plus code sizes, code-rate reports and claim batch-checkers.
 
 The census and min_disc run one pruned depth-first search over prefixes: a
 window is tested when its last symbol is placed, so a failing prefix costs
-one test instead of a rescan of each of its completions.  The tn code size
-is counted by a search memoized on the set of symbols already emitted.
+one test instead of a rescan of each of its completions.  Code sizes are
+counted in closed form, the tn size included, so a rate is exact at every n.
 Counts are exact integers; logarithms are taken only at the very end of a
 rate computation.  Searches may fan out over processes, one task per first
 symbol (worker count from the ``BPC_THREADS`` environment variable or an
@@ -23,13 +23,7 @@ from math import factorial
 
 from ._util import ceil_rational_power, log2_int
 from .d2_codec import D2Params
-from .errors import (
-    IndexOutOfRange,
-    LimitExceeded,
-    ParamInvalid,
-    SourceExhausted,
-    SpecMismatch,
-)
+from .errors import IndexOutOfRange, LimitExceeded, ParamInvalid, SpecMismatch
 from .perm_core import (
     BalanceSpec,
     NeighborSpec,
@@ -39,7 +33,7 @@ from .perm_core import (
     format_permutation,
     prefix_deviations_doubled,
 )
-from .tn_codec import Half, TnParams, mandated_half
+from .tn_codec import TnParams
 
 __all__ = [
     "DEFAULT_ENUM_LIMIT",
@@ -102,7 +96,11 @@ def _check_limit(n: int, limit: int) -> None:
         raise LimitExceeded(
             f"exhaustive enumeration over S_{n} exceeds the limit {limit}; "
             "raise the limit explicitly to acknowledge the cost")
-    # the searches recurse once per position; refuse before they hit the limit
+
+
+def _check_depth(n: int) -> None:
+    """The search recurses once per position; refuse before it hits the
+    interpreter's recursion limit."""
     frame, depth = sys._getframe(), n + _SEARCH_FRAMES
     while frame is not None:
         frame, depth = frame.f_back, depth + 1
@@ -180,6 +178,7 @@ def census(n: int, spec: BalanceSpec, neighbor: NeighborSpec | None = None,
     the lexicographically first ones); the count is always exact.
     """
     _check_limit(n, limit)
+    _check_depth(n)
     if spec.n != n:
         raise SpecMismatch(f"spec is for n={spec.n}, census is over S_{n}")
     if neighbor is not None:
@@ -200,8 +199,9 @@ def census(n: int, spec: BalanceSpec, neighbor: NeighborSpec | None = None,
         tasks = [(n, first, limits, neighbor_k, cap) for first in range(1, n + 1)]
         parts = _fan_out(_search, tasks, workers)
         count, achievers = sum(c for c, _ in parts), [a for _, ach in parts for a in ach]
+    listed = itertools.islice(achievers, min(cap, sys.maxsize))  # islice takes no stop past it
     return CensusResult(n=n, spec=spec, neighbor=neighbor, count=count,
-                        achievers=tuple(map(Permutation, itertools.islice(achievers, cap))))
+                        achievers=tuple(map(Permutation, listed)))
 
 
 def min_disc(n: int, b: int, limit: int = DEFAULT_ENUM_LIMIT,
@@ -234,11 +234,10 @@ class RateReport:
 
     config: str
     n: int
-    code_log2: float | None
+    code_log2: float
     perm_log2: float
-    rate: float | None
+    rate: float
     target: float | None
-    note: str | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -248,15 +247,29 @@ class RateReport:
             "perm_log2": self.perm_log2,
             "rate": self.rate,
             "target": self.target,
-            "note": self.note,
+            "note": None,
         }
 
 
-def _rate_report(config: str, n: int, code_log2, target, note=None) -> RateReport:
+def _rate_report(config: str, n: int, code_log2: float, target) -> RateReport:
     perm_log2 = log2_int(factorial(n))
     return RateReport(config=config, n=n, code_log2=code_log2, perm_log2=perm_log2,
-                      rate=None if code_log2 is None else code_log2 / perm_log2,
-                      target=target, note=note)
+                      rate=code_log2 / perm_log2, target=target)
+
+
+def _scale(n: int, value: int | None, exponent, name: str, exponent_name: str) -> int:
+    """The scale parameter ``value``, or ceil(n**exponent) when the exponent
+    is supplied; an explicit value must then agree with it, no silent
+    rounding to a legal value."""
+    if exponent is not None:
+        derived = ceil_rational_power(n, Fraction(exponent))
+        if value is not None and value != derived:
+            raise ParamInvalid(
+                f"{name}={value} contradicts ceil(n**{exponent_name})={derived}")
+        return derived
+    if value is None:
+        raise ParamInvalid(f"either {name} or {exponent_name} is required")
+    return value
 
 
 def rate_report_d1(n: int) -> RateReport:
@@ -268,94 +281,59 @@ def rate_report_d1(n: int) -> RateReport:
 
 def rate_report_d2(n: int, N: int | None = None,
                    epsilon: Fraction | None = None) -> RateReport:
-    """Rate of the block codec: code size ((n/N)!)**N.
-
-    When ``epsilon`` is supplied, N is derived as ceil(n**epsilon) and must
-    agree with an explicitly supplied N; no silent rounding to a legal value.
-    """
-    if epsilon is not None:
-        derived = ceil_rational_power(n, Fraction(epsilon))
-        if N is not None and N != derived:
-            raise ParamInvalid(
-                f"N={N} contradicts ceil(n**epsilon)={derived}")
-        N = derived
-    if N is None:
-        raise ParamInvalid("either N or epsilon is required")
+    """Rate of the block codec: code size ((n/N)!)**N, with N given or
+    derived as ceil(n**epsilon)."""
+    N = _scale(n, N, epsilon, "N", "epsilon")
     params = D2Params(n, N, Fraction(epsilon) if epsilon is not None else None)
-    code_log2 = params.N * log2_int(factorial(params.block_size))
     target = float(1 - Fraction(epsilon)) if epsilon is not None else None
-    label = f"d2(N={params.N}" + (f", eps={epsilon}" if epsilon is not None else "") + ")"
-    return _rate_report(label, n, code_log2, target)
+    label = f"d2(N={N}" + (f", eps={epsilon}" if epsilon is not None else "") + ")"
+    return _rate_report(label, n, N * log2_int(factorial(params.block_size)), target)
+
+
+def _tn_size(params: TnParams) -> int:
+    n, k = params.n, params.k
+    return (factorial(n // 4) * (factorial(k) // factorial(k // 2)) ** (n // (2 * k))) ** 2
 
 
 def tn_code_size(params: TnParams, limit: int = DEFAULT_ENUM_LIMIT) -> int:
-    """Exact size of the neighbor-constrained code.
+    """Exact size of the neighbor-constrained code,
+    ((n/4)! * (k!/(k/2)!)**(n/2k))**2.
 
     Distinct inputs give distinct codewords (decoding is a projection), so
-    the count is that of the encoder's runs: at each step some non-empty set
-    of the mandated half emits an ordered pair of its remaining symbols.
-    The deviation after a prefix, hence the mandate, depends only on the set
-    of symbols emitted, so the completions are counted once per such set
-    (a bitmask): O(m * k**2) work for each of at most 2**((k-1)*m) states,
-    instead of running the encoder on k!**m * (selectors) inputs.
+    the count is that of the encoder's runs.  A run is fixed by two
+    sequences: the pairs drawn from the low sets, in order, and the pairs
+    drawn from the high sets, in order; the sign of the running deviation D
+    forces how the two merge.  Either sequence is any interleaving of the
+    m/2 sets' ordered pairs: (n/4)! / ((k/2)!)**(m/2) interleavings times
+    k!**(m/2) orderings.  Every pair of sequences is a run, because a half
+    never runs dry while it is mandated: once the low half is exhausted,
+    every symbol left is high and adds 2v-n-1 > 0, and the final D is 0, so
+    D < 0 now and the high half is mandated; mirrored, an exhausted high
+    half leaves D > 0, which mandates the low half.
+
+    ``limit`` is the enumeration guard of the other oracles, kept so that a
+    call above it still raises ``LimitExceeded``; the count itself costs
+    O(n) big-int multiplications.
     """
     _check_limit(params.n, limit)
-    n, k, m = params.n, params.k, params.m
-    full = (1 << n + 1) - 2  # bit v set: symbol v emitted
-    memo = {}
-
-    def completions(emitted: int, dev2: int) -> int:
-        if emitted == full:
-            return 1
-        if emitted in memo:
-            return memo[emitted]
-        rests = [[v for v in range(s * k + 1, s * k + k + 1) if not emitted >> v & 1]
-                 for s in range(m)]
-        half = mandated_half(dev2)
-        mandated = rests[:m // 2] if half is Half.LOWER else rests[m // 2:]
-        if not any(mandated):
-            step = emitted.bit_count() // 2 + 1
-            raise SourceExhausted(
-                f"every {half.value} set empty at step {step}"
-                " (encoder invariant broken)", step=step, mandated=half.value,
-                remaining={s + 1: len(rest) for s, rest in enumerate(rests)})
-        memo[emitted] = total = sum(
-            completions(emitted | 1 << a | 1 << b, dev2 + 2 * (a + b - n - 1))
-            for rest in mandated for a, b in itertools.permutations(rest, 2))
-        return total
-
-    return completions(0, 0)
+    return _tn_size(params)
 
 
 def rate_report_tn(n: int, k: int | None = None,
-                   epsilon_k: Fraction | None = None,
-                   limit: int = DEFAULT_ENUM_LIMIT) -> RateReport:
-    """Rate of the neighbor-constrained codec.
-
-    The code size has no closed form here; it is counted exhaustively when
-    n is within the enumeration limit and reported as not computed beyond.
-    """
-    if epsilon_k is not None:
-        derived = ceil_rational_power(n, Fraction(epsilon_k))
-        if k is not None and k != derived:
-            raise ParamInvalid(
-                f"k={k} contradicts ceil(n**epsilon_k)={derived}")
-        k = derived
-    if k is None:
-        raise ParamInvalid("either k or epsilon_k is required")
+                   epsilon_k: Fraction | None = None) -> RateReport:
+    """Rate of the neighbor-constrained codec: code size
+    ((n/4)! * (k!/(k/2)!)**(n/2k))**2 (see ``tn_code_size``), exact at every
+    n, with k given or derived as ceil(n**epsilon_k)."""
+    k = _scale(n, k, epsilon_k, "k", "epsilon_k")
     params = TnParams(n, k, Fraction(epsilon_k) if epsilon_k is not None else None)
     target = float((1 + Fraction(epsilon_k)) / 2) if epsilon_k is not None else None
     label = f"tn(k={k}" + (f", eps_k={epsilon_k}" if epsilon_k is not None else "") + ")"
-    if n <= limit:
-        return _rate_report(label, n, log2_int(tn_code_size(params, limit=limit)), target)
-    return _rate_report(label, n, None, target,
-                        note=f"not computed: n={n} exceeds enumeration limit {limit}")
+    return _rate_report(label, n, log2_int(_tn_size(params)), target)
 
 
 def rate_report(config: str, n: int, *, N: int | None = None,
                 epsilon: Fraction | None = None, k: int | None = None,
-                epsilon_k: Fraction | None = None,
-                limit: int = DEFAULT_ENUM_LIMIT) -> RateReport:
+                epsilon_k: Fraction | None = None) -> RateReport:
     """Dispatch on a codec descriptor: ``d1``, ``d2`` (N or epsilon), or
     ``tn`` (k or epsilon_k)."""
     if config == "d1":
@@ -363,7 +341,7 @@ def rate_report(config: str, n: int, *, N: int | None = None,
     if config == "d2":
         return rate_report_d2(n, N=N, epsilon=epsilon)
     if config == "tn":
-        return rate_report_tn(n, k=k, epsilon_k=epsilon_k, limit=limit)
+        return rate_report_tn(n, k=k, epsilon_k=epsilon_k)
     raise ParamInvalid(f"unknown codec descriptor {config!r}")
 
 

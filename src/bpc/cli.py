@@ -93,6 +93,17 @@ def _read_file_or_stdin(path: str) -> str:
         raise ParamInvalid(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
+def _read_json(path: str):
+    """The JSON document in the file at ``path`` ('-' for stdin); text that
+    is not JSON, or holds an int past the interpreter's digit limit, is a
+    usage error."""
+    text = _read_file_or_stdin(path)
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or the digit limit
+        raise ParamInvalid(str(exc)) from exc
+
+
 def _perm_arg(value: str) -> Permutation:
     """A permutation given inline, or read from stdin when ``value`` is '-'."""
     return parse_permutation(_read_file_or_stdin(value) if value == "-" else value)
@@ -210,7 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rat.add_argument("--epsilon")
     rat.add_argument("--k", type=int)
     rat.add_argument("--epsilon-k", dest="epsilon_k")
-    rat.add_argument("--limit", type=int, default=analysis.DEFAULT_ENUM_LIMIT)
     rat.add_argument("--format", choices=("json", "csv"), default="json")
     rat.set_defaults(handler=_cmd_rate)
 
@@ -265,13 +275,13 @@ def _cmd_encode_d1(args) -> int:
 
 
 def _cmd_encode_d2(args) -> int:
-    inp = d2_input_from_json_dict(json.loads(_read_file_or_stdin(args.input)))
+    inp = d2_input_from_json_dict(_read_json(args.input))
     print(format_permutation(encode_d2(inp, tie_to_upper=args.tie_upper)))
     return 0
 
 
 def _cmd_encode_tn(args) -> int:
-    inp = tn_input_from_json_dict(json.loads(_read_file_or_stdin(args.input)))
+    inp = tn_input_from_json_dict(_read_json(args.input))
     print(format_permutation(encode_tn(inp)))
     return 0
 
@@ -373,17 +383,15 @@ def _cmd_rate(args) -> int:
     lengths = _int_list(args.n)
     reports = [
         analysis.rate_report(args.config, n, N=args.num_blocks,
-                             epsilon=epsilon, k=args.k,
-                             epsilon_k=epsilon_k, limit=args.limit)
+                             epsilon=epsilon, k=args.k, epsilon_k=epsilon_k)
         for n in lengths
     ]
     if args.format == "csv":
-        rows = ["config,n,code_log2,perm_log2,rate,target,note"]
+        rows = ["config,n,code_log2,perm_log2,rate,target,note"]  # note: always empty
         for r in reports:
             numbers = ("" if x is None else repr(x)
                        for x in (r.code_log2, r.perm_log2, r.rate, r.target))
-            rows.append(",".join([r.config.replace(",", ";"), str(r.n), *numbers,
-                                  r.note or ""]))
+            rows.append(",".join([r.config.replace(",", ";"), str(r.n), *numbers, ""]))
         sys.stdout.write("\n".join(rows) + "\n")
         return 0
     if len(reports) == 1:
@@ -434,7 +442,7 @@ def run(argv: list[str]) -> int:
     except NotCodeword as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VIOLATION
-    except (BpcError, json.JSONDecodeError, OSError) as exc:
+    except (BpcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # a bug, not an input: still a documented exit code

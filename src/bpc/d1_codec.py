@@ -12,8 +12,8 @@ decoder is the half-membership projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
+from ._util import int_text
 from .errors import IndexOutOfRange, OddLength, ParamInvalid
 from .perm_core import Permutation, _Emitter, _project, rank, unrank
 
@@ -131,11 +131,13 @@ def d1_message_input(i1: int, i2: int, n: int) -> D1Input:
     if n < 2 or n % 2 != 0:
         raise OddLength(f"length {n} is not a positive even integer")
     half = n // 2
-    bound = factorial(half)
+    gammas = []
     for name, i in (("i1", i1), ("i2", i2)):
-        if not 0 <= i < bound:
-            raise IndexOutOfRange(f"{name}={i} outside [0, {half}!)")
-    return D1Input(unrank(i1, half), unrank(i2, half))
+        try:
+            gammas.append(unrank(i, half))
+        except IndexOutOfRange:
+            raise IndexOutOfRange(f"{name}={int_text(i)} outside [0, {half}!)") from None
+    return D1Input(*gammas)
 
 
 def d1_message_encode(i1: int, i2: int, n: int) -> Permutation:

@@ -22,6 +22,7 @@ from math import gcd
 from operator import sub
 from typing import Iterable, Iterator, Mapping
 
+from ._util import int_text
 from .errors import (
     IndexOutOfRange,
     NotPermutation,
@@ -477,6 +478,6 @@ def unrank(index: int, n: int) -> Permutation:
             low, d = divmod(low, radix)
             digits.append(d)
     if q:
-        raise IndexOutOfRange(f"rank {index} outside [0, {n}!)")
+        raise IndexOutOfRange(f"rank {int_text(index)} outside [0, {n}!)")
     remaining = list(range(1, n + 1))
     return Permutation(tuple([remaining.pop(d) for d in reversed(digits)]))

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from bisect import bisect_left
+from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 
@@ -20,18 +22,33 @@ from bpc import (
     D1Input,
     D2Input,
     D2Params,
+    Half,
     IndexOutOfRange,
     NeighborSpec,
     ParamInvalid,
     Permutation,
     SelectorViolation,
+    SourceExhausted,
     TnInput,
     TnParams,
     ViolationReport,
     check_two_neighbor,
     encode_tn,
+    mandated_half,
 )
 from bpc.analysis import _BoundTally, _prefix_bound_detail
+
+
+@contextmanager
+def default_digit_limit():
+    """Run with the interpreter's default int-to-str digit limit in effect."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
 
 # Golden two-source example: n=12.
 EX1_GAMMA1 = (3, 4, 1, 2, 5, 6)
@@ -433,6 +450,43 @@ def reference_tn_code_size(params: TnParams) -> int:
                 continue
             count += 1
     return count
+
+
+def memo_tn_code_size(params: TnParams) -> int:
+    """The encoder's runs counted by a search memoized on the emitted set.
+
+    At each step some non-empty set of the mandated half emits an ordered
+    pair of its remaining symbols.  The deviation after a prefix, hence the
+    mandate, depends only on the set of symbols emitted, so the completions
+    are counted once per such set (a bitmask): O(m * k**2) work for each of
+    at most 2**((k-1)*m) states.  An empty mandated half is raised as
+    ``SourceExhausted``.
+    """
+    n, k, m = params.n, params.k, params.m
+    full = (1 << n + 1) - 2  # bit v set: symbol v emitted
+    memo = {}
+
+    def completions(emitted: int, dev2: int) -> int:
+        if emitted == full:
+            return 1
+        if emitted in memo:
+            return memo[emitted]
+        rests = [[v for v in range(s * k + 1, s * k + k + 1) if not emitted >> v & 1]
+                 for s in range(m)]
+        half = mandated_half(dev2)
+        mandated = rests[:m // 2] if half is Half.LOWER else rests[m // 2:]
+        if not any(mandated):
+            step = emitted.bit_count() // 2 + 1
+            raise SourceExhausted(
+                f"every {half.value} set empty at step {step}"
+                " (encoder invariant broken)", step=step, mandated=half.value,
+                remaining={s + 1: len(rest) for s, rest in enumerate(rests)})
+        memo[emitted] = total = sum(
+            completions(emitted | 1 << a | 1 << b, dev2 + 2 * (a + b - n - 1))
+            for rest in mandated for a, b in itertools.permutations(rest, 2))
+        return total
+
+    return completions(0, 0)
 
 
 # ---------------------------------------------------------------------------

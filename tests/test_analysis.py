@@ -40,6 +40,7 @@ from support import (
     EX4_CODEWORD,
     MIN_DISC_SET_N4,
     all_d1_inputs,
+    memo_tn_code_size,
     random_permutation,
 )
 
@@ -184,15 +185,30 @@ class TestRates:
         assert report.code_log2 == pytest.approx(6.0)  # 64 codewords
         assert report.rate == pytest.approx(6 / math.log2(factorial(8)))
         assert report.target is None
-        assert report.note is None
+        assert report.to_json_dict()["note"] is None
 
-    def test_neighbor_codec_beyond_limit(self):
-        # ceil(24**(2/5)) = 4, consistent with k=4
+    def test_neighbor_codec_past_the_enumeration_limit(self):
+        # ceil(24**(2/5)) = 4, consistent with k=4; (6! * (4!/2!)**3)**2 codewords
+        size = 1_547_934_105_600
         report = rate_report_tn(24, k=4, epsilon_k=Fraction(2, 5))
-        assert report.code_log2 is None
-        assert report.rate is None
-        assert "not computed" in report.note
+        assert tn_code_size(TnParams(24, 4), limit=24) == size
+        assert report.code_log2 == math.log2(size)
+        assert report.rate == report.code_log2 / math.log2(factorial(24))
+        assert 0.5 < report.rate < 0.6
         assert report.target == pytest.approx(0.7)
+
+    def test_neighbor_codec_rate_trend(self):
+        # n = k**2 with eps_k = 1/2: the rate climbs toward (1 + 1/2)/2
+        rates = []
+        for k in (4, 8, 16, 32, 64, 128, 256):
+            report = rate_report_tn(k * k, epsilon_k=Fraction(1, 2))
+            assert report.config == f"tn(k={k}, eps_k=1/2)"
+            assert report.target == 0.75
+            rates.append(report.rate)
+        assert rates == sorted(set(rates))
+        assert rates[-1] < 0.75
+        assert rates[0] == pytest.approx(0.531, abs=1e-3)
+        assert rates[-1] == pytest.approx(0.691, abs=1e-3)
 
     def test_neighbor_codec_scaling_consistency(self):
         with pytest.raises(ParamInvalid):
@@ -237,6 +253,15 @@ class TestTnCodeSize:
     def test_limit_guard(self):
         with pytest.raises(LimitExceeded):
             tn_code_size(TnParams(16, 2))
+
+    @pytest.mark.parametrize("n, k", [
+        *((n, k) for n in range(4, 17, 4) for k in range(2, n // 2 + 1, 2)
+          if n % (2 * k) == 0),
+        (20, 2), (24, 2),
+    ])
+    def test_closed_form_matches_memoized_search(self, n, k):
+        params = TnParams(n, k)
+        assert tn_code_size(params, limit=n) == memo_tn_code_size(params)
 
 
 class TestClaimSuites:

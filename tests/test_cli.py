@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 
@@ -358,6 +359,21 @@ class TestAnalyze:
         lines = out.splitlines()
         assert lines[0] == "config,n,code_log2,perm_log2,rate,target,note"
         assert len(lines) == 3
+
+    def test_rate_tn_past_n_10_is_exact(self, capsys):
+        code, out, _ = run(capsys, "analyze", "rate", "--config", "tn",
+                           "--n", "8,24", "--k", "4", "--format", "csv")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        # 576 and 1547934105600 codewords
+        assert [float(r[2]) for r in rows] == [math.log2(576), math.log2(1547934105600)]
+        assert all(r[4] and r[6] == "" for r in rows)
+
+    def test_rate_has_no_limit(self, capsys):
+        code, out, err = run(capsys, "analyze", "rate", "--config", "tn",
+                             "--n", "24", "--k", "4", "--limit", "24")
+        assert (code, out) == (2, "")
+        assert "--limit" in err
 
     def test_rate_bad_epsilon_is_usage_error(self, capsys):
         code, _, err = run(capsys, "analyze", "rate", "--config", "d2",

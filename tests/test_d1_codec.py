@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -15,6 +16,7 @@ from bpc import (
     SourceExhausted,
     d1_message_decode,
     d1_message_encode,
+    d1_message_input,
     d1_preset,
     decode_d1,
     encode_d1,
@@ -28,6 +30,7 @@ from support import (
     EX1_CODEWORD,
     EX1_INTERLEAVING,
     all_d1_inputs,
+    default_digit_limit,
     ex1_input,
     random_d1_input,
     reference_encode_d1,
@@ -255,6 +258,25 @@ class TestMessageInterface:
             d1_message_encode(factorial(3), 0, 6)
         with pytest.raises(IndexOutOfRange):
             d1_message_encode(0, -1, 6)
+
+    def test_rank_bound_messages_check_i1_first(self):
+        with pytest.raises(IndexOutOfRange, match=r"^i1=6 outside \[0, 3!\)$"):
+            d1_message_input(6, -1, 6)
+        with pytest.raises(IndexOutOfRange, match=r"^i2=-1 outside \[0, 3!\)$"):
+            d1_message_input(0, -1, 6)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-to-str digit limit")
+    def test_rank_past_the_digit_limit_names_the_bit_length(self):
+        # 10**5000 has 5001 digits, past the default limit of 4300
+        huge = 10 ** 5000
+        with default_digit_limit():
+            with pytest.raises(IndexOutOfRange,
+                               match=r"^i1=<16610-bit integer> outside \[0, 5!\)$"):
+                d1_message_input(huge, 0, 10)
+            with pytest.raises(IndexOutOfRange,
+                               match=r"^i2=-<16610-bit integer> outside \[0, 5!\)$"):
+                d1_message_input(0, -huge, 10)
 
     def test_odd_length_rejected(self):
         with pytest.raises(OddLength):

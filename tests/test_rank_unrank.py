@@ -15,7 +15,7 @@ import pytest
 
 from bpc import IndexOutOfRange, ParamInvalid, Permutation, rank, unrank
 from bpc.perm_core import _radix_groups
-from support import reference_rank, reference_unrank
+from support import default_digit_limit, reference_rank, reference_unrank
 
 
 @contextmanager
@@ -96,6 +96,17 @@ def test_out_of_range_message_matches_reference(case, n):
         with pytest.raises(IndexOutOfRange) as got:
             unrank(index, n)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit")
+@pytest.mark.parametrize("sign, text", [(1, "<16610-bit integer>"),
+                                        (-1, "-<16610-bit integer>")])
+def test_out_of_range_past_the_digit_limit_names_the_bit_length(sign, text):
+    # 10**5000 has 5001 digits, past the default limit of 4300
+    with default_digit_limit(), pytest.raises(IndexOutOfRange) as got:
+        unrank(sign * 10 ** 5000, 5)
+    assert str(got.value) == f"rank {text} outside [0, 5!)"
 
 
 def test_bad_length_matches_reference():
