@@ -41,6 +41,7 @@ from .d2_codec import (
     cell_schedule,
     d2_input_from_json_dict,
     d2_input_to_json_dict,
+    d2_preset,
     decode_d2,
     encode_d2,
 )
@@ -65,7 +66,6 @@ from .perm_core import (
     ViolationReport,
     check_two_neighbor,
     d1_preset,
-    d2_preset,
     disc,
     format_permutation,
     identity,

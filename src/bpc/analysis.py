@@ -7,27 +7,28 @@ one test instead of a rescan of each of its completions.  Code sizes are
 counted in closed form, the tn size included, so a rate is exact at every n.
 Counts are exact integers; logarithms are taken only at the very end of a
 rate computation.  Searches may fan out over processes, one task per first
-symbol (worker count from the ``BPC_THREADS`` environment variable or an
-explicit argument), and results are merged in first-symbol order so the
-output never depends on the degree of parallelism.
+symbol (the ``workers`` argument; 0 runs in-process), and results are merged
+in first-symbol order so the output never depends on the degree of
+parallelism.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from ._util import ceil_rational_power, log2_int
-from .d2_codec import D2Params
+from .d2_codec import D2Params, d2_preset
 from .errors import IndexOutOfRange, LimitExceeded, ParamInvalid, SpecMismatch
 from .perm_core import (
     BalanceSpec,
     NeighborSpec,
     Permutation,
+    _check_neighbor_range,
+    _doubled_limits,
     _window_violations,
     check_two_neighbor,
     format_permutation,
@@ -37,7 +38,6 @@ from .tn_codec import TnParams
 
 __all__ = [
     "DEFAULT_ENUM_LIMIT",
-    "THREADS_ENV_VAR",
     "CensusResult",
     "census",
     "min_disc",
@@ -57,22 +57,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_LIMIT = 10
-THREADS_ENV_VAR = "BPC_THREADS"
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-        if not raw:
-            return 0
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise ParamInvalid(
-                f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if workers < 0:
-        raise ParamInvalid("worker count must be >= 0")
-    return workers
 
 
 def _fan_out(scan, tasks, workers: int) -> list:
@@ -167,7 +151,7 @@ class CensusResult:
 
 def census(n: int, spec: BalanceSpec, neighbor: NeighborSpec | None = None,
            cap: int = 0, limit: int = DEFAULT_ENUM_LIMIT,
-           workers: int | None = None) -> CensusResult:
+           workers: int = 0) -> CensusResult:
     """Count the permutations of S_n passing a balance spec and an optional
     neighbor bound, by a pruned depth-first search over prefixes.
 
@@ -182,17 +166,13 @@ def census(n: int, spec: BalanceSpec, neighbor: NeighborSpec | None = None,
     if spec.n != n:
         raise SpecMismatch(f"spec is for n={spec.n}, census is over S_{n}")
     if neighbor is not None:
-        if n < 3:
-            raise SpecMismatch("two-neighbor check needs n >= 3")
-        if not 1 <= neighbor.k <= n - 1:
-            raise SpecMismatch(f"neighbor bound {neighbor.k} outside [1, {n - 1}]")
+        _check_neighbor_range(n, neighbor.k)
     if cap < 0:
         raise ParamInvalid(f"achiever cap must be >= 0, got {cap}")
-    # doubled deviation d breaks allowance p/q iff d*q > 2p iff d > 2p//q
-    limits = [(b, lim) for b, a in spec.dev_max.items()
-              for lim in [2 * a.numerator // a.denominator] if lim < b * (n - b)]
+    if workers < 0:
+        raise ParamInvalid("worker count must be >= 0")
+    limits = [(b, lim) for b, lim in _doubled_limits(spec).items() if lim < b * (n - b)]
     neighbor_k = neighbor.k if neighbor else None
-    workers = _resolve_workers(workers)
     if not limits and neighbor_k is None:
         count, achievers = factorial(n), itertools.permutations(range(1, n + 1))
     else:
@@ -205,7 +185,7 @@ def census(n: int, spec: BalanceSpec, neighbor: NeighborSpec | None = None,
 
 
 def min_disc(n: int, b: int, limit: int = DEFAULT_ENUM_LIMIT,
-             workers: int | None = None) -> tuple[Fraction, int]:
+             workers: int = 0) -> tuple[Fraction, int]:
     """Minimum discrepancy over all of S_n for window length ``b``, with the
     exact number of permutations achieving it.
 
@@ -311,11 +291,13 @@ def tn_code_size(params: TnParams, limit: int = DEFAULT_ENUM_LIMIT) -> int:
     D < 0 now and the high half is mandated; mirrored, an exhausted high
     half leaves D > 0, which mandates the low half.
 
-    ``limit`` is the enumeration guard of the other oracles, kept so that a
-    call above it still raises ``LimitExceeded``; the count itself costs
-    O(n) big-int multiplications.
+    ``limit`` is the guard of the other oracles, kept so that a call above it
+    still raises ``LimitExceeded``; the count itself enumerates nothing and
+    costs O(n) big-int multiplications.
     """
-    _check_limit(params.n, limit)
+    if params.n > limit:
+        raise LimitExceeded(f"tn code size at n={params.n} is past the limit {limit}; "
+                            "raise the limit explicitly")
     return _tn_size(params)
 
 
@@ -402,29 +384,26 @@ class ClaimReport:
         }
 
 
-class _BoundTally:
-    def __init__(self, name: str):
-        self.name = name
-        self.checked = 0
-        self.failures = 0
-        self.first: CounterExample | None = None
-
-    def record(self, pi: Permutation, detail: dict[str, str] | None) -> None:
-        self.checked += 1
-        if detail is not None:
-            self.failures += 1
-            if self.first is None:
-                self.first = CounterExample(pi, self.name, detail)
-
-    def result(self) -> BoundResult:
-        return BoundResult(self.name, self.checked, self.failures, self.first)
-
-
-def _checked(perms, n: int):
+def _claims(config: str, perms, n: int, checks) -> ClaimReport:
+    """Tally each ``(name, detail)`` check over the batch.  ``detail(pi,
+    devs2)`` gets a permutation and its doubled prefix deviations and returns
+    None on a pass, else the failure's detail; each check's first failure is
+    its counterexample."""
+    total, failures, first = 0, [0] * len(checks), [None] * len(checks)
     for pi in perms:
         if pi.n != n:
             raise ParamInvalid(f"expected permutations of length {n}, got {pi.n}")
-        yield pi
+        total += 1
+        devs2 = prefix_deviations_doubled(pi)
+        for i, (name, detail) in enumerate(checks):
+            found = detail(pi, devs2)
+            if found is not None:
+                failures[i] += 1
+                if first[i] is None:
+                    first[i] = CounterExample(pi, name, found)
+    return ClaimReport(config=config, total=total, bounds=tuple(
+        BoundResult(name, total, fails, example)
+        for (name, _), fails, example in zip(checks, failures, first)))
 
 
 def _prefix_bound_detail(devs2: list[int], allowed2: int,
@@ -447,84 +426,60 @@ def _window_spread_detail(devs2: list[int], allowed2: int) -> dict[str, str] | N
             "allowed": str(Fraction(allowed2, 2))}
 
 
-def _containment_failure(n: int, span: int, lengths) -> tuple[int, int] | None:
-    """First (b, i) with window end i+b-1 past cell ceil(i/span)+1: b > span+1
-    is needed (never so for valid params) and i is the first with i+b-1 > 2*span."""
-    return next(((b, i) for b in lengths for i in [max(1, 2 * span - b + 2)]
-                 if b > span + 1 and i <= n - b + 1), None)
-
-
 def d1_claim_suite(perms, n: int) -> ClaimReport:
     """Check the two-source codeword bounds: every prefix deviation within
     n+1 and every window deviation (any length) within 2*(n+1); O(n) each."""
-    prefix = _BoundTally("prefix_bound")
-    window = _BoundTally("window_bound")
-    for pi in _checked(perms, n):
-        devs2 = prefix_deviations_doubled(pi)
-        prefix.record(pi, _prefix_bound_detail(devs2, 2 * (n + 1)))
-        window.record(pi, _window_spread_detail(devs2, 2 * (n + 1)))
-    return ClaimReport(config=f"d1(n={n})", total=window.checked,
-                       bounds=(prefix.result(), window.result()))
+    return _claims(f"d1(n={n})", perms, n, (
+        ("prefix_bound", lambda pi, devs2: _prefix_bound_detail(devs2, 2 * (n + 1))),
+        ("window_bound", lambda pi, devs2: _window_spread_detail(devs2, 2 * (n + 1)))))
 
 
 def d2_claim_suite(perms, params: D2Params) -> ClaimReport:
     """Check the block codeword bounds: even-prefix deviation within 2n/N,
-    pair locality within 4n/N (with its cell-window containment), and every
-    spec'd even-length window deviation within 8*(n+1)/N.  Costs O(n) per
-    permutation, plus the lengths at each start failing the last two."""
+    pair locality within 4n/N, and every window of the ``d2_preset`` lengths
+    within its allowance 8*(n+1)/N.  Costs O(n) per permutation, plus the
+    lengths at each start failing the last two."""
     n, N = params.n, params.N
     span = 4 * n // N
-    even_prefix = _BoundTally("even_prefix_bound")
-    locality = _BoundTally("pair_locality")
-    window = _BoundTally("window_bound")
-    lengths = params.window_lengths
-    gap_limits = dict.fromkeys(lengths, span)
-    # dev2 * N > 16 * (n + 1)  <=>  dev2 > 16 * (n + 1) // N
-    window_limits = dict.fromkeys(lengths, 16 * (n + 1) // N)
-    containment = _containment_failure(n, span, lengths)
-    for pi in _checked(perms, n):
-        devs2 = prefix_deviations_doubled(pi)
-        even_prefix.record(pi, _prefix_bound_detail(devs2, span, step=2))  # 2n/N
+    spec = d2_preset(n, N)
+    gap_limits = dict.fromkeys(spec.blocks, span)
+    window_limits = _doubled_limits(spec)
 
-        # symbols i and i+b at most span apart; first (b, i) wins, containment on a tie
+    def locality(pi, devs2):
+        # symbols i and i+b at most span apart; the first (b, i) is reported
         v = pi.values
-        gap = next(_window_violations(v, lengths, gap_limits), None)
-        if containment and (gap is None or containment <= (gap[0], gap[1] + 1)):
-            b, i = containment
-            gap = {"i": str(i), "j": str(i + b - 1), "cell": "1",
-                   "reason": "containment"}
-        elif gap:
-            b, s = gap
-            gap = {"i": str(s + 1), "j+1": str(s + b + 1),
-                   "gap": str(abs(v[s + b] - v[s])), "allowed": str(span)}
-        locality.record(pi, gap)
+        for b, s in _window_violations(v, spec.blocks, gap_limits):
+            return {"i": str(s + 1), "j+1": str(s + b + 1),
+                    "gap": str(abs(v[s + b] - v[s])), "allowed": str(span)}
+        return None
 
-        first = next(_window_violations(devs2, lengths, window_limits), None)
-        if first:
-            b, s = first
-            first = {"b": str(b), "j": str(s + 1),
-                     "dev": str(Fraction(abs(devs2[s + b] - devs2[s]), 2)),
-                     "allowed": str(Fraction(8 * (n + 1), N))}
-        window.record(pi, first)
-    return ClaimReport(config=f"d2(n={n},N={N})", total=window.checked,
-                       bounds=(even_prefix.result(), locality.result(),
-                               window.result()))
+    def window(pi, devs2):
+        for b, s in _window_violations(devs2, spec.blocks, window_limits):
+            return {"b": str(b), "j": str(s + 1),
+                    "dev": str(Fraction(abs(devs2[s + b] - devs2[s]), 2)),
+                    "allowed": str(spec.dev_max[b])}
+        return None
+
+    return _claims(f"d2(n={n},N={N})", perms, n, (
+        ("even_prefix_bound", lambda pi, devs2: _prefix_bound_detail(devs2, span, step=2)),
+        ("pair_locality", locality),
+        ("window_bound", window)))
 
 
 def tn_claim_suite(perms, params: TnParams) -> ClaimReport:
     """Check neighbor-constrained codewords: the two-neighbor bound at k,
     and the full-window balance bound with allowance 2*(n+1); O(n) each."""
     n, k = params.n, params.k
-    neighbor = _BoundTally("two_neighbor")
-    window = _BoundTally("window_bound")
-    for pi in _checked(perms, n):
-        entries = check_two_neighbor(pi, NeighborSpec(k)).entries
-        neighbor.record(pi, {key: str(value) for key, value
-                             in entries[0].to_json_dict().items()} if entries else None)
-        devs2 = prefix_deviations_doubled(pi)
-        window.record(pi, _window_spread_detail(devs2, 2 * (n + 1)))
-    return ClaimReport(config=f"tn(n={n},k={k})", total=window.checked,
-                       bounds=(neighbor.result(), window.result()))
+    spec = NeighborSpec(k)
+
+    def neighbor(pi, devs2):
+        entries = check_two_neighbor(pi, spec).entries
+        return {key: str(value) for key, value
+                in entries[0].to_json_dict().items()} if entries else None
+
+    return _claims(f"tn(n={n},k={k})", perms, n, (
+        ("two_neighbor", neighbor),
+        ("window_bound", lambda pi, devs2: _window_spread_detail(devs2, 2 * (n + 1)))))
 
 
 def claim_suite(perms, config) -> ClaimReport:

@@ -29,6 +29,7 @@ from .d2_codec import (
     D2Params,
     d2_input_from_json_dict,
     d2_input_to_json_dict,
+    d2_preset,
     decode_d2,
     encode_d2,
 )
@@ -45,7 +46,6 @@ from .perm_core import (
     Permutation,
     check_two_neighbor,
     d1_preset,
-    d2_preset,
     disc,
     format_permutation,
     parse_permutation,
@@ -203,14 +203,14 @@ def _build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--cap", type=int, default=0,
                      help="how many achievers to list")
     cen.add_argument("--limit", type=int, default=analysis.DEFAULT_ENUM_LIMIT)
-    cen.add_argument("--threads", type=int)
+    cen.add_argument("--threads", type=int, default=0)
     cen.set_defaults(handler=_cmd_census)
 
     mnd = ana_sub.add_parser("min-disc", help="minimum discrepancy over S_n")
     mnd.add_argument("--n", type=int, required=True)
     mnd.add_argument("--b", type=int, required=True)
     mnd.add_argument("--limit", type=int, default=analysis.DEFAULT_ENUM_LIMIT)
-    mnd.add_argument("--threads", type=int)
+    mnd.add_argument("--threads", type=int, default=0)
     mnd.set_defaults(handler=_cmd_min_disc)
 
     rat = ana_sub.add_parser("rate", help="code-size and rate report")

@@ -15,10 +15,11 @@ from fractions import Fraction
 
 from ._util import ceil_rational_power, json_int
 from .errors import ParamInvalid
-from .perm_core import Permutation, _Emitter, _project
+from .perm_core import BalanceSpec, Permutation, _Emitter, _project
 
 __all__ = [
     "D2Params",
+    "d2_preset",
     "D2Input",
     "Cell",
     "CellSchedule",
@@ -67,6 +68,15 @@ class D2Params:
     def window_lengths(self) -> tuple[int, ...]:
         """The even window lengths 2, 4, ..., 2*(n/N - 1)."""
         return tuple(range(2, 2 * self.s + 1, 2))
+
+
+def d2_preset(n: int, num_blocks: int) -> BalanceSpec:
+    """Even window lengths 2..2*(n/N - 1), allowed deviation 8*(n+1)/N.
+
+    ``num_blocks`` (N) must divide ``n`` and be a positive multiple of 4.
+    """
+    blocks = D2Params(n, num_blocks).window_lengths
+    return BalanceSpec(n, blocks, dict.fromkeys(blocks, Fraction(8 * (n + 1), num_blocks)))
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ __all__ = [
     "disc",
     "BalanceSpec",
     "d1_preset",
-    "d2_preset",
     "NeighborSpec",
     "BalanceViolation",
     "NeighborViolation",
@@ -117,11 +116,14 @@ def parse_permutation(text: str) -> Permutation:
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise NotPermutation("empty permutation text")
-    try:
-        values = tuple(int(t) for t in tokens)
-    except ValueError as exc:
-        raise NotPermutation(f"bad symbol in {text!r}") from exc
-    return Permutation(values)
+    values = []
+    for pos, t in enumerate(tokens, 1):
+        try:
+            values.append(int(t))
+        except ValueError as exc:
+            cut = "..." if len(t) > 12 else ""  # the error stays short for any input
+            raise NotPermutation(f"bad symbol {t[:12]!r}{cut} at position {pos}") from exc
+    return Permutation(tuple(values))
 
 
 def format_permutation(pi: Permutation) -> str:
@@ -294,22 +296,10 @@ def d1_preset(n: int) -> BalanceSpec:
     return BalanceSpec(n, blocks, {b: allowed for b in blocks})
 
 
-def d2_preset(n: int, num_blocks: int) -> BalanceSpec:
-    """Even window lengths 2..2*(n/N - 1), allowed deviation 8*(n+1)/N.
-
-    ``num_blocks`` (N) must divide ``n`` and be a positive multiple of 4.
-    """
-    _validate_block_split(n, num_blocks)
-    allowed = Fraction(8 * (n + 1), num_blocks)
-    blocks = tuple(range(2, 2 * (n // num_blocks - 1) + 1, 2))
-    return BalanceSpec(n, blocks, {b: allowed for b in blocks})
-
-
-def _validate_block_split(n: int, num_blocks: int) -> None:
-    if num_blocks < 4 or num_blocks % 4 != 0:
-        raise ParamInvalid(f"block count {num_blocks} must be a multiple of 4")
-    if n < 1 or n % num_blocks != 0:
-        raise ParamInvalid(f"block count {num_blocks} must divide n={n}")
+def _doubled_limits(spec: BalanceSpec) -> dict[int, int]:
+    """Per length b, the largest doubled window deviation the spec allows:
+    |w - b*(n+1)/2| > p/q  <=>  |2w - b*(n+1)| * q > 2p  <=>  dev2 > 2p // q."""
+    return {b: 2 * a.numerator // a.denominator for b, a in spec.dev_max.items()}
 
 
 @dataclass(frozen=True)
@@ -390,8 +380,7 @@ def verify_balance(pi: Permutation, spec: BalanceSpec) -> ViolationReport:
     n = pi.n
     if spec.n != n:
         raise SpecMismatch(f"spec is for n={spec.n}, permutation has n={n}")
-    # |w - b*(n+1)/2| > p/q  <=>  |2w - b*(n+1)| * q > 2p  <=>  dev2 > 2p // q
-    limits = {b: 2 * a.numerator // a.denominator for b, a in spec.dev_max.items()}
+    limits = _doubled_limits(spec)
     D = prefix_deviations_doubled(pi)
     return ViolationReport(tuple(
         BalanceViolation(b=b, j=s + 1, window_sum=(D[s + b] - D[s] + b * (n + 1)) // 2,
@@ -400,14 +389,17 @@ def verify_balance(pi: Permutation, spec: BalanceSpec) -> ViolationReport:
         for b, s in _window_violations(D, spec.blocks, limits)))
 
 
-def check_two_neighbor(pi: Permutation, spec: NeighborSpec) -> ViolationReport:
-    """Check that each interior position has a neighbor within distance k."""
-    n = pi.n
+def _check_neighbor_range(n: int, k: int) -> None:
     if n < 3:
         raise SpecMismatch("two-neighbor check needs n >= 3")
-    if not 1 <= spec.k <= n - 1:
-        raise SpecMismatch(f"neighbor bound {spec.k} outside [1, {n - 1}]")
-    k = spec.k
+    if not 1 <= k <= n - 1:
+        raise SpecMismatch(f"neighbor bound {k} outside [1, {n - 1}]")
+
+
+def check_two_neighbor(pi: Permutation, spec: NeighborSpec) -> ViolationReport:
+    """Check that each interior position has a neighbor within distance k."""
+    n, k = pi.n, spec.k
+    _check_neighbor_range(n, k)
     v = pi.values
     entries = []
     for i in range(2, n):

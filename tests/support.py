@@ -17,8 +17,10 @@ from math import factorial
 
 from bpc import (
     BalanceViolation,
+    BoundResult,
     CensusResult,
     ClaimReport,
+    CounterExample,
     D1Input,
     D2Input,
     D2Params,
@@ -36,7 +38,6 @@ from bpc import (
     encode_tn,
     mandated_half,
 )
-from bpc.analysis import _BoundTally, _prefix_bound_detail
 
 
 @contextmanager
@@ -276,13 +277,39 @@ def reference_containment(n: int, span: int, lengths):
     return None
 
 
+class ReferenceTally:
+    """Pass/fail count of one bound over a batch; the first failure is kept."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.failures = 0
+        self.first = None
+
+    def record(self, pi: Permutation, detail) -> None:
+        self.checked += 1
+        if detail is not None:
+            self.failures += 1
+            if self.first is None:
+                self.first = CounterExample(pi, self.name, detail)
+
+    def result(self) -> BoundResult:
+        return BoundResult(self.name, self.checked, self.failures, self.first)
+
+
 def reference_d1_claim_suite(perms, n: int) -> ClaimReport:
-    prefix = _BoundTally("prefix_bound")
-    window = _BoundTally("window_bound")
+    prefix = ReferenceTally("prefix_bound")
+    window = ReferenceTally("window_bound")
     perms = list(perms)
     for pi in perms:
         devs2 = reference_devs2(pi)
-        prefix.record(pi, _prefix_bound_detail(devs2, 2 * (n + 1)))
+        detail = None
+        for j in range(1, n + 1):
+            dev = Fraction(devs2[j], 2)
+            if abs(dev) > n + 1:
+                detail = {"j": str(j), "dev": str(dev), "allowed": str(n + 1)}
+                break
+        prefix.record(pi, detail)
         window.record(pi, reference_window_spread_detail(devs2, 2 * (n + 1)))
     return ClaimReport(config=f"d1(n={n})", total=len(perms),
                        bounds=(prefix.result(), window.result()))
@@ -292,9 +319,9 @@ def reference_d2_claim_suite(perms, params: D2Params) -> ClaimReport:
     """The block suite scanning every (length, start) pair in order."""
     n, N = params.n, params.N
     span = 4 * n // N
-    even_prefix = _BoundTally("even_prefix_bound")
-    locality = _BoundTally("pair_locality")
-    window = _BoundTally("window_bound")
+    even_prefix = ReferenceTally("even_prefix_bound")
+    locality = ReferenceTally("pair_locality")
+    window = ReferenceTally("window_bound")
     lengths = params.window_lengths
     perms = list(perms)
     for pi in perms:
@@ -346,8 +373,8 @@ def reference_d2_claim_suite(perms, params: D2Params) -> ClaimReport:
 
 def reference_tn_claim_suite(perms, params: TnParams) -> ClaimReport:
     n, k = params.n, params.k
-    neighbor = _BoundTally("two_neighbor")
-    window = _BoundTally("window_bound")
+    neighbor = ReferenceTally("two_neighbor")
+    window = ReferenceTally("window_bound")
     perms = list(perms)
     for pi in perms:
         report = check_two_neighbor(pi, NeighborSpec(k))

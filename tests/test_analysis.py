@@ -17,6 +17,7 @@ from bpc import (
     SpecMismatch,
     TnParams,
     census,
+    check_two_neighbor,
     claim_suite,
     d1_claim_suite,
     d1_preset,
@@ -110,13 +111,21 @@ class TestCensus:
         par = census(5, spec, cap=10, workers=3)
         assert seq == par
 
-    def test_env_threads(self, monkeypatch):
-        monkeypatch.setenv("BPC_THREADS", "2")
+    def test_negative_worker_count_rejected(self):
         spec = pair_window_spec(4, 1)
         assert census(4, spec, cap=24) == census(4, spec, cap=24, workers=0)
-        monkeypatch.setenv("BPC_THREADS", "nope")
-        with pytest.raises(ParamInvalid):
-            census(4, spec)
+        with pytest.raises(ParamInvalid, match="worker count must be >= 0"):
+            census(4, spec, workers=-1)
+        with pytest.raises(ParamInvalid, match="worker count must be >= 0"):
+            min_disc(4, 2, workers=-1)
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (3, 3), (5, 5), (6, 9)])
+    def test_neighbor_range_errors_match_the_verifier(self, n, k):
+        with pytest.raises(SpecMismatch) as verifier:
+            check_two_neighbor(identity(n), NeighborSpec(k))
+        with pytest.raises(SpecMismatch) as search:
+            census(n, d1_preset(n), neighbor=NeighborSpec(k))
+        assert str(search.value) == str(verifier.value)
 
 
 class TestMinDisc:
@@ -253,6 +262,12 @@ class TestTnCodeSize:
     def test_limit_guard(self):
         with pytest.raises(LimitExceeded):
             tn_code_size(TnParams(16, 2))
+
+    def test_limit_message_claims_no_enumeration(self):
+        with pytest.raises(LimitExceeded) as exc:
+            tn_code_size(TnParams(24, 4))
+        assert str(exc.value) == ("tn code size at n=24 is past the limit 10; "
+                                  "raise the limit explicitly")
 
     @pytest.mark.parametrize("n, k", [
         *((n, k) for n in range(4, 17, 4) for k in range(2, n // 2 + 1, 2)

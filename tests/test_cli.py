@@ -483,6 +483,17 @@ class TestExitCodes:
     def test_bad_perm_text(self, capsys):
         code, _, err = run(capsys, "disc", "--perm", "1 two 3", "--b", "2")
         assert code == 2
+        assert err == "error: bad symbol 'two' at position 2\n"
+
+    def test_bad_token_in_a_long_perm_gives_a_short_error(self, capsys):
+        tokens = [str(v) for v in range(1, 40_001)]
+        tokens[29_999] = "x"
+        code, out, err = run(capsys, "decode", "d1", "--perm", " ".join(tokens))
+        assert (code, out) == (2, "")
+        assert err == "error: bad symbol 'x' at position 30000\n"
+        assert len(err.encode()) < 200
+        code, _, err = run(capsys, "decode", "d1", "--perm", "1 " + "y" * 100_000)
+        assert (code, err) == (2, "error: bad symbol 'yyyyyyyyyyyy'... at position 2\n")
 
     def test_unexpected_exception_is_a_defect(self, capsys, monkeypatch):
         def boom(args):

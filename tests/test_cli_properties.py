@@ -4,14 +4,13 @@ Every run, in-process through ``cli.run``, must end with a documented exit
 code other than the defect code: 0 (success or valid), 1 (violation) or 2
 (usage or parameter error).  No traceback may reach stderr, and when a run
 succeeds with a JSON payload, stdout must parse as JSON.  Lengths stay at
-n <= 7 so every search is small, and ``--threads``/``BPC_THREADS`` are left
-out so no process pool starts.
+n <= 7 so every search is small, and ``--threads`` is left out so no process
+pool starts.
 """
 
 import contextlib
 import io
 import json
-import os
 from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
@@ -147,9 +146,8 @@ def test_every_run_ends_with_a_documented_exit_code(argv, payload, tmp_path):
     argv = [str(path) if a == "@file" else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     stdin = io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8")
-    with mock.patch.dict(os.environ), mock.patch("sys.stdin", stdin), \
+    with mock.patch("sys.stdin", stdin), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        os.environ.pop("BPC_THREADS", None)
         code = cli.run(argv)
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()

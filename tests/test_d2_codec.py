@@ -172,6 +172,29 @@ class TestBounds:
     def test_golden_passes_block_preset(self):
         assert verify_balance(Permutation(EX3_CODEWORD), d2_preset(32, 8)).is_valid
 
+    def test_preset_is_the_literal_spec(self):
+        for n in range(1, 257):
+            for N in range(4, n + 1, 4):
+                if n % N:
+                    continue
+                spec = d2_preset(n, N)
+                blocks = tuple(range(2, 2 * (n // N - 1) + 1, 2))
+                assert (spec.n, spec.blocks) == (n, blocks)
+                assert spec.dev_max == {b: Fraction(8 * (n + 1), N) for b in blocks}
+
+    @pytest.mark.parametrize("n, N, message", [
+        (12, 6, "block count 6 must be a multiple of 4"),
+        (12, 0, "block count 0 must be a multiple of 4"),
+        (12, -4, "block count -4 must be a multiple of 4"),
+        (30, 8, "block count 8 must divide n=30"),
+        (0, 4, "block count 4 must divide n=0"),
+        (-8, 4, "block count 4 must divide n=-8"),
+    ])
+    def test_preset_rejects_a_bad_split(self, n, N, message):
+        with pytest.raises(ParamInvalid) as exc:
+            d2_preset(n, N)
+        assert str(exc.value) == message
+
     def test_cell_boundaries_return_to_zero(self):
         # every cell consumes a deviation-neutral symbol multiset
         rng = random.Random(13)

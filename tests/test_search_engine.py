@@ -133,9 +133,8 @@ def test_census_with_nothing_to_check_runs_no_search(monkeypatch):
         census(5, d1_preset(4))
     with pytest.raises(ParamInvalid):
         census(4, d1_preset(4), cap=-1)
-    monkeypatch.setenv(analysis.THREADS_ENV_VAR, "two")
     with pytest.raises(ParamInvalid):
-        census(4, d1_preset(4))
+        census(4, d1_preset(4), workers=-1)
 
 
 def test_pool_is_clamped_to_the_task_count(monkeypatch):
