@@ -3,10 +3,11 @@
 The encoder splits {1, ..., n} into a low half and a high half, orders each
 half by an input permutation, and emits whichever half pulls the running
 average back toward (n+1)/2.  Its streaming twin describes the same codeword
-as edits of the interleaving of the two orderings: one forward pointer over
-the interleaving finds the symbol each slot would hold, and a reinsert is
-recorded wherever that is not the codeword's symbol, in O(n) overall.  The
-decoder is the half-membership projection.
+as edits of the interleaving of the two orderings: two counters, of the low
+and of the high symbols emitted so far, tell which half the symbol each slot
+would hold comes from, and a reinsert is recorded wherever the codeword's
+symbol comes from the other half, in O(n) overall.  The decoder is the
+half-membership projection.
 """
 
 from __future__ import annotations
@@ -82,14 +83,11 @@ class TranspositionTrace:
     steps: tuple[TranspositionStep, ...] = ()
 
 
-def _merged(inp: D1Input) -> list[int]:
-    half = inp.gamma1.n
-    return [v for a, b in zip(inp.gamma1.values, inp.gamma2.values) for v in (a, b + half)]
-
-
 def interleave(inp: D1Input) -> Permutation:
     """The streaming encoder's start state: orderings merged alternately."""
-    return Permutation(tuple(_merged(inp)))
+    half = inp.gamma1.n
+    return Permutation(tuple([v for a, b in zip(inp.gamma1.values, inp.gamma2.values)
+                              for v in (a, b + half)]))
 
 
 def encode_d1_streaming(inp: D1Input) -> tuple[Permutation, TranspositionTrace]:
@@ -98,20 +96,24 @@ def encode_d1_streaming(inp: D1Input) -> tuple[Permutation, TranspositionTrace]:
 
     Slots 1..j-1 hold the codeword's first symbols and the rest keep their
     interleaving order, so slot j holds the first unemitted symbol of the
-    interleaving; one pointer that only moves forward finds it.  When it is
-    not the codeword's symbol v, v is reinserted at slot j (one trace entry).
+    interleaving.  Both halves are emitted in order, so after ``lows`` low
+    and ``highs`` high symbols that is the next low symbol (interleaving
+    index 2*lows) exactly when lows <= highs, else the next high one (index
+    2*highs + 1).  When the codeword's symbol v comes from the other half,
+    v is reinserted at slot j (one trace entry).
     """
     pi = encode_d1(inp)
-    merged = _merged(inp)
-    emitted = [False] * (pi.n + 1)
-    p = 0
+    half = inp.gamma1.n
+    lows = highs = 0
     steps = []
     for j, v in enumerate(pi.values, 1):
-        while emitted[merged[p]]:
-            p += 1
-        if merged[p] != v:
+        low = v <= half
+        if low != (lows <= highs):
             steps.append(TranspositionStep(position=j, moved_symbol=v))
-        emitted[v] = True
+        if low:
+            lows += 1
+        else:
+            highs += 1
     return pi, TranspositionTrace(tuple(steps))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd
+from math import gcd, prod
 from operator import sub
 from typing import Iterable, Iterator, Mapping
 
@@ -58,6 +58,13 @@ __all__ = [
 class Permutation:
     """A bijection of {1, ..., n} in one-line notation.
 
+    Construction validates ``values``.  Exact ints are accepted by two set
+    comparisons in C (their types, then the symbols against a cached
+    ``{1, ..., n}``); anything else, such as an ``IntEnum`` member or a
+    rejected input, goes through a per-symbol loop that accepts int
+    subclasses but not ``bool`` and raises ``NotPermutation`` naming the
+    first bad symbol.
+
     >>> Permutation((2, 1, 3)).n
     3
     """
@@ -69,6 +76,9 @@ class Permutation:
         n = len(values)
         if n == 0:
             raise NotPermutation("a permutation must have length >= 1")
+        # in C: exact ints only (so nothing else is hashed), then {1, ..., n}
+        if set(map(type, values)) == {int} and set(values) == _symbols(n):
+            return
         seen = [False] * n
         for v in values:
             if not isinstance(v, int) or isinstance(v, bool):
@@ -91,6 +101,12 @@ class Permutation:
 
     def __str__(self) -> str:
         return format_permutation(self)
+
+
+@lru_cache(maxsize=16)
+def _symbols(n: int) -> frozenset[int]:
+    """{1, ..., n}: the symbol set of every permutation of length ``n``."""
+    return frozenset(range(1, n + 1))
 
 
 def make_permutation(values: Iterable[int]) -> Permutation:
@@ -201,10 +217,11 @@ def _project(pi: Permutation, size: int) -> tuple[Permutation, ...]:
     """Split ``pi`` into its blocks of ``size`` consecutive symbols, block
     ``(v-1)//size`` in order of appearance, each shifted onto [1, size]."""
     blocks: list[list[int]] = [[] for _ in range(pi.n // size)]
+    appends = [block.append for block in blocks]
     for v in pi.values:
-        b = (v - 1) // size
-        blocks[b].append(v - b * size)
-    return tuple(Permutation(tuple(b)) for b in blocks)
+        appends[(v - 1) // size](v)
+    return tuple(Permutation(tuple([v - offset for v in block]))
+                 for offset, block in zip(range(0, pi.n, size), blocks))
 
 
 def _sliding_max(xs, width: int) -> list:
@@ -280,8 +297,9 @@ class BalanceSpec:
             raise ParamInvalid(f"block lengths must lie in [1, {self.n}]")
         if set(self.dev_max) != set(blocks):
             raise ParamInvalid("dev_max keys must match the block set")
-        dev = {b: Fraction(self.dev_max[b]) for b in blocks}
-        if any(v < 0 for v in dev.values()):
+        dev = {b: self.dev_max[b] for b in blocks}
+        dev = {b: v if type(v) is Fraction else Fraction(v) for b, v in dev.items()}
+        if any(v.numerator < 0 for v in dev.values()):
             raise ParamInvalid("allowed deviations must be non-negative")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "dev_max", dev)
@@ -424,12 +442,27 @@ def _radix_groups(n: int) -> tuple[tuple[int, range], ...]:
     return (*groups, (prod, range(start, n + 1)))
 
 
+@lru_cache(maxsize=16)
+def _product_tree(n: int) -> tuple[tuple[int, ...], ...]:
+    """A balanced product tree over ``_radix_groups(n)``, leaves first: each
+    level holds the products of adjacent pairs of the level below (an odd
+    last node is carried up alone), up to the root level ``(n!,)``."""
+    level = tuple(p for p, _ in _radix_groups(n))
+    levels = [level]
+    while len(level) > 1:
+        level = tuple(prod(level[i:i + 2]) for i in range(0, len(level), 2))
+        levels.append(level)
+    return tuple(levels)
+
+
 def rank(pi: Permutation) -> int:
     """Lexicographic index of ``pi`` among all permutations of its length.
 
     The identity has rank 0; results are exact for any ``n``.  The Lehmer
-    digits come from ``bisect``/``pop`` (O(n^2) word moves, in C); Horner's
-    rule folds them with one big-int multiply-add per radix group.
+    digits come from ``bisect``/``del`` (O(n^2) word moves, in C); small ints
+    fold them into one value per radix group, and the groups are folded up
+    the product tree as ``high * P_low + low``, so the big-int multiplies
+    pair operands of equal size.
 
     >>> rank(Permutation((3, 2, 1)))
     5
@@ -440,36 +473,50 @@ def rank(pi: Permutation) -> int:
     for v in pi.values:
         digits.append(d := bisect_left(remaining, v))
         del remaining[d]
-    r = 0
-    for prod, radices in reversed(_radix_groups(n)):
+    parts = []  # one value per radix group, least significant first
+    for _, radices in _radix_groups(n):
         low = 0
         for radix in reversed(radices):
             low = low * radix + digits[n - radix]
-        r = r * prod + low
-    return r
+        parts.append(low)
+    for level in _product_tree(n)[:-1]:
+        parts = [parts[j + 1] * level[j] + parts[j] if j + 1 < len(parts) else parts[j]
+                 for j in range(0, len(parts), 2)]
+    return parts[0]
 
 
 def unrank(index: int, n: int) -> Permutation:
     """The permutation at lexicographic position ``index`` in S_n.
 
-    One big-int ``divmod`` by a one-digit int per radix group peels the
-    factoradic digits, which small ints then split; the symbols are popped
-    from a sorted list (O(n^2) word moves, in C).  What is left of ``index``
-    after all n radices is ``index // n!``, which is 0 exactly when the index
-    is in range: no factorial is computed.
+    The index is split top-down along the product tree of the radix groups,
+    one ``divmod`` by the low subtree's product per node, so each division
+    halves its operand; small ints then split each group's value into its
+    factoradic digits, and the symbols are popped from a sorted list (O(n^2)
+    word moves, in C).  The quotient by the root, n!, is 0 exactly when the
+    index is in range.
 
     >>> unrank(5, 3).values
     (3, 2, 1)
     """
     if n < 1:
         raise ParamInvalid("length must be >= 1")
-    q, digits = index, []  # digits[k] has radix k + 1
-    for prod, radices in _radix_groups(n):
-        q, low = divmod(q, prod)
+    tree = _product_tree(n)
+    q, x = divmod(index, tree[-1][0])
+    if q:
+        raise IndexOutOfRange(f"rank {int_text(index)} outside [0, {n}!)")
+    parts = [x]  # the values of one tree level's nodes, least significant first
+    for level in reversed(tree[:-1]):
+        split = []
+        for j, x in enumerate(parts):
+            if 2 * j + 1 < len(level):
+                x, low = divmod(x, level[2 * j])
+                split.append(low)
+            split.append(x)
+        parts = split
+    digits = []  # digits[k] has radix k + 1
+    for low, (_, radices) in zip(parts, _radix_groups(n)):
         for radix in radices:
             low, d = divmod(low, radix)
             digits.append(d)
-    if q:
-        raise IndexOutOfRange(f"rank {int_text(index)} outside [0, {n}!)")
     remaining = list(range(1, n + 1))
     return Permutation(tuple([remaining.pop(d) for d in reversed(digits)]))

@@ -160,16 +160,15 @@ def decode_tn(pi: Permutation, params: TnParams) -> TnInput:
     """
     if params.n != pi.n:
         raise ParamInvalid(f"params are for n={params.n}, permutation has n={pi.n}")
-    v = pi.values
-    selector = []
-    for t in range(0, pi.n, 2):
-        a, b = params.set_of(v[t]), params.set_of(v[t + 1])
-        if a != b:
-            raise NotCodeword(
-                f"pair ({v[t]}, {v[t + 1]}) at positions {t + 1},{t + 2} "
-                f"straddles sets {a} and {b}")
-        selector.append(a)
-    return TnInput(params, _project(pi, params.k), tuple(selector))
+    k, v = params.k, pi.values
+    sets = [(s - 1) // k + 1 for s in v]
+    selector, seconds = sets[0::2], sets[1::2]
+    if selector != seconds:
+        t, a, b = next((t, a, b) for t, (a, b) in enumerate(zip(selector, seconds)) if a != b)
+        raise NotCodeword(
+            f"pair ({v[2 * t]}, {v[2 * t + 1]}) at positions {2 * t + 1},{2 * t + 2} "
+            f"straddles sets {a} and {b}")
+    return TnInput(params, _project(pi, k), tuple(selector))
 
 
 def random_valid_input(params: TnParams, rng: random.Random) -> TnInput:

@@ -27,6 +27,8 @@ from bpc import (
     Half,
     IndexOutOfRange,
     NeighborSpec,
+    NotCodeword,
+    NotPermutation,
     ParamInvalid,
     Permutation,
     SelectorViolation,
@@ -598,3 +600,41 @@ def reference_unrank(index: int, n: int) -> Permutation:
         if i < n - 1:
             f //= n - 1 - i
     return Permutation(tuple(out))
+
+
+def reference_check_permutation(values) -> None:
+    """The per-symbol check ``Permutation`` ran before its set comparisons:
+    ``NotPermutation`` naming the first bad symbol, or None if ``values`` is
+    a bijection of {1, ..., len(values)} (int subclasses count, bool not)."""
+    n = len(values)
+    if n == 0:
+        raise NotPermutation("a permutation must have length >= 1")
+    seen = [False] * n
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise NotPermutation(f"symbol {v!r} is not an integer")
+        if not 1 <= v <= n:
+            raise NotPermutation(f"symbol {v} outside [1, {n}]")
+        if seen[v - 1]:
+            raise NotPermutation(f"symbol {v} appears more than once")
+        seen[v - 1] = True
+
+
+def reference_decode_tn(pi: Permutation, params: TnParams) -> TnInput:
+    """The per-pair tn decoder: the set of each pair's two symbols, with
+    ``NotCodeword`` at the first pair whose symbols lie in different sets."""
+    if params.n != pi.n:
+        raise ParamInvalid(f"params are for n={params.n}, permutation has n={pi.n}")
+    v, k = pi.values, params.k
+    selector = []
+    for t in range(0, pi.n, 2):
+        a, b = params.set_of(v[t]), params.set_of(v[t + 1])
+        if a != b:
+            raise NotCodeword(
+                f"pair ({v[t]}, {v[t + 1]}) at positions {t + 1},{t + 2} "
+                f"straddles sets {a} and {b}")
+        selector.append(a)
+    blocks = [[] for _ in range(params.m)]
+    for s in v:
+        blocks[(s - 1) // k].append(s - (s - 1) // k * k)
+    return TnInput(params, tuple(Permutation(tuple(b)) for b in blocks), tuple(selector))

@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -30,7 +31,13 @@ from bpc import (
     verify_balance,
     window_sum,
 )
-from support import EX1_CODEWORD, EX1_INTERLEAVING, EX3_CODEWORD, brute_window_max_dev
+from support import (
+    EX1_CODEWORD,
+    EX1_INTERLEAVING,
+    EX3_CODEWORD,
+    brute_window_max_dev,
+    reference_check_permutation,
+)
 
 perms_strategy = st.integers(1, 40).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))).map(
@@ -67,6 +74,84 @@ class TestMakePermutation:
     @given(perms_strategy)
     def test_bijection_invariant(self, pi):
         assert sorted(pi.values) == list(range(1, pi.n + 1))
+
+
+class Symbol(int):
+    pass
+
+
+class Color(IntEnum):
+    RED = 1
+    GREEN = 2
+    BLUE = 3
+
+
+def check_outcome(check, values):
+    """None if ``check`` accepts ``values``, else its ``NotPermutation`` text."""
+    try:
+        check(values)
+    except NotPermutation as exc:
+        return str(exc)
+    return None
+
+
+# one symbol of each kind the set comparisons must hand to the per-symbol loop
+odd_symbols = st.one_of(
+    st.integers(-2, 10), st.booleans(), st.sampled_from([1.0, 2.5, float("nan")]),
+    st.fractions(0, 4, max_denominator=2), st.just([1]), st.just("1"),
+    st.integers(1, 8).map(Symbol), st.sampled_from(list(Color)))
+
+
+@st.composite
+def mixed_tuples(draw):
+    """Mostly permutations with a few symbols swapped for odd ones."""
+    n = draw(st.integers(0, 8))
+    values = draw(st.permutations(list(range(1, n + 1))))
+    if n:
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            values[i] = draw(odd_symbols)
+    return tuple(values + draw(st.lists(odd_symbols, max_size=1)))
+
+
+class TestPermutationCheck:
+    @pytest.mark.parametrize("values, message", [
+        ((), "a permutation must have length >= 1"),
+        ((1, 1, 3), "symbol 1 appears more than once"),
+        ((2, 3, 1, 3), "symbol 3 appears more than once"),
+        ((0, 1, 2), "symbol 0 outside [1, 3]"),
+        ((1, 2, 4), "symbol 4 outside [1, 3]"),
+        ((True, 2), "symbol True is not an integer"),
+        ((2, 1.0), "symbol 1.0 is not an integer"),
+        ((Fraction(1), 2), "symbol Fraction(1, 1) is not an integer"),
+        ((2, [1]), "symbol [1] is not an integer"),
+        ((1, 1, 2.0), "symbol 1 appears more than once"),
+    ])
+    def test_rejections_name_the_first_bad_symbol(self, values, message):
+        with pytest.raises(NotPermutation) as got:
+            Permutation(values)
+        assert str(got.value) == message
+        assert check_outcome(reference_check_permutation, values) == message
+
+    @pytest.mark.parametrize("values", [
+        (Symbol(2), Symbol(1), Symbol(3)), (3, Symbol(1), 2),
+        (Color.BLUE, Color.RED, Color.GREEN), (Color.GREEN, 1, 3)])
+    def test_int_subclasses_accepted(self, values):
+        assert Permutation(values).values == values
+
+    def test_large_permutations_checked_exactly(self):
+        values = list(range(1, 4097))
+        random.Random(7104).shuffle(values)
+        assert Permutation(tuple(values)).n == 4096
+        for i, bad in ((0, 4097), (4095, values[0]), (17, 0), (40, True)):
+            mutated = values.copy()
+            mutated[i] = bad
+            assert (check_outcome(Permutation, tuple(mutated))
+                    == check_outcome(reference_check_permutation, mutated) is not None)
+
+    @given(mixed_tuples())
+    def test_matches_reference(self, values):
+        assert (check_outcome(Permutation, values)
+                == check_outcome(reference_check_permutation, values))
 
 
 class TestTextFormat:
@@ -253,6 +338,29 @@ class TestBalanceSpecValidation:
     def test_negative_deviation_rejected(self):
         with pytest.raises(ParamInvalid):
             BalanceSpec(4, (2,), {2: Fraction(-1)})
+
+    @pytest.mark.parametrize("bad", [Fraction(-1), -1, "-1/2", -0.5])
+    def test_negative_deviation_message_for_every_form(self, bad):
+        with pytest.raises(ParamInvalid, match="^allowed deviations must be non-negative$"):
+            BalanceSpec(4, (2, 3), {2: Fraction(1), 3: bad})
+
+    @pytest.mark.parametrize("given, stored", [
+        (Fraction(3, 2), Fraction(3, 2)), (2, Fraction(2)), ("3/2", Fraction(3, 2)),
+        (0.5, Fraction(1, 2)), (0, Fraction(0)), (True, Fraction(1))])
+    def test_deviations_stored_as_fractions(self, given, stored):
+        dev = BalanceSpec(4, (2,), {2: given}).dev_max[2]
+        assert type(dev) is Fraction and dev == stored
+
+    def test_fraction_subclass_converted(self):
+        class Half(Fraction):
+            pass
+
+        dev = BalanceSpec(4, (2,), {2: Half(1, 2)}).dev_max[2]
+        assert type(dev) is Fraction and dev == Fraction(1, 2)
+
+    def test_non_numeric_deviation_raises_as_fraction_does(self):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            BalanceSpec(4, (2,), {2: "wide"})
 
 
 class TestTwoNeighbor:

@@ -1,9 +1,11 @@
-"""rank/unrank by word-sized radix groups against the per-symbol references.
+"""rank/unrank by a product tree over word-sized radix groups against the
+per-symbol references.
 
 The references in ``support`` do one full-width big-int operation per symbol;
-the library folds the factoradic digits one CPython-digit-sized group of
-radices at a time.  Both must agree exactly on every index they accept, and
-raise the same ``IndexOutOfRange`` message on every index they reject.
+the library splits (or folds) the index along a balanced product tree whose
+leaves are CPython-digit-sized groups of radices.  Both must agree exactly on
+every index they accept, and raise the same ``IndexOutOfRange`` message on
+every index they reject.
 """
 
 import math
@@ -14,7 +16,7 @@ from contextlib import contextmanager
 import pytest
 
 from bpc import IndexOutOfRange, ParamInvalid, Permutation, rank, unrank
-from bpc.perm_core import _radix_groups
+from bpc.perm_core import _product_tree, _radix_groups
 from support import default_digit_limit, reference_rank, reference_unrank
 
 
@@ -62,6 +64,47 @@ def test_seeded_indices_at_benchmark_sizes(n):
         assert_agrees(index, n)
 
 
+# tree shapes: 1, 2 and 3 leaves, and 2**k and 2**k + 1 leaves, where an odd
+# last node is carried up through every level
+LEAF_COUNTS = (1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129)
+
+
+LENGTHS_BY_LEAVES = {}
+for _n in range(1, 1000):
+    LENGTHS_BY_LEAVES.setdefault(len(_radix_groups(_n)), []).append(_n)
+
+
+def lengths_with_leaves(leaves):
+    """The least and the greatest n whose radix groups number ``leaves``."""
+    ns = LENGTHS_BY_LEAVES[leaves]
+    return ns[0], ns[-1]
+
+
+@pytest.mark.parametrize("leaves", LEAF_COUNTS)
+def test_every_tree_shape_at_edge_indices(leaves):
+    for n in lengths_with_leaves(leaves):
+        assert len(_product_tree(n)[0]) == leaves
+        for index in edge_and_seeded_indices(n, 7105, 2):
+            assert_agrees(index, n)
+
+
+@pytest.mark.parametrize("leaves", LEAF_COUNTS)
+def test_product_tree_levels(leaves):
+    for n in lengths_with_leaves(leaves):
+        tree = _product_tree(n)
+        assert tree[0] == tuple(prod for prod, _ in _radix_groups(n))
+        for below, level in zip(tree, tree[1:]):
+            assert level == tuple(math.prod(below[i:i + 2]) for i in range(0, len(below), 2))
+        assert tree[-1] == (math.factorial(n),)
+
+
+def test_seeded_roundtrip_at_8192():
+    n = 8192
+    index = random.Random(7106).randrange(math.factorial(n))
+    pi = unrank(index, n)
+    assert rank(pi) == reference_rank(pi) == index
+
+
 def test_rank_of_random_permutations():
     rng = random.Random(7103)
     for n in (1, 2, 3, 9, 17, 100, 1025, 2048):
@@ -84,9 +127,10 @@ OUT_OF_RANGE = {
 
 
 @pytest.mark.parametrize("case, n", [
-    *(("n!", n) for n in (1, 2, 3, 8, 13, 14, 64, 1025)),
-    *(("-1", n) for n in (1, 2, 8, 1025)),
-    ("-10**40", 20), ("7*n!+3", 20), ("10**5000", 5),
+    *(("n!", n) for n in (1, 2, 3, 8, 13, 14, 20, 31, 32, 64, 86, 87, 1025)),
+    *(("-1", n) for n in (1, 2, 8, 25, 36, 1025)),
+    ("-10**40", 20), ("7*n!+3", 20),
+    *(("10**5000", n) for n in (5, 12, 19, 90, 1025)),
 ])
 def test_out_of_range_message_matches_reference(case, n):
     index = OUT_OF_RANGE[case](n)

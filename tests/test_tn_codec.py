@@ -27,6 +27,7 @@ from support import (
     EX4_CODEWORD,
     EX4_SELECTOR,
     ex4_input,
+    reference_decode_tn,
     reference_encode_tn,
     reference_random_valid_input,
 )
@@ -177,6 +178,57 @@ class TestDecode:
     def test_length_mismatch(self):
         with pytest.raises(ParamInvalid):
             decode_tn(Permutation((1, 2, 3, 4)), TnParams(8, 2))
+
+    def test_straddle_message_names_the_first_straddling_pair(self):
+        with pytest.raises(NotCodeword) as got:
+            decode_tn(Permutation((1, 2, 3, 5, 4, 6, 7, 8)), TnParams(8, 2))
+        assert str(got.value) == "pair (3, 5) at positions 3,4 straddles sets 2 and 3"
+
+
+def decode_outcome(decode, pi, params):
+    """The decoded input, or the ``NotCodeword`` text."""
+    try:
+        return decode(pi, params)
+    except NotCodeword as exc:
+        return str(exc)
+
+
+def straddle_at(values, t, k):
+    """``values`` with the second symbol of pair t swapped for the nearest
+    symbol of another set outside the pair (searching forward first)."""
+    values = list(values)
+    i = 2 * t + 1
+    others = [*range(i + 1, len(values)), *range(2 * t - 1, -1, -1)]
+    j = next(j for j in others if (values[j] - 1) // k != (values[i] - 1) // k)
+    values[i], values[j] = values[j], values[i]
+    return Permutation(tuple(values))
+
+
+class TestDecodeMatchesReference:
+    @pytest.mark.parametrize("n,k", [(8, 2), (24, 4), (4096, 16)])
+    def test_codewords_and_straddles(self, n, k):
+        params = TnParams(n, k)
+        rng = random.Random(f"decode-tn/{n}/{k}")
+        for _ in range(3):
+            inp = random_valid_input(params, rng)
+            pi = encode_tn(inp)
+            assert decode_tn(pi, params) == reference_decode_tn(pi, params) == inp
+            for t in (0, n // 4, n // 2 - 1):
+                bad = straddle_at(pi.values, t, k)
+                got = decode_outcome(decode_tn, bad, params)
+                assert isinstance(got, str) and got.startswith("pair (")
+                assert got == decode_outcome(reference_decode_tn, bad, params)
+
+    def test_random_permutations(self):
+        rng = random.Random(7107)
+        for n, k in ((4, 2), (8, 2), (8, 4), (16, 4), (24, 4)):
+            params = TnParams(n, k)
+            values = list(range(1, n + 1))
+            for _ in range(200):
+                rng.shuffle(values)
+                pi = Permutation(tuple(values))
+                assert (decode_outcome(decode_tn, pi, params)
+                        == decode_outcome(reference_decode_tn, pi, params))
 
 
 class TestRandomEnvelope:
