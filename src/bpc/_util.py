@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import ParamInvalid
@@ -55,9 +56,18 @@ def int_text(value: int) -> str:
         return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
 
 
-def json_int(value: object) -> int:
-    """``value`` itself if it is an int, else ``ParamInvalid``: a JSON 2.7 or
-    true is rejected, never coerced to 2 or 1."""
+def exact_int(value: object) -> int:
+    """``value`` itself if it is an int, else ``ParamInvalid``: a 2.7 or a
+    ``True`` (JSON true) is rejected, never coerced to 2 or 1."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParamInvalid(f"expected an integer, got {value!r}")
     return value
+
+
+def decimal_int(text: str) -> int:
+    """The integer written in ``text`` as ASCII ``[+-]?[0-9]+``; the other
+    spellings ``int`` takes (``1_0``, Arabic-Indic digits, padding blanks)
+    raise ``ValueError``, as text ``int`` cannot read does."""
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)

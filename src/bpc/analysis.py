@@ -3,13 +3,15 @@ plus code sizes, code-rate reports and claim batch-checkers.
 
 The census and min_disc run one pruned depth-first search over prefixes: a
 window is tested when its last symbol is placed, so a failing prefix costs
-one test instead of a rescan of each of its completions.  Code sizes are
-counted in closed form, the tn size included, so a rate is exact at every n.
-Counts are exact integers; logarithms are taken only at the very end of a
-rate computation.  Searches may fan out over processes, one task per first
-symbol (the ``workers`` argument; 0 runs in-process), and results are merged
-in first-symbol order so the output never depends on the degree of
-parallelism.
+one test instead of a rescan of each of its completions.  The search is a
+loop over an explicit stack, not a recursion, so ``limit`` is the only bound
+on it: neither the caller's stack depth nor the interpreter's recursion limit
+changes an answer.  Code sizes are counted in closed form, the tn size
+included, so a rate is exact at every n.  Counts are exact integers;
+logarithms are taken only at the very end of a rate computation.  Searches
+may fan out over processes, one task per first symbol (the ``workers``
+argument; 0 runs in-process), and results are merged in first-symbol order
+so the output never depends on the degree of parallelism.
 """
 
 from __future__ import annotations
@@ -68,11 +70,6 @@ def _fan_out(scan, tasks, workers: int) -> list:
     return [scan(t) for t in tasks]
 
 
-# Frames a search may stack on top of one per position: its own, and those
-# of a process-pool worker, which runs it on a fresh stack.
-_SEARCH_FRAMES = 24
-
-
 def _check_limit(n: int, limit: int) -> None:
     if n < 1:
         raise ParamInvalid("n must be >= 1")
@@ -82,48 +79,40 @@ def _check_limit(n: int, limit: int) -> None:
             "raise the limit explicitly to acknowledge the cost")
 
 
-def _check_depth(n: int) -> None:
-    """The search recurses once per position; refuse before it hits the
-    interpreter's recursion limit."""
-    frame, depth = sys._getframe(), n + _SEARCH_FRAMES
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    if depth > sys.getrecursionlimit():
-        raise LimitExceeded(
-            f"a search over S_{n} recurses {n} calls deep, past the interpreter's "
-            f"recursion limit {sys.getrecursionlimit()}")
-
-
 def _search(args):
     """Depth-first search, in ascending order, over the permutations starting
-    with ``first``.  Placing a symbol at position i tests only the windows
-    ending there (``|D[i+1] - D[i+1-b]| > lim`` on the doubled prefix
-    deviations D) and the neighbor bound at i-1; a failure prunes the subtree."""
+    with ``first``; the stack holds one iterator of untried symbols per placed
+    position.  Placing a symbol at position i tests only the windows ending
+    there (``|D[i+1] - D[i+1-b]| > lim`` on the doubled prefix deviations D)
+    and the neighbor bound at i-1; a failure prunes the subtree."""
     n, first, limits, neighbor_k, cap = args
     k = n if neighbor_k is None else neighbor_k  # no two symbols are n apart
     ends = [[(i + 1 - b, lim) for b, lim in limits if b <= i + 1] for i in range(n)]
     values, devs, free = [0] * n, [0] * (n + 1), [True] * (n + 1)
     achievers = []
     count = 0
-
-    def descend(i):
-        nonlocal count
-        if i == n:
-            count += 1
-            if len(achievers) < cap:
-                achievers.append(tuple(values))
-            return
-        for v in range(1, n + 1) if i else (first,):
+    stack = [iter((first,))]
+    while stack:
+        i = len(stack) - 1
+        for v in stack[i]:
             d = devs[i] + 2 * v - n - 1
             if (not free[v] or any(abs(d - devs[j]) > lim for j, lim in ends[i])
                     or i >= 2 and abs(values[i - 1] - values[i - 2]) > k
                     and abs(values[i - 1] - v) > k):
                 continue
-            values[i], devs[i + 1], free[v] = v, d, False
-            descend(i + 1)
-            free[v] = True
-
-    descend(0)
+            break
+        else:  # position i is exhausted: back up and free the symbol before it
+            stack.pop()
+            free[values[i - 1]] = True  # (at i = 0 the search is over)
+            continue
+        values[i], devs[i + 1] = v, d
+        if i + 1 < n:
+            free[v] = False
+            stack.append(iter(range(1, n + 1)))
+        else:
+            count += 1
+            if len(achievers) < cap:
+                achievers.append(tuple(values))
     return count, achievers
 
 
@@ -159,10 +148,10 @@ def census(n: int, spec: BalanceSpec, neighbor: NeighborSpec | None = None,
     A length allowed b*(n-b) or more, the most any length-b window can deviate
     (doubled), is skipped; with nothing left to check the count is n! and no
     search runs.  ``cap`` bounds how many achievers are materialized (always
-    the lexicographically first ones); the count is always exact.
+    the lexicographically first ones); the count is always exact.  ``limit``
+    is the only bound on the search: n past it raises ``LimitExceeded``.
     """
     _check_limit(n, limit)
-    _check_depth(n)
     if spec.n != n:
         raise SpecMismatch(f"spec is for n={spec.n}, census is over S_{n}")
     if neighbor is not None:
@@ -264,7 +253,7 @@ def rate_report_d2(n: int, N: int | None = None,
     """Rate of the block codec: code size ((n/N)!)**N, with N given or
     derived as ceil(n**epsilon)."""
     N = _scale(n, N, epsilon, "N", "epsilon")
-    params = D2Params(n, N, Fraction(epsilon) if epsilon is not None else None)
+    params = D2Params(n, N)
     target = float(1 - Fraction(epsilon)) if epsilon is not None else None
     label = f"d2(N={N}" + (f", eps={epsilon}" if epsilon is not None else "") + ")"
     return _rate_report(label, n, N * log2_int(factorial(params.block_size)), target)
@@ -307,7 +296,7 @@ def rate_report_tn(n: int, k: int | None = None,
     ((n/4)! * (k!/(k/2)!)**(n/2k))**2 (see ``tn_code_size``), exact at every
     n, with k given or derived as ceil(n**epsilon_k)."""
     k = _scale(n, k, epsilon_k, "k", "epsilon_k")
-    params = TnParams(n, k, Fraction(epsilon_k) if epsilon_k is not None else None)
+    params = TnParams(n, k)
     target = float((1 + Fraction(epsilon_k)) / 2) if epsilon_k is not None else None
     label = f"tn(k={k}" + (f", eps_k={epsilon_k}" if epsilon_k is not None else "") + ")"
     return _rate_report(label, n, log2_int(_tn_size(params)), target)

@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import analysis
+from ._util import decimal_int
 from .d1_codec import (
     D1Input,
     d1_message_decode,
@@ -118,7 +119,7 @@ def _fraction(text: str) -> Fraction:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(t) for t in text.replace(",", " ").split()]
+        return [decimal_int(t) for t in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ParamInvalid(f"bad integer list {text!r}") from exc
 
@@ -133,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enc_sub = enc.add_subparsers(dest="codec", required=True)
 
     e1 = enc_sub.add_parser("d1", help="two-source codec")
-    e1.add_argument("--n", type=int, required=True)
+    e1.add_argument("--n", type=decimal_int, required=True)
     e1.add_argument("--gamma1")
     e1.add_argument("--gamma2")
     e1.add_argument("--i1", help="decimal rank of the low ordering")
@@ -167,67 +168,67 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d2p = dec_sub.add_parser("d2")
     d2p.add_argument("--perm", required=True)
-    d2p.add_argument("--n", type=int, required=True)
-    d2p.add_argument("--N", type=int, required=True, dest="num_blocks")
+    d2p.add_argument("--n", type=decimal_int, required=True)
+    d2p.add_argument("--N", type=decimal_int, required=True, dest="num_blocks")
     d2p.set_defaults(handler=_cmd_decode_d2)
 
     dtp = dec_sub.add_parser("tn")
     dtp.add_argument("--perm", required=True)
-    dtp.add_argument("--n", type=int, required=True)
-    dtp.add_argument("--k", type=int, required=True)
+    dtp.add_argument("--n", type=decimal_int, required=True)
+    dtp.add_argument("--k", type=decimal_int, required=True)
     dtp.set_defaults(handler=_cmd_decode_tn)
 
     ver = sub.add_parser("verify", help="check a permutation against a preset")
     ver.add_argument("--preset", choices=("d1", "d2", "tn-neighbor"), required=True)
-    ver.add_argument("--N", type=int, dest="num_blocks")
-    ver.add_argument("--k", type=int)
+    ver.add_argument("--N", type=decimal_int, dest="num_blocks")
+    ver.add_argument("--k", type=decimal_int)
     ver.add_argument("--perm", required=True)
     ver.set_defaults(handler=_cmd_verify)
 
     dsc = sub.add_parser("disc", help="discrepancy of a permutation at one length")
     dsc.add_argument("--perm", required=True)
-    dsc.add_argument("--b", type=int, required=True)
+    dsc.add_argument("--b", type=decimal_int, required=True)
     dsc.set_defaults(handler=_cmd_disc)
 
     ana = sub.add_parser("analyze", help="pruned-search censuses and rate reports")
     ana_sub = ana.add_subparsers(dest="what", required=True)
 
     cen = ana_sub.add_parser("census", help="count permutations passing checks")
-    cen.add_argument("--n", type=int, required=True)
+    cen.add_argument("--n", type=decimal_int, required=True)
     cen.add_argument("--preset", choices=("d1", "d2"))
-    cen.add_argument("--N", type=int, dest="num_blocks")
+    cen.add_argument("--N", type=decimal_int, dest="num_blocks")
     cen.add_argument("--blocks", help="comma-separated window lengths")
     cen.add_argument("--dev-max", dest="dev_max",
                      help="allowed deviations (one per block, or one for all)")
-    cen.add_argument("--neighbor-k", dest="neighbor_k", type=int)
-    cen.add_argument("--cap", type=int, default=0,
+    cen.add_argument("--neighbor-k", dest="neighbor_k", type=decimal_int)
+    cen.add_argument("--cap", type=decimal_int, default=0,
                      help="how many achievers to list")
-    cen.add_argument("--limit", type=int, default=analysis.DEFAULT_ENUM_LIMIT)
-    cen.add_argument("--threads", type=int, default=0)
+    cen.add_argument("--limit", type=decimal_int, default=analysis.DEFAULT_ENUM_LIMIT)
+    cen.add_argument("--threads", type=decimal_int, default=0)
     cen.set_defaults(handler=_cmd_census)
 
     mnd = ana_sub.add_parser("min-disc", help="minimum discrepancy over S_n")
-    mnd.add_argument("--n", type=int, required=True)
-    mnd.add_argument("--b", type=int, required=True)
-    mnd.add_argument("--limit", type=int, default=analysis.DEFAULT_ENUM_LIMIT)
-    mnd.add_argument("--threads", type=int, default=0)
+    mnd.add_argument("--n", type=decimal_int, required=True)
+    mnd.add_argument("--b", type=decimal_int, required=True)
+    mnd.add_argument("--limit", type=decimal_int, default=analysis.DEFAULT_ENUM_LIMIT)
+    mnd.add_argument("--threads", type=decimal_int, default=0)
     mnd.set_defaults(handler=_cmd_min_disc)
 
     rat = ana_sub.add_parser("rate", help="code-size and rate report")
     rat.add_argument("--config", choices=("d1", "d2", "tn"), required=True)
     rat.add_argument("--n", required=True,
                      help="length, or comma-separated list for a table")
-    rat.add_argument("--N", type=int, dest="num_blocks")
+    rat.add_argument("--N", type=decimal_int, dest="num_blocks")
     rat.add_argument("--epsilon")
-    rat.add_argument("--k", type=int)
+    rat.add_argument("--k", type=decimal_int)
     rat.add_argument("--epsilon-k", dest="epsilon_k")
     rat.add_argument("--format", choices=("json", "csv"), default="json")
     rat.set_defaults(handler=_cmd_rate)
 
     clm = ana_sub.add_parser("claims", help="batch-check codeword bounds")
     clm.add_argument("--config", choices=("d1", "d2", "tn"), required=True)
-    clm.add_argument("--N", type=int, dest="num_blocks")
-    clm.add_argument("--k", type=int)
+    clm.add_argument("--N", type=decimal_int, dest="num_blocks")
+    clm.add_argument("--k", type=decimal_int)
     clm.add_argument("--perms", required=True,
                      help="file of permutations, one per line ('-' for stdin)")
     clm.set_defaults(handler=_cmd_claims)
@@ -252,7 +253,7 @@ def _cmd_encode_d1(args) -> int:
             raise ParamInvalid("both --i1 and --i2 are required")
         with _exact_decimal_ints():
             try:
-                i1, i2 = int(args.i1), int(args.i2)
+                i1, i2 = decimal_int(args.i1), decimal_int(args.i2)
             except ValueError as exc:
                 raise ParamInvalid("ranks must be decimal integers") from exc
             inp = d1_message_input(i1, i2, args.n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import ceil_rational_power, json_int
+from ._util import ceil_rational_power, exact_int
 from .errors import ParamInvalid
 from .perm_core import BalanceSpec, Permutation, _Emitter, _project
 
@@ -35,14 +35,11 @@ __all__ = [
 class D2Params:
     """Block split of {1, ..., n} into N equal parts.
 
-    N must divide n and be a positive multiple of 4.  ``epsilon`` is optional
-    metadata describing the scaling N = ceil(n**epsilon); it never influences
-    encoding, only rate reports.
+    N must divide n and be a positive multiple of 4.
     """
 
     n: int
     N: int
-    epsilon: Fraction | None = None
 
     def __post_init__(self):
         if self.N < 4 or self.N % 4 != 0:
@@ -53,7 +50,7 @@ class D2Params:
     @classmethod
     def from_epsilon(cls, n: int, epsilon: Fraction) -> "D2Params":
         """Derive N = ceil(n**epsilon) exactly, then validate it unchanged."""
-        return cls(n, ceil_rational_power(n, Fraction(epsilon)), Fraction(epsilon))
+        return cls(n, ceil_rational_power(n, Fraction(epsilon)))
 
     @property
     def block_size(self) -> int:
@@ -173,8 +170,8 @@ def d2_input_to_json_dict(inp: D2Input) -> dict:
 
 def d2_input_from_json_dict(obj: dict) -> D2Input:
     try:
-        params = D2Params(json_int(obj["n"]), json_int(obj["N"]))
-        sigmas = tuple(Permutation(tuple(map(json_int, s))) for s in obj["sigmas"])
+        params = D2Params(exact_int(obj["n"]), exact_int(obj["N"]))
+        sigmas = tuple(Permutation(tuple(map(exact_int, s))) for s in obj["sigmas"])
     except (KeyError, TypeError) as exc:
         raise ParamInvalid(f"malformed block-codec input: {exc!r}") from exc
     return D2Input(params, sigmas)

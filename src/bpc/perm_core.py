@@ -22,7 +22,7 @@ from math import gcd, prod
 from operator import sub
 from typing import Iterable, Iterator, Mapping
 
-from ._util import int_text
+from ._util import decimal_int, exact_int, int_text
 from .errors import (
     IndexOutOfRange,
     NotPermutation,
@@ -127,7 +127,8 @@ def parse_permutation(text: str) -> Permutation:
     >>> parse_permutation("3,1,2").values
     (3, 1, 2)
 
-    Raises ``NotPermutation`` on malformed tokens or non-bijections.
+    Raises ``NotPermutation`` on malformed tokens (anything but ASCII
+    ``[+-]?[0-9]+``) or non-bijections.
     """
     tokens = text.replace(",", " ").split()
     if not tokens:
@@ -135,7 +136,7 @@ def parse_permutation(text: str) -> Permutation:
     values = []
     for pos, t in enumerate(tokens, 1):
         try:
-            values.append(int(t))
+            values.append(decimal_int(t))
         except ValueError as exc:
             cut = "..." if len(t) > 12 else ""  # the error stays short for any input
             raise NotPermutation(f"bad symbol {t[:12]!r}{cut} at position {pos}") from exc
@@ -498,6 +499,7 @@ def unrank(index: int, n: int) -> Permutation:
     >>> unrank(5, 3).values
     (3, 2, 1)
     """
+    index, n = exact_int(index), exact_int(n)
     if n < 1:
         raise ParamInvalid("length must be >= 1")
     tree = _product_tree(n)

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import json_int
+from ._util import exact_int
 from .errors import NotCodeword, ParamInvalid, SelectorViolation
 from .perm_core import Permutation, _Emitter, _project
 
@@ -53,7 +53,6 @@ class TnParams:
 
     n: int
     k: int
-    epsilon_k: Fraction | None = None
 
     def __post_init__(self):
         if self.k < 2 or self.k % 2 != 0:
@@ -208,9 +207,9 @@ def tn_input_to_json_dict(inp: TnInput) -> dict:
 
 def tn_input_from_json_dict(obj: dict) -> TnInput:
     try:
-        params = TnParams(json_int(obj["n"]), json_int(obj["k"]))
-        sigmas = tuple(Permutation(tuple(map(json_int, s))) for s in obj["sigmas"])
-        selector = tuple(map(json_int, obj["selector"]))
+        params = TnParams(exact_int(obj["n"]), exact_int(obj["k"]))
+        sigmas = tuple(Permutation(tuple(map(exact_int, s))) for s in obj["sigmas"])
+        selector = tuple(map(exact_int, obj["selector"]))
     except (KeyError, TypeError) as exc:
         raise ParamInvalid(f"malformed neighbor-codec input: {exc!r}") from exc
     return TnInput(params, sigmas, selector)

@@ -128,6 +128,28 @@ class TestCensus:
         assert str(search.value) == str(verifier.value)
 
 
+def test_search_answers_under_a_low_recursion_limit():
+    # the search is a loop: a recursion limit of 25, far below the stack a
+    # recursive search over S_9 would need with its callers, changes nothing
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bpc
+
+    src = str(Path(bpc.__file__).resolve().parent.parent)
+    probe = ("import sys\n"
+             "from fractions import Fraction\n"
+             "from bpc import BalanceSpec\n"
+             "from bpc.analysis import census, min_disc\n"
+             "sys.setrecursionlimit(25)\n"
+             "print(census(9, BalanceSpec(9, (2,), {2: Fraction(3, 2)})).count)\n"
+             "print(min_disc(9, 2))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert proc.stdout == "42\n(Fraction(1, 1), 42)\n"
+
 class TestMinDisc:
     def test_n4_pair_windows(self):
         assert min_disc(4, 2) == (Fraction(1), 8)

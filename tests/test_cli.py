@@ -315,27 +315,25 @@ class TestAnalyze:
         assert "limit" in err
 
     def test_census_past_the_recursion_limit(self, capsys):
+        # the search is a loop, so n = 1200, past the interpreter's default
+        # recursion limit of 1000, is bounded by --limit alone; nothing is
+        # checked here, so the count is 1200! and the first achiever the identity
         code, out, err = run(capsys, "analyze", "census", "--n", "1200", "--blocks", "1",
                              "--dev-max", "100000", "--cap", "1", "--limit", "2000")
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and "recursion limit" in err
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert obj["count"] == str(math.factorial(1200))
+        assert obj["achievers"] == [" ".join(map(str, range(1, 1201)))]
 
-    def test_census_with_nothing_to_check_is_n_factorial(self):
+    def test_census_with_nothing_to_check_is_n_factorial(self, capsys):
         # every window of length 1 deviates less than 100000, so nothing is
         # checked: the count is 950! and the first achiever the identity,
-        # without a search (in a subprocess, whose stack is shallow enough
-        # for n = 950 to pass the recursion-limit guard)
-        import subprocess
-        import sys
-        from math import factorial
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "bpc.cli", "analyze", "census", "--n", "950",
-             "--blocks", "1", "--dev-max", "100000", "--cap", "1", "--limit", "2000"],
-            capture_output=True, text=True, timeout=60)
-        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
-        obj = json.loads(proc.stdout)
-        assert obj["count"] == str(factorial(950))
+        # without a search
+        code, out, err = run(capsys, "analyze", "census", "--n", "950", "--blocks", "1",
+                             "--dev-max", "100000", "--cap", "1", "--limit", "2000")
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert obj["count"] == str(math.factorial(950))
         assert obj["achievers"] == [" ".join(map(str, range(1, 951)))]
 
     def test_min_disc(self, capsys):
@@ -494,6 +492,20 @@ class TestExitCodes:
         assert len(err.encode()) < 200
         code, _, err = run(capsys, "decode", "d1", "--perm", "1 " + "y" * 100_000)
         assert (code, err) == (2, "error: bad symbol 'yyyyyyyyyyyy'... at position 2\n")
+
+    @pytest.mark.parametrize("argv, error", [
+        (("decode", "d1", "--perm", "1_0 1 2 3 4 5 6 7 8 9"),
+         "error: bad symbol '1_0' at position 1\n"),
+        (("encode", "d1", "--n", "4", "--i1", "0", "--i2", "\u0661"),
+         "error: ranks must be decimal integers\n"),
+        (("analyze", "census", "--n", "\u0661\u0660", "--preset", "d1"), "--n"),
+        (("analyze", "rate", "--config", "d1", "--n", "1_2"), "bad integer list"),
+    ])
+    def test_only_ascii_decimal_integers_are_read(self, capsys, argv, error):
+        # int() would read "1_0" as 10, and the Arabic-Indic digits as 1 and 10
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert error in err
 
     def test_unexpected_exception_is_a_defect(self, capsys, monkeypatch):
         def boom(args):

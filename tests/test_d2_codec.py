@@ -48,7 +48,6 @@ class TestParams:
         # 32**(3/5) = 8 exactly
         p = D2Params.from_epsilon(32, Fraction(3, 5))
         assert p.N == 8
-        assert p.epsilon == Fraction(3, 5)
         assert D2Params.from_epsilon(64, Fraction(1, 2)).N == 8
         assert D2Params.from_epsilon(256, Fraction(1, 2)).N == 16
 

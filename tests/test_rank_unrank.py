@@ -161,6 +161,15 @@ def test_bad_length_matches_reference():
             reference_unrank(0, n)
 
 
+@pytest.mark.parametrize("index, n", [
+    (True, 3), (False, 3), (2.0, 3), ("2", 3), (0, True), (0, 3.0), (0, "3"),
+])
+def test_non_int_index_or_length_is_rejected(index, n):
+    # a bool is not read as 0 or 1, and a float is not truncated
+    with pytest.raises(ParamInvalid, match="expected an integer"):
+        unrank(index, n)
+
+
 @pytest.mark.parametrize("n", (1, 2, 13, 14, 1024, 2048, 4096))
 def test_radix_groups_cover_every_radix_once_below_one_digit(n):
     groups = _radix_groups(n)

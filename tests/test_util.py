@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpc import ParamInvalid
-from bpc._util import ceil_rational_power, log2_int
+from bpc._util import ceil_rational_power, decimal_int, log2_int
 
 
 class TestCeilRationalPower:
@@ -64,3 +64,21 @@ class TestLog2Int:
     def test_domain(self):
         with pytest.raises(ParamInvalid):
             log2_int(0)
+
+
+class TestDecimalInt:
+    @pytest.mark.parametrize("text, value", [
+        ("0", 0), ("7", 7), ("+7", 7), ("-7", -7), ("-0", 0), ("007", 7),
+        ("9" * 40, int("9" * 40)),
+    ])
+    def test_ascii_decimal_text(self, text, value):
+        assert decimal_int(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "", "+", "-", "1_0", "\u0661", "\u0661\u0660", "\uff17", " 7", "7 ", "7\n",
+        "0x7", "1.0", "1e3", "+-7", "7-",
+    ])
+    def test_every_other_spelling_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            decimal_int(text)
+
