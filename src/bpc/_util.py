@@ -71,3 +71,15 @@ def decimal_int(text: str) -> int:
     if re.fullmatch(r"[+-]?[0-9]+", text) is None:
         raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
+
+
+def decimal_fraction(text: str) -> Fraction:
+    """The rational written in ``text`` in ASCII digits: an integer, a ratio
+    ``p/q`` or a decimal with an optional exponent (``2``, ``3/2``, ``0.6``,
+    ``1e3``).  The other spellings ``Fraction`` takes (``1_0``, Arabic-Indic
+    digits, padding blanks) raise ``ValueError``, as text ``Fraction`` cannot
+    read does; a zero denominator raises ``ZeroDivisionError``."""
+    if re.fullmatch(r"[+-]?(?=\.?[0-9])(?:[0-9]+/[0-9]+|[0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)",
+                    text) is None:
+        raise ValueError(f"not a decimal rational: {text!r}")
+    return Fraction(text)

@@ -397,6 +397,8 @@ def _claims(config: str, perms, n: int, checks) -> ClaimReport:
 
 def _prefix_bound_detail(devs2: list[int], allowed2: int,
                          step: int = 1) -> dict[str, str] | None:
+    if max(map(abs, devs2[step::step])) <= allowed2:  # in C; the loop finds the first failure
+        return None
     for j in range(step, len(devs2), step):
         if abs(devs2[j]) > allowed2:
             return {"j": str(j), "dev": str(Fraction(devs2[j], 2)),

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import analysis
-from ._util import decimal_int
+from ._util import decimal_fraction, decimal_int
 from .d1_codec import (
     D1Input,
     d1_message_decode,
@@ -112,7 +112,7 @@ def _perm_arg(value: str) -> Permutation:
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return decimal_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParamInvalid(f"bad rational {text!r}") from exc
 

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import gcd, prod
 from operator import sub
 from typing import Iterable, Iterator, Mapping
@@ -241,21 +241,43 @@ def _sliding_max(xs, width: int) -> list:
 
 def _window_violations(xs, steps: tuple[int, ...], limits: Mapping[int, int]):
     """Yield each ``(b, s)`` with ``|xs[s+b] - xs[s]| > limits[b]``, b in the
-    ascending ``steps``, in (b, s) order.  If the spread of ``xs`` exceeds the
-    least limit, sliding extremes over each residue class mod gcd(steps) pick,
-    in O(len(xs)), the starts that can fail; only those are enumerated."""
-    floor = min((limits[b] for b in steps), default=None)
-    if floor is None or max(xs) - min(xs) <= floor:
+    ascending ``steps``, in (b, s) order.
+
+    Starts are sieved per residue class mod g = gcd(steps), in chunks of
+    q >= steps[-1]/g + 1 entries, so a start's partners lie in its own chunk
+    or the next.  Where that chunk pair spreads (max minus min, by C
+    ``max``/``min`` over slices) no further than the least limit, no start in
+    the chunk can fail.  Over each run of failing chunks, plus one chunk of
+    lookahead, sliding extremes pick the starts that can fail; only those are
+    enumerated.  The sieve is O(len(xs)) even when every chunk fails."""
+    if not steps:
         return
+    floor = min(map(limits.__getitem__, steps))
     g = gcd(*steps)
     ahead, width = steps[0] // g, (steps[-1] - steps[0]) // g + 1
+    q = max(ahead + width, 64)
     starts = []
     for r in range(g):
         ys = xs[r::g]
-        hi = _sliding_max(ys, width)[ahead:]
-        neg_lo = _sliding_max([-y for y in ys], width)[ahead:]
-        starts += [r + k * g for k, (y, h, nl) in enumerate(zip(ys, hi, neg_lo))
-                   if h - y > floor or y + nl > floor]
+        cuts = range(0, len(ys), q)
+        tops = [max(ys[t:t + q]) for t in cuts]
+        bottoms = [min(ys[t:t + q]) for t in cuts]
+        # each chunk with its successor (the last one alone)
+        spreads = map(sub, map(max, tops, tops[1:] + tops[-1:]),
+                      map(min, bottoms, bottoms[1:] + bottoms[-1:]))
+        begin = 0
+        for failing, run in groupby(spread > floor for spread in spreads):
+            end = begin + q * sum(1 for _ in run)
+            if failing:
+                seg = ys[begin:end + q]
+                hi = _sliding_max(seg, width)[ahead:]
+                neg_lo = _sliding_max([-y for y in seg], width)[ahead:]
+                starts += [r + (begin + k) * g
+                           for k, (y, h, nl) in enumerate(zip(seg[:end - begin], hi, neg_lo))
+                           if h - y > floor or y + nl > floor]
+            begin = end
+    if not starts:
+        return
     starts.sort()
     for b in steps:
         for s in starts[:bisect_right(starts, len(xs) - 1 - b)]:
@@ -395,7 +417,12 @@ class ViolationReport:
 
 def verify_balance(pi: Permutation, spec: BalanceSpec) -> ViolationReport:
     """Check every window of every spec'd length against its deviation bound
-    in O(n), plus the spec'd lengths at each window start with a violation."""
+    in O(n), plus the spec'd lengths at each window start with a violation.
+
+    ``_window_violations`` sieves the starts: whole chunks of the doubled
+    prefix deviations whose spread stays within the least doubled allowance
+    are accepted by C ``max``/``min``, so a valid codeword rarely reaches the
+    sliding pass; when every chunk fails, that pass covers them all, in O(n)."""
     n = pi.n
     if spec.n != n:
         raise SpecMismatch(f"spec is for n={spec.n}, permutation has n={n}")
@@ -416,17 +443,21 @@ def _check_neighbor_range(n: int, k: int) -> None:
 
 
 def check_two_neighbor(pi: Permutation, spec: NeighborSpec) -> ViolationReport:
-    """Check that each interior position has a neighbor within distance k."""
+    """Check that each interior position has a neighbor within distance k.
+
+    The adjacent gaps and the flags ``gap > k`` are computed in C, and
+    ``bytes.find`` of two flags in a row visits only the violating positions."""
     n, k = pi.n, spec.k
     _check_neighbor_range(n, k)
     v = pi.values
+    gaps = list(map(abs, map(sub, v[1:], v)))  # gaps[t] = |v[t+1] - v[t]|
+    far = bytes(map(k.__lt__, gaps))
     entries = []
-    for i in range(2, n):
-        left = abs(v[i - 1] - v[i - 2])
-        right = abs(v[i - 1] - v[i])
-        if left > k and right > k:
-            entries.append(NeighborViolation(i=i, left_diff=left,
-                                             right_diff=right, allowed=k))
+    t = far.find(b"\1\1")
+    while t >= 0:  # position t + 2 (1-based) has both gaps above k
+        entries.append(NeighborViolation(i=t + 2, left_diff=gaps[t],
+                                         right_diff=gaps[t + 1], allowed=k))
+        t = far.find(b"\1\1", t + 1)
     return ViolationReport(tuple(entries))
 
 

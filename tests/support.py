@@ -27,16 +27,17 @@ from bpc import (
     Half,
     IndexOutOfRange,
     NeighborSpec,
+    NeighborViolation,
     NotCodeword,
     NotPermutation,
     ParamInvalid,
     Permutation,
     SelectorViolation,
     SourceExhausted,
+    SpecMismatch,
     TnInput,
     TnParams,
     ViolationReport,
-    check_two_neighbor,
     encode_tn,
     mandated_half,
 )
@@ -256,6 +257,13 @@ def reference_verify_balance(pi: Permutation, spec) -> ViolationReport:
     return ViolationReport(tuple(entries))
 
 
+def reference_window_violations(xs, steps, limits) -> list[tuple[int, int]]:
+    """Every ``(b, s)`` with ``|xs[s+b] - xs[s]| > limits[b]``, scanned in
+    (b, s) order: O(len(xs) * len(steps))."""
+    return [(b, s) for b in steps for s in range(len(xs) - b)
+            if abs(xs[s + b] - xs[s]) > limits[b]]
+
+
 def reference_window_spread_detail(devs2, allowed2):
     lo_i = max(range(len(devs2)), key=lambda i: -devs2[i])
     hi_i = max(range(len(devs2)), key=lambda i: devs2[i])
@@ -373,13 +381,31 @@ def reference_d2_claim_suite(perms, params: D2Params) -> ClaimReport:
                                window.result()))
 
 
+def reference_check_two_neighbor(pi: Permutation, spec: NeighborSpec) -> ViolationReport:
+    """Both adjacent distances of every interior position, one at a time."""
+    n, k = pi.n, spec.k
+    if n < 3:
+        raise SpecMismatch("two-neighbor check needs n >= 3")
+    if not 1 <= k <= n - 1:
+        raise SpecMismatch(f"neighbor bound {k} outside [1, {n - 1}]")
+    v = pi.values
+    entries = []
+    for i in range(2, n):
+        left = abs(v[i - 1] - v[i - 2])
+        right = abs(v[i - 1] - v[i])
+        if left > k and right > k:
+            entries.append(NeighborViolation(i=i, left_diff=left,
+                                             right_diff=right, allowed=k))
+    return ViolationReport(tuple(entries))
+
+
 def reference_tn_claim_suite(perms, params: TnParams) -> ClaimReport:
     n, k = params.n, params.k
     neighbor = ReferenceTally("two_neighbor")
     window = ReferenceTally("window_bound")
     perms = list(perms)
     for pi in perms:
-        report = check_two_neighbor(pi, NeighborSpec(k))
+        report = reference_check_two_neighbor(pi, NeighborSpec(k))
         detail = None
         if not report.is_valid:
             first = report.entries[0]

@@ -507,6 +507,36 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert error in err
 
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "census", "--n", "4", "--blocks", "2", "--dev-max", "1_0"),
+        ("analyze", "census", "--n", "4", "--blocks", "2", "--dev-max", "\u0661/\u0662"),
+        ("analyze", "rate", "--config", "d2", "--n", "64", "--epsilon", " 1/2 "),
+        ("analyze", "rate", "--config", "d2", "--n", "64", "--epsilon", "1 / 2"),
+        ("analyze", "rate", "--config", "d2", "--n", "64", "--epsilon", "0.5_0"),
+        ("analyze", "rate", "--config", "tn", "--n", "64", "--epsilon-k", "\u0660.5"),
+    ])
+    def test_only_ascii_rationals_are_read(self, capsys, argv):
+        # Fraction() would read "1_0" as 10, the Arabic-Indic "1/2" as 1/2,
+        # and the padded and spaced "1/2" as 1/2
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "bad rational" in err
+
+    @pytest.mark.parametrize("text, stored", [
+        ("2", "2"), ("3/2", "3/2"), ("0.6", "3/5"), ("1.5", "3/2"), ("1e3", "1000"),
+    ])
+    def test_ascii_rationals_are_read_as_fraction_reads_them(self, capsys, text, stored):
+        code, out, err = run(capsys, "analyze", "census", "--n", "4",
+                             "--blocks", "2", "--dev-max", text)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["dev_max"] == {"2": stored}
+
+    def test_epsilon_spellings_of_one_rational_agree(self, capsys):
+        outs = {run(capsys, "analyze", "rate", "--config", "tn", "--n", "64",
+                    "--epsilon-k", text)[1] for text in ("1/2", "0.5", "5e-1", "+.5")}
+        assert len(outs) == 1
+        assert json.loads(outs.pop())["config"] == "tn(k=8, eps_k=1/2)"
+
     def test_unexpected_exception_is_a_defect(self, capsys, monkeypatch):
         def boom(args):
             raise RuntimeError("handler fell over")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpc import ParamInvalid
-from bpc._util import ceil_rational_power, decimal_int, log2_int
+from bpc._util import ceil_rational_power, decimal_fraction, decimal_int, log2_int
 
 
 class TestCeilRationalPower:
@@ -82,3 +82,23 @@ class TestDecimalInt:
         with pytest.raises(ValueError):
             decimal_int(text)
 
+
+
+class TestDecimalFraction:
+    @pytest.mark.parametrize("text", [
+        "2", "3/2", "0.6", "1.5", "1e3", "-7", "+3/4", ".5", "1.", "2E-3", "007/010",
+    ])
+    def test_ascii_text_reads_as_fraction_reads_it(self, text):
+        assert decimal_fraction(text) == Fraction(text)
+
+    @pytest.mark.parametrize("text", [
+        "", "+", ".", "e3", "1_0", "1/1_0", "1.0_0", "\u0661", "\u0661/\u0662", "\uff17",
+        " 1/2", "1/2 ", "1 / 2", "1/2\n", "nan", "inf", "1/2e3", "0x7", "1/-2",
+    ])
+    def test_every_other_spelling_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            decimal_fraction(text)
+
+    def test_zero_denominator_raises_as_fraction_does(self):
+        with pytest.raises(ZeroDivisionError):
+            decimal_fraction("1/0")

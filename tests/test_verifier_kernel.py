@@ -7,12 +7,16 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bpc import (
     BalanceSpec,
     D2Params,
+    NeighborSpec,
     Permutation,
     TnParams,
+    check_two_neighbor,
     d1_claim_suite,
     d1_preset,
     d2_claim_suite,
@@ -20,18 +24,23 @@ from bpc import (
     disc,
     encode_d1,
     encode_d2,
+    encode_tn,
+    random_valid_input,
     tn_claim_suite,
     verify_balance,
 )
+from bpc.perm_core import _window_violations
 from support import (
     brute_window_max_dev,
     random_d1_input,
     random_d2_input,
+    reference_check_two_neighbor,
     reference_containment,
     reference_d1_claim_suite,
     reference_d2_claim_suite,
     reference_tn_claim_suite,
     reference_verify_balance,
+    reference_window_violations,
 )
 
 
@@ -189,3 +198,106 @@ def test_containment_closed_form_matches_scan_for_every_valid_params():
                 continue
             params = D2Params(n, N)
             assert reference_containment(n, 4 * n // N, params.window_lengths) is None
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_check_two_neighbor_matches_reference_exhaustively(n):
+    for pi in all_perms(n):
+        for k in range(1, n):
+            spec = NeighborSpec(k)
+            assert check_two_neighbor(pi, spec) == reference_check_two_neighbor(pi, spec)
+
+
+def test_check_two_neighbor_matches_reference_on_tn_codewords():
+    rng = random.Random(16)
+    params = TnParams(4096, 16)
+    spec = NeighborSpec(16)
+    codewords = [encode_tn(random_valid_input(params, rng)) for _ in range(3)]
+    batch = seeded_batch(rng, codewords, ("adjacent", "adjacent"))
+    invalid = 0
+    for pi in batch:
+        report = check_two_neighbor(pi, spec)
+        assert report == reference_check_two_neighbor(pi, spec)
+        invalid += not report.is_valid
+    assert all(check_two_neighbor(pi, spec).is_valid for pi in codewords)
+    assert invalid >= 1  # the swaps reach the violation-listing path
+    assert same_claims(tn_claim_suite, reference_tn_claim_suite, batch, params)
+
+
+@st.composite
+def spiked_sequences(draw):
+    """A step set with gcd g in {1, 2, 3}, contiguous or gapped, its limits,
+    and a sequence of several sieve chunks per residue class: small noise
+    under the least limit or just over it, plus sparse spikes, some at the
+    first or last entries of the classes."""
+    g = draw(st.sampled_from([1, 2, 3]))
+    if draw(st.booleans()):
+        first = draw(st.integers(1, 90))
+        units = list(range(first, first + draw(st.integers(1, 12))))
+    else:
+        units = sorted(draw(st.sets(st.integers(1, 90), min_size=1, max_size=8)))
+    steps = tuple(g * u for u in units)
+    chunk = max(units[-1] + 1, 64)  # at least the sieve's chunk length
+    length = draw(st.integers(steps[-1] + 1, g * chunk * 6))
+    amp = draw(st.integers(0, 3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    xs = [rng.randint(-amp, amp) for _ in range(length)]
+    for at in draw(st.lists(st.integers(-3, length - 1), max_size=6)):
+        xs[at] += draw(st.integers(-60, 60))
+    limits = {b: max(0, 2 * amp + draw(st.integers(-1, 8))) for b in steps}
+    return xs, steps, limits
+
+
+@settings(deadline=None, max_examples=300, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spiked_sequences())
+def test_window_violations_match_brute_force_scan(case):
+    xs, steps, limits = case
+    assert list(_window_violations(xs, steps, limits)) == \
+        reference_window_violations(xs, steps, limits)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("units", [(1, 2, 3), (2, 5), (70,), (1, 40, 99)])
+def test_window_violations_with_passing_and_failing_chunks_side_by_side(g, units):
+    steps = tuple(g * u for u in units)
+    q = max(units[-1] + 1, 64)
+    xs = [0] * (g * q * 7 + g - 1)
+    # spikes at the first and last entries of a class, at the first entry
+    # of a chunk (a partner of starts in the chunk before), in the middle
+    # of a chunk and at the last entry of one, with quiet chunks between
+    for at in (0, len(xs) - 1, g * q * 2 + g - 1, g * q * 4 + g * q // 2, g * q * 6 - 1):
+        xs[at] = 5
+    limits = dict.fromkeys(steps, 3)
+    found = list(_window_violations(xs, steps, limits))
+    assert found == reference_window_violations(xs, steps, limits)
+    assert found
+
+
+def adjacent_transposed(rng, codewords):
+    return [variant for pi in codewords
+            for variant in (pi, corrupted(rng, pi, "adjacent"))]
+
+
+@pytest.mark.parametrize("seed", [101, 102])
+def test_d1_transposed_codewords_match_reference(seed):
+    rng = random.Random(seed)
+    n = 1024
+    spec = d1_preset(n)
+    batch = adjacent_transposed(rng, [encode_d1(random_d1_input(rng, n)) for _ in range(2)])
+    for pi in batch:
+        assert verify_balance(pi, spec) == reference_verify_balance(pi, spec)
+    assert same_claims(d1_claim_suite, reference_d1_claim_suite, batch, n)
+
+
+@pytest.mark.parametrize("seed", [101, 102])
+def test_d2_transposed_codewords_match_reference(seed):
+    rng = random.Random(seed)
+    params = D2Params(4096, 64)
+    spec = d2_preset(4096, 64)
+    batch = adjacent_transposed(rng, [encode_d2(random_d2_input(rng, params))])
+    reports = [verify_balance(pi, spec) for pi in batch]
+    assert reports == [reference_verify_balance(pi, spec) for pi in batch]
+    assert reports[0].is_valid and not reports[1].is_valid
+    for pi in batch:
+        assert same_claims(d2_claim_suite, reference_d2_claim_suite, [pi], params)
