@@ -1,4 +1,6 @@
-"""Small exact-arithmetic helpers used by several modules."""
+"""Helpers shared by several modules: exact arithmetic, strict parsing of
+decimal text, the base of the value types, and the default size limit of the
+exhaustive oracles."""
 
 from __future__ import annotations
 
@@ -7,6 +9,50 @@ import re
 from fractions import Fraction
 
 from .errors import ParamInvalid
+
+DEFAULT_ENUM_LIMIT = 10  # the largest n an exhaustive oracle runs at unless told otherwise
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields, in order, in ``__slots__`` and sets them in
+    its own ``__init__``, by ``_init`` or, where construction is hot, by
+    ``object.__setattr__``.  The base adds the rest of a value type:
+    equality and hash by class and field values, a ``Name(field=value, ...)``
+    repr, ``AttributeError`` on assignment, and pickling through the
+    constructor (so an unpickled value is validated like a new one).
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 def ceil_rational_power(n: int, exponent: Fraction) -> int:
@@ -24,7 +70,7 @@ def ceil_rational_power(n: int, exponent: Fraction) -> int:
         # a binary-float exponent smuggled into Fraction would make n**p
         # astronomically large; demand an intentionally exact rational
         raise ParamInvalid(
-            f"exponent denominator {q} is too large; pass an exact rational "
+            f"exponent denominator {int_text(q)} is too large; pass an exact rational "
             "such as Fraction(3, 5) or the string '0.6'")
     target = n ** p
     # seed in log space (n**p may be far beyond float range), then fix up

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from ._util import ceil_rational_power, log2_int
+from ._util import DEFAULT_ENUM_LIMIT, Record, ceil_rational_power, log2_int
 from .d2_codec import D2Params, d2_preset
 from .errors import IndexOutOfRange, LimitExceeded, ParamInvalid, SpecMismatch
 from .perm_core import (
@@ -57,8 +56,6 @@ __all__ = [
     "d2_claim_suite",
     "tn_claim_suite",
 ]
-
-DEFAULT_ENUM_LIMIT = 10
 
 
 def _fan_out(scan, tasks, workers: int) -> list:
@@ -116,16 +113,15 @@ def _search(args):
     return count, achievers
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(Record):
     """Exact count (and a capped, lexicographic sample) of the permutations
     of length n passing all supplied checks."""
 
-    n: int
-    spec: BalanceSpec
-    neighbor: NeighborSpec | None
-    count: int
-    achievers: tuple[Permutation, ...]
+    __slots__ = ("n", "spec", "neighbor", "count", "achievers")
+
+    def __init__(self, n: int, spec: BalanceSpec, neighbor: NeighborSpec | None,
+                 count: int, achievers: tuple[Permutation, ...]):
+        self._init(n, spec, neighbor, count, achievers)
 
     def to_json_dict(self) -> dict:
         return {
@@ -192,8 +188,7 @@ def min_disc(n: int, b: int, limit: int = DEFAULT_ENUM_LIMIT,
             return Fraction(t, 2), count
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(Record):
     """Code-size and rate numbers for one codec configuration.
 
     ``rate = code_log2 / perm_log2`` with ``perm_log2 = log2(n!)``; both
@@ -201,12 +196,11 @@ class RateReport:
     rate implied by the configuration's scaling metadata, when known.
     """
 
-    config: str
-    n: int
-    code_log2: float
-    perm_log2: float
-    rate: float
-    target: float | None
+    __slots__ = ("config", "n", "code_log2", "perm_log2", "rate", "target")
+
+    def __init__(self, config: str, n: int, code_log2: float, perm_log2: float,
+                 rate: float, target: float | None):
+        self._init(config, n, code_log2, perm_log2, rate, target)
 
     def to_json_dict(self) -> dict:
         return {
@@ -316,11 +310,11 @@ def rate_report(config: str, n: int, *, N: int | None = None,
     raise ParamInvalid(f"unknown codec descriptor {config!r}")
 
 
-@dataclass(frozen=True)
-class CounterExample:
-    perm: Permutation
-    bound: str
-    detail: dict[str, str]
+class CounterExample(Record):
+    __slots__ = ("perm", "bound", "detail")
+
+    def __init__(self, perm: Permutation, bound: str, detail: dict[str, str]):
+        self._init(perm, bound, detail)
 
     def to_json_dict(self) -> dict:
         return {
@@ -330,12 +324,12 @@ class CounterExample:
         }
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    name: str
-    checked: int
-    failures: int
-    first_counterexample: CounterExample | None
+class BoundResult(Record):
+    __slots__ = ("name", "checked", "failures", "first_counterexample")
+
+    def __init__(self, name: str, checked: int, failures: int,
+                 first_counterexample: CounterExample | None):
+        self._init(name, checked, failures, first_counterexample)
 
     @property
     def passed(self) -> int:
@@ -353,13 +347,13 @@ class BoundResult:
         }
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(Record):
     """Per-bound pass/fail tallies over a batch of permutations."""
 
-    config: str
-    total: int
-    bounds: tuple[BoundResult, ...]
+    __slots__ = ("config", "total", "bounds")
+
+    def __init__(self, config: str, total: int, bounds: tuple[BoundResult, ...]):
+        self._init(config, total, bounds)
 
     @property
     def all_pass(self) -> bool:

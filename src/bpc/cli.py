@@ -5,6 +5,10 @@ or not-a-codeword; 2 usage/parameter error; 3 broken encoder invariant
 (a reproducible defect witness is printed to stderr).  Diagnostics go to
 stderr, payloads to stdout; JSON payloads have a fixed key order and end
 with a newline.
+
+Only the permutation core is imported with this module; each command
+handler imports the codec or the analysis module it runs, so a process loads
+no more of the package than its command uses.
 """
 
 from __future__ import annotations
@@ -15,25 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import analysis
-from ._util import decimal_fraction, decimal_int
-from .d1_codec import (
-    D1Input,
-    d1_message_decode,
-    d1_message_input,
-    decode_d1,
-    encode_d1,
-    encode_d1_streaming,
-    interleave,
-)
-from .d2_codec import (
-    D2Params,
-    d2_input_from_json_dict,
-    d2_input_to_json_dict,
-    d2_preset,
-    decode_d2,
-    encode_d2,
-)
+from ._util import DEFAULT_ENUM_LIMIT, decimal_fraction, decimal_int
 from .errors import (
     BpcError,
     NotCodeword,
@@ -51,13 +37,6 @@ from .perm_core import (
     format_permutation,
     parse_permutation,
     verify_balance,
-)
-from .tn_codec import (
-    TnParams,
-    decode_tn,
-    encode_tn,
-    tn_input_from_json_dict,
-    tn_input_to_json_dict,
 )
 
 USAGE_ERROR = 2
@@ -203,14 +182,14 @@ def _build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--neighbor-k", dest="neighbor_k", type=decimal_int)
     cen.add_argument("--cap", type=decimal_int, default=0,
                      help="how many achievers to list")
-    cen.add_argument("--limit", type=decimal_int, default=analysis.DEFAULT_ENUM_LIMIT)
+    cen.add_argument("--limit", type=decimal_int, default=DEFAULT_ENUM_LIMIT)
     cen.add_argument("--threads", type=decimal_int, default=0)
     cen.set_defaults(handler=_cmd_census)
 
     mnd = ana_sub.add_parser("min-disc", help="minimum discrepancy over S_n")
     mnd.add_argument("--n", type=decimal_int, required=True)
     mnd.add_argument("--b", type=decimal_int, required=True)
-    mnd.add_argument("--limit", type=decimal_int, default=analysis.DEFAULT_ENUM_LIMIT)
+    mnd.add_argument("--limit", type=decimal_int, default=DEFAULT_ENUM_LIMIT)
     mnd.add_argument("--threads", type=decimal_int, default=0)
     mnd.set_defaults(handler=_cmd_min_disc)
 
@@ -237,6 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_encode_d1(args) -> int:
+    from .d1_codec import D1Input, d1_message_input, encode_d1, encode_d1_streaming, interleave
+
     gamma_form = args.gamma1 is not None or args.gamma2 is not None
     rank_form = args.i1 is not None or args.i2 is not None
     if gamma_form and rank_form:
@@ -276,18 +257,24 @@ def _cmd_encode_d1(args) -> int:
 
 
 def _cmd_encode_d2(args) -> int:
+    from .d2_codec import d2_input_from_json_dict, encode_d2
+
     inp = d2_input_from_json_dict(_read_json(args.input))
     print(format_permutation(encode_d2(inp, tie_to_upper=args.tie_upper)))
     return 0
 
 
 def _cmd_encode_tn(args) -> int:
+    from .tn_codec import encode_tn, tn_input_from_json_dict
+
     inp = tn_input_from_json_dict(_read_json(args.input))
     print(format_permutation(encode_tn(inp)))
     return 0
 
 
 def _cmd_decode_d1(args) -> int:
+    from .d1_codec import d1_message_decode, decode_d1
+
     pi = _perm_arg(args.perm)
     if args.message:
         i1, i2 = d1_message_decode(pi)
@@ -308,12 +295,16 @@ def _cmd_decode_d1(args) -> int:
 
 
 def _cmd_decode_d2(args) -> int:
+    from .d2_codec import D2Params, d2_input_to_json_dict, decode_d2
+
     inp = decode_d2(_perm_arg(args.perm), D2Params(args.n, args.num_blocks))
     _emit_json(d2_input_to_json_dict(inp))
     return 0
 
 
 def _cmd_decode_tn(args) -> int:
+    from .tn_codec import TnParams, decode_tn, tn_input_to_json_dict
+
     inp = decode_tn(_perm_arg(args.perm), TnParams(args.n, args.k))
     _emit_json(tn_input_to_json_dict(inp))
     return 0
@@ -326,6 +317,7 @@ def _cmd_verify(args) -> int:
     elif args.preset == "d2":
         if args.num_blocks is None:
             raise ParamInvalid("--N is required for the d2 preset")
+        from .d2_codec import d2_preset
         report = verify_balance(pi, d2_preset(pi.n, args.num_blocks))
     else:
         if args.k is None:
@@ -347,6 +339,7 @@ def _census_spec(args):
     if args.preset == "d2":
         if args.num_blocks is None:
             raise ParamInvalid("--N is required for the d2 preset")
+        from .d2_codec import d2_preset
         return d2_preset(args.n, args.num_blocks)
     if args.blocks is None:
         raise ParamInvalid("supply --preset or --blocks/--dev-max")
@@ -362,29 +355,36 @@ def _census_spec(args):
 
 
 def _cmd_census(args) -> int:
+    from .analysis import census
+
     spec = _census_spec(args)
     neighbor = NeighborSpec(args.neighbor_k) if args.neighbor_k is not None else None
-    result = analysis.census(args.n, spec, neighbor=neighbor, cap=args.cap,
-                             limit=args.limit, workers=args.threads)
-    _emit_json(result.to_json_dict())
+    result = census(args.n, spec, neighbor=neighbor, cap=args.cap,
+                    limit=args.limit, workers=args.threads)
+    with _exact_decimal_ints():  # a count or an allowance may pass the digit limit
+        _emit_json(result.to_json_dict())
     return 0
 
 
 def _cmd_min_disc(args) -> int:
-    value, count = analysis.min_disc(args.n, args.b, limit=args.limit,
-                                     workers=args.threads)
-    _emit_json({"n": args.n, "b": args.b, "value": str(value),
-                "achievers": str(count)})
+    from .analysis import min_disc
+
+    value, count = min_disc(args.n, args.b, limit=args.limit, workers=args.threads)
+    with _exact_decimal_ints():
+        _emit_json({"n": args.n, "b": args.b, "value": str(value),
+                    "achievers": str(count)})
     return 0
 
 
 def _cmd_rate(args) -> int:
+    from .analysis import rate_report
+
     epsilon, epsilon_k = (None if text is None else _fraction(text)
                           for text in (args.epsilon, args.epsilon_k))
     lengths = _int_list(args.n)
     reports = [
-        analysis.rate_report(args.config, n, N=args.num_blocks,
-                             epsilon=epsilon, k=args.k, epsilon_k=epsilon_k)
+        rate_report(args.config, n, N=args.num_blocks,
+                    epsilon=epsilon, k=args.k, epsilon_k=epsilon_k)
         for n in lengths
     ]
     if args.format == "csv":
@@ -403,21 +403,25 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_claims(args) -> int:
+    from .analysis import d1_claim_suite, d2_claim_suite, tn_claim_suite
+    from .d2_codec import D2Params
+    from .tn_codec import TnParams
+
     lines = [ln for ln in _read_file_or_stdin(args.perms).splitlines() if ln.strip()]
     perms = [parse_permutation(ln) for ln in lines]
     if not perms:
         raise ParamInvalid("no permutations supplied")
     n = perms[0].n
     if args.config == "d1":
-        report = analysis.d1_claim_suite(perms, n)
+        report = d1_claim_suite(perms, n)
     elif args.config == "d2":
         if args.num_blocks is None:
             raise ParamInvalid("--N is required for the d2 claim suite")
-        report = analysis.d2_claim_suite(perms, D2Params(n, args.num_blocks))
+        report = d2_claim_suite(perms, D2Params(n, args.num_blocks))
     else:
         if args.k is None:
             raise ParamInvalid("--k is required for the tn claim suite")
-        report = analysis.tn_claim_suite(perms, TnParams(n, args.k))
+        report = tn_claim_suite(perms, TnParams(n, args.k))
     _emit_json(report.to_json_dict())
     return 0
 

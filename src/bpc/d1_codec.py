@@ -12,9 +12,7 @@ half-membership projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ._util import int_text
+from ._util import Record, int_text
 from .errors import IndexOutOfRange, OddLength, ParamInvalid
 from .perm_core import Permutation, _Emitter, _project, rank, unrank
 
@@ -32,16 +30,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class D1Input:
+class D1Input(Record):
     """Two orderings of the half ranges; total codeword length is even."""
 
-    gamma1: Permutation
-    gamma2: Permutation
+    __slots__ = ("gamma1", "gamma2")
 
-    def __post_init__(self):
-        if self.gamma1.n != self.gamma2.n:
+    def __init__(self, gamma1: Permutation, gamma2: Permutation):
+        if gamma1.n != gamma2.n:
             raise ParamInvalid("the two orderings must have equal length")
+        self._init(gamma1, gamma2)
 
     @property
     def n(self) -> int:
@@ -64,23 +61,27 @@ def encode_d1(inp: D1Input) -> Permutation:
     return Permutation(tuple(em.out))
 
 
-@dataclass(frozen=True)
-class TranspositionStep:
+class TranspositionStep(Record):
     """One reinsert performed by the streaming encoder.
 
     ``position`` is the 1-based slot the symbol was moved into; the move is
     realized by adjacent transpositions from the symbol's previous slot.
     """
 
-    position: int
-    moved_symbol: int
+    __slots__ = ("position", "moved_symbol")
+
+    def __init__(self, position: int, moved_symbol: int):
+        object.__setattr__(self, "position", position)  # no loop: built per reinsert
+        object.__setattr__(self, "moved_symbol", moved_symbol)
 
 
-@dataclass(frozen=True)
-class TranspositionTrace:
+class TranspositionTrace(Record):
     """All reinserts of one streaming run, in emission order."""
 
-    steps: tuple[TranspositionStep, ...] = ()
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[TranspositionStep, ...] = ()):
+        self._init(steps)
 
 
 def interleave(inp: D1Input) -> Permutation:

@@ -10,10 +10,9 @@ The decoder projects the codeword back onto the blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import ceil_rational_power, exact_int
+from ._util import Record, ceil_rational_power, exact_int
 from .errors import ParamInvalid
 from .perm_core import BalanceSpec, Permutation, _Emitter, _project
 
@@ -31,21 +30,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class D2Params:
+class D2Params(Record):
     """Block split of {1, ..., n} into N equal parts.
 
     N must divide n and be a positive multiple of 4.
     """
 
-    n: int
-    N: int
+    __slots__ = ("n", "N")
 
-    def __post_init__(self):
-        if self.N < 4 or self.N % 4 != 0:
-            raise ParamInvalid(f"block count {self.N} must be a multiple of 4")
-        if self.n < 1 or self.n % self.N != 0:
-            raise ParamInvalid(f"block count {self.N} must divide n={self.n}")
+    def __init__(self, n: int, N: int):
+        if N < 4 or N % 4 != 0:
+            raise ParamInvalid(f"block count {N} must be a multiple of 4")
+        if n < 1 or n % N != 0:
+            raise ParamInvalid(f"block count {N} must divide n={n}")
+        self._init(n, N)
 
     @classmethod
     def from_epsilon(cls, n: int, epsilon: Fraction) -> "D2Params":
@@ -76,23 +74,24 @@ def d2_preset(n: int, num_blocks: int) -> BalanceSpec:
     return BalanceSpec(n, blocks, dict.fromkeys(blocks, Fraction(8 * (n + 1), num_blocks)))
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Record):
     """One schedule stage: two source pairs feeding 2n/N paired appends.
 
     ``lower`` names the ordering indices whose block midpoints sum below
     n+1, ``upper`` the indices summing above.
     """
 
-    index: int
-    lower: tuple[int, int]
-    upper: tuple[int, int]
+    __slots__ = ("index", "lower", "upper")
+
+    def __init__(self, index: int, lower: tuple[int, int], upper: tuple[int, int]):
+        self._init(index, lower, upper)
 
 
-@dataclass(frozen=True)
-class CellSchedule:
-    cells: tuple[Cell, ...]
-    visits_per_cell: int
+class CellSchedule(Record):
+    __slots__ = ("cells", "visits_per_cell")
+
+    def __init__(self, cells: tuple[Cell, ...], visits_per_cell: int):
+        self._init(cells, visits_per_cell)
 
 
 def cell_schedule(params: D2Params) -> CellSchedule:
@@ -106,20 +105,18 @@ def cell_schedule(params: D2Params) -> CellSchedule:
     return CellSchedule(cells=cells, visits_per_cell=2 * params.block_size)
 
 
-@dataclass(frozen=True)
-class D2Input:
+class D2Input(Record):
     """Per-block orderings sigma_1..sigma_N, each a permutation of [n/N]."""
 
-    params: D2Params
-    sigmas: tuple[Permutation, ...]
+    __slots__ = ("params", "sigmas")
 
-    def __post_init__(self):
-        if len(self.sigmas) != self.params.N:
-            raise ParamInvalid(
-                f"expected {self.params.N} orderings, got {len(self.sigmas)}")
-        size = self.params.block_size
-        if any(s.n != size for s in self.sigmas):
+    def __init__(self, params: D2Params, sigmas: tuple[Permutation, ...]):
+        if len(sigmas) != params.N:
+            raise ParamInvalid(f"expected {params.N} orderings, got {len(sigmas)}")
+        size = params.block_size
+        if any(s.n != size for s in sigmas):
             raise ParamInvalid(f"every ordering must have length {size}")
+        self._init(params, sigmas)
 
     def ordering(self, i: int) -> list[int]:
         """Block i's symbols in emission order (1-based block index)."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, groupby
@@ -22,7 +21,7 @@ from math import gcd, prod
 from operator import sub
 from typing import Iterable, Iterator, Mapping
 
-from ._util import decimal_int, exact_int, int_text
+from ._util import Record, decimal_int, exact_int, int_text
 from .errors import (
     IndexOutOfRange,
     NotPermutation,
@@ -54,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """A bijection of {1, ..., n} in one-line notation.
 
     Construction validates ``values``.  Exact ints are accepted by two set
@@ -69,25 +67,24 @@ class Permutation:
     3
     """
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        values = self.values
+    def __init__(self, values: tuple[int, ...]):
         n = len(values)
         if n == 0:
             raise NotPermutation("a permutation must have length >= 1")
         # in C: exact ints only (so nothing else is hashed), then {1, ..., n}
-        if set(map(type, values)) == {int} and set(values) == _symbols(n):
-            return
-        seen = [False] * n
-        for v in values:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise NotPermutation(f"symbol {v!r} is not an integer")
-            if not 1 <= v <= n:
-                raise NotPermutation(f"symbol {v} outside [1, {n}]")
-            if seen[v - 1]:
-                raise NotPermutation(f"symbol {v} appears more than once")
-            seen[v - 1] = True
+        if set(map(type, values)) != {int} or set(values) != _symbols(n):
+            seen = [False] * n
+            for v in values:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise NotPermutation(f"symbol {v!r} is not an integer")
+                if not 1 <= v <= n:
+                    raise NotPermutation(f"symbol {v} outside [1, {n}]")
+                if seen[v - 1]:
+                    raise NotPermutation(f"symbol {v} appears more than once")
+                seen[v - 1] = True
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -298,34 +295,30 @@ def disc(pi: Permutation, b: int) -> Fraction:
     return Fraction(max(map(abs, map(sub, devs2[b:], devs2))), 2)
 
 
-@dataclass(frozen=True)
-class BalanceSpec:
+class BalanceSpec(Record):
     """A set of window lengths plus the allowed deviation for each.
 
     ``dev_max[b]`` bounds ``|window_sum - b*(n+1)/2|`` for every length-``b``
     window.  Deviations are non-negative exact rationals.
     """
 
-    n: int
-    blocks: tuple[int, ...]
-    dev_max: Mapping[int, Fraction]
+    __slots__ = ("n", "blocks", "dev_max")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, blocks: tuple[int, ...], dev_max: Mapping[int, Fraction]):
+        if n < 1:
             raise ParamInvalid("spec length must be >= 1")
-        blocks = tuple(self.blocks)
+        blocks = tuple(blocks)
         if any(b2 <= b1 for b1, b2 in zip(blocks, blocks[1:])):
             raise ParamInvalid("block lengths must be strictly increasing")
-        if blocks and not (1 <= blocks[0] and blocks[-1] <= self.n):
-            raise ParamInvalid(f"block lengths must lie in [1, {self.n}]")
-        if set(self.dev_max) != set(blocks):
+        if blocks and not (1 <= blocks[0] and blocks[-1] <= n):
+            raise ParamInvalid(f"block lengths must lie in [1, {n}]")
+        if set(dev_max) != set(blocks):
             raise ParamInvalid("dev_max keys must match the block set")
-        dev = {b: self.dev_max[b] for b in blocks}
+        dev = {b: dev_max[b] for b in blocks}
         dev = {b: v if type(v) is Fraction else Fraction(v) for b, v in dev.items()}
         if any(v.numerator < 0 for v in dev.values()):
             raise ParamInvalid("allowed deviations must be non-negative")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "dev_max", dev)
+        self._init(n, blocks, dev)
 
 
 def d1_preset(n: int) -> BalanceSpec:
@@ -343,27 +336,31 @@ def _doubled_limits(spec: BalanceSpec) -> dict[int, int]:
     return {b: 2 * a.numerator // a.denominator for b, a in spec.dev_max.items()}
 
 
-@dataclass(frozen=True)
-class NeighborSpec:
+class NeighborSpec(Record):
     """Two-neighbor distance bound ``k``."""
 
-    k: int
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int):
+        if k < 1:
             raise ParamInvalid("neighbor bound k must be >= 1")
+        self._init(k)
 
 
-@dataclass(frozen=True)
-class BalanceViolation:
+class BalanceViolation(Record):
     """One window whose sum strayed further than the spec allows."""
 
-    b: int
-    j: int
-    window_sum: int
-    target: Fraction
-    allowed_dev: Fraction
-    actual_dev: Fraction
+    __slots__ = ("b", "j", "window_sum", "target", "allowed_dev", "actual_dev")
+
+    def __init__(self, b: int, j: int, window_sum: int, target: Fraction,
+                 allowed_dev: Fraction, actual_dev: Fraction):
+        set_ = object.__setattr__  # one call per field, no loop: built per violation
+        set_(self, "b", b)
+        set_(self, "j", j)
+        set_(self, "window_sum", window_sum)
+        set_(self, "target", target)
+        set_(self, "allowed_dev", allowed_dev)
+        set_(self, "actual_dev", actual_dev)
 
     def to_json_dict(self) -> dict:
         return {
@@ -376,14 +373,13 @@ class BalanceViolation:
         }
 
 
-@dataclass(frozen=True)
-class NeighborViolation:
+class NeighborViolation(Record):
     """An interior position with both adjacent symbol distances above k."""
 
-    i: int
-    left_diff: int
-    right_diff: int
-    allowed: int
+    __slots__ = ("i", "left_diff", "right_diff", "allowed")
+
+    def __init__(self, i: int, left_diff: int, right_diff: int, allowed: int):
+        self._init(i, left_diff, right_diff, allowed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -394,15 +390,17 @@ class NeighborViolation:
         }
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(Record):
     """Deterministic, machine-readable verifier outcome.
 
     ``entries`` is empty exactly when the permutation satisfies the spec;
     balance entries are sorted by (b, j), neighbor entries by position.
     """
 
-    entries: tuple[BalanceViolation | NeighborViolation, ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[BalanceViolation | NeighborViolation, ...]):
+        self._init(entries)
 
     @property
     def is_valid(self) -> bool:

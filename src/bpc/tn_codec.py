@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from ._util import exact_int
+from ._util import Record, exact_int
 from .errors import NotCodeword, ParamInvalid, SelectorViolation
 from .perm_core import Permutation, _Emitter, _project
 
@@ -42,8 +41,7 @@ def mandated_half(dev: Fraction | int) -> Half:
     return Half.LOWER if dev >= 0 else Half.UPPER
 
 
-@dataclass(frozen=True)
-class TnParams:
+class TnParams(Record):
     """Set split for the neighbor-constrained codec.
 
     ``k`` is both the set size and the neighbor distance bound; it must be
@@ -51,17 +49,16 @@ class TnParams:
     the sets split into a low and a high half.
     """
 
-    n: int
-    k: int
+    __slots__ = ("n", "k")
 
-    def __post_init__(self):
-        if self.k < 2 or self.k % 2 != 0:
-            raise ParamInvalid(f"set size {self.k} must be a positive even integer")
-        if self.n < 1 or self.n % self.k != 0:
-            raise ParamInvalid(f"set size {self.k} must divide n={self.n}")
-        if (self.n // self.k) % 2 != 0:
-            raise ParamInvalid(
-                f"number of sets {self.n // self.k} must be even")
+    def __init__(self, n: int, k: int):
+        if k < 2 or k % 2 != 0:
+            raise ParamInvalid(f"set size {k} must be a positive even integer")
+        if n < 1 or n % k != 0:
+            raise ParamInvalid(f"set size {k} must divide n={n}")
+        if (n // k) % 2 != 0:
+            raise ParamInvalid(f"number of sets {n // k} must be even")
+        self._init(n, k)
 
     @property
     def m(self) -> int:
@@ -72,8 +69,7 @@ class TnParams:
         return (symbol - 1) // self.k + 1
 
 
-@dataclass(frozen=True)
-class TnInput:
+class TnInput(Record):
     """Orderings of the m sets plus the selector stream (one set per pair).
 
     Construction checks shapes only; whether the selector respects the
@@ -81,21 +77,21 @@ class TnInput:
     encoding, where a violation carries full diagnostic state.
     """
 
-    params: TnParams
-    sigmas: tuple[Permutation, ...]
-    selector: tuple[int, ...]
+    __slots__ = ("params", "sigmas", "selector")
 
-    def __post_init__(self):
-        p = self.params
-        if len(self.sigmas) != p.m:
-            raise ParamInvalid(f"expected {p.m} orderings, got {len(self.sigmas)}")
-        if any(s.n != p.k for s in self.sigmas):
+    def __init__(self, params: TnParams, sigmas: tuple[Permutation, ...],
+                 selector: tuple[int, ...]):
+        p = params
+        if len(sigmas) != p.m:
+            raise ParamInvalid(f"expected {p.m} orderings, got {len(sigmas)}")
+        if any(s.n != p.k for s in sigmas):
             raise ParamInvalid(f"every ordering must have length {p.k}")
-        if len(self.selector) != p.n // 2:
+        if len(selector) != p.n // 2:
             raise ParamInvalid(
-                f"selector must have {p.n // 2} entries, got {len(self.selector)}")
-        if any(not 1 <= s <= p.m for s in self.selector):
+                f"selector must have {p.n // 2} entries, got {len(selector)}")
+        if any(not 1 <= s <= p.m for s in selector):
             raise ParamInvalid(f"selector entries must lie in [1, {p.m}]")
+        self._init(params, sigmas, selector)
 
     def ordering(self, i: int) -> list[int]:
         offset = (i - 1) * self.params.k

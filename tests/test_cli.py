@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from bpc import cli
+from bpc import cli, d1_codec
 from bpc.errors import SourceExhausted
 from support import (
     EX1_CODEWORD,
@@ -336,6 +336,25 @@ class TestAnalyze:
         assert obj["count"] == str(math.factorial(950))
         assert obj["achievers"] == [" ".join(map(str, range(1, 951)))]
 
+    def test_census_allowance_past_the_digit_limit(self, capsys):
+        # the allowance 10**100000 has 100001 digits, past the interpreter's
+        # int-to-str limit; it is printed exactly, and checks nothing at n = 4
+        code, out, err = run(capsys, "analyze", "census", "--n", "4", "--blocks", "2",
+                             "--dev-max", "1e100000")
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert obj["dev_max"] == {"2": "1" + "0" * 100000}
+        assert obj["count"] == "24"
+
+    def test_census_count_past_the_digit_limit(self, capsys):
+        # 2000! has 5736 digits, past the interpreter's int-to-str limit
+        code, out, err = run(capsys, "analyze", "census", "--n", "2000", "--blocks", "1",
+                             "--dev-max", "100000", "--limit", "2000")
+        assert (code, err) == (0, "")
+        with cli._exact_decimal_ints():
+            expected = str(math.factorial(2000))
+        assert json.loads(out)["count"] == expected
+
     def test_min_disc(self, capsys):
         code, out, _ = run(capsys, "analyze", "min-disc", "--n", "4", "--b", "2")
         assert code == 0
@@ -378,6 +397,15 @@ class TestAnalyze:
                            "--n", "64", "--epsilon", "abc")
         assert code == 2
         assert "bad rational" in err
+
+    def test_rate_epsilon_with_a_huge_denominator_is_usage_error(self, capsys):
+        # 1e-100000 has a 100001-digit denominator: refused, and the refusal
+        # names its size without printing it
+        code, out, err = run(capsys, "analyze", "rate", "--config", "d2", "--n", "64",
+                             "--epsilon", "1e-100000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: exponent denominator <")
+        assert "-bit integer> is too large" in err
 
     def test_rate_determinism(self, capsys):
         args = ("analyze", "rate", "--config", "d2", "--n", "64",
@@ -435,21 +463,83 @@ class TestSubprocessPipes:
         assert perm == " ".join(str(v) for v in EX3_CODEWORD)
 
 
+def _probe(code: str, *args: str) -> list[str]:
+    """Run ``code`` in a new interpreter with this checkout's bpc on its
+    path (writing no bytecode caches); returns the stdout lines."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 class TestImportCost:
     def test_cli_import_leaves_the_process_pool_unloaded(self):
-        import subprocess
-        import sys
-        from pathlib import Path
+        probe = ("import sys, bpc.cli; "
+                 "print('concurrent.futures.process' in sys.modules)")
+        assert _probe(probe) == ["False"]
+
+    def test_package_import_loads_no_submodule(self):
+        probe = "import sys, bpc; print(sorted(m for m in sys.modules if m.startswith('bpc.')))"
+        assert _probe(probe) == ["[]"]
+
+    def test_cli_import_loads_no_dataclasses(self):
+        probe = "import sys, bpc.cli; print('dataclasses' in sys.modules)"
+        assert _probe(probe) == ["False"]
+
+    def test_exported_names_resolve_to_their_home_modules(self):
+        import importlib
 
         import bpc
 
-        src = str(Path(bpc.__file__).resolve().parent.parent)
-        probe = ("import sys, bpc.cli; "
-                 "print('concurrent.futures.process' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                              text=True, env={"PYTHONPATH": src}, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        homes = {
+            "analysis": "BoundResult CensusResult ClaimReport CounterExample RateReport census "
+                        "claim_suite d1_claim_suite d2_claim_suite min_disc rate_report "
+                        "rate_report_d1 rate_report_d2 rate_report_tn tn_claim_suite "
+                        "tn_code_size",
+            "d1_codec": "D1Input TranspositionStep d1_message_decode d1_message_encode "
+                        "d1_message_input decode_d1 encode_d1 encode_d1_streaming interleave",
+            "d2_codec": "D2Input D2Params cell_schedule d2_input_from_json_dict "
+                        "d2_input_to_json_dict d2_preset decode_d2 encode_d2",
+            "errors": "BpcError IndexOutOfRange LimitExceeded NotCodeword NotPermutation "
+                      "OddLength ParamInvalid SelectorViolation SourceExhausted SpecMismatch",
+            "perm_core": "BalanceSpec BalanceViolation NeighborSpec NeighborViolation "
+                         "Permutation ViolationReport check_two_neighbor d1_preset disc "
+                         "format_permutation identity make_permutation parse_permutation "
+                         "prefix_deviation prefix_deviations_doubled rank unrank "
+                         "verify_balance window_sum",
+            "tn_codec": "Half TnInput TnParams decode_tn encode_tn mandated_half "
+                        "random_valid_input tn_input_from_json_dict tn_input_to_json_dict",
+        }
+        names = {name: module for module, text in homes.items() for name in text.split()}
+        assert sorted(bpc.__all__) == sorted([*homes, *names])
+        # (bpc.cli, imported by this module, is an attribute as any loaded submodule is)
+        assert {n for n in dir(bpc) if not n.startswith("_")} - {"cli"} == set(bpc.__all__)
+        for name, module in names.items():
+            assert getattr(bpc, name) is getattr(importlib.import_module(f"bpc.{module}"), name)
+        for module in homes:
+            assert getattr(bpc, module) is importlib.import_module(f"bpc.{module}")
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            bpc.no_such_name  # noqa: B018
+        with pytest.raises(ImportError):
+            from bpc import no_such_name  # noqa: F401
+
+    @pytest.mark.parametrize("argv", [
+        ("encode", "d1", "--n", "12", "--gamma1", "3,4,1,2,5,6", "--gamma2", "6,5,4,3,2,1"),
+        ("verify", "--preset", "d1", "--perm", EX1_TEXT),
+        ("disc", "--perm", EX1_TEXT, "--b", "3"),
+    ])
+    def test_command_loads_only_what_it_runs(self, argv):
+        probe = ("import sys\n"
+                 "from bpc.cli import run\n"
+                 "code = run(sys.argv[1:])\n"
+                 "print(code, sorted(m for m in ('bpc.analysis', 'bpc.d2_codec', 'bpc.tn_codec')"
+                 " if m in sys.modules))\n")
+        assert _probe(probe, *argv)[-1] == "0 []"
 
 
 class TestExitCodes:
@@ -550,7 +640,8 @@ class TestExitCodes:
         def boom(inp):
             raise SourceExhausted("mandated source empty", n=12)
 
-        monkeypatch.setattr(cli, "encode_d1", boom)
+        # the handler imports encode_d1 when it runs, so the patch reaches it
+        monkeypatch.setattr(d1_codec, "encode_d1", boom)
         code, _, err = run(capsys, "encode", "d1", "--n", "12",
                            "--gamma1", "3,4,1,2,5,6", "--gamma2", "6,5,4,3,2,1")
         assert code == 3
