@@ -7,7 +7,8 @@ analysis oracles (censuses, minimum discrepancy, rate reports).
 
 ``import bpc`` loads none of the submodules: each public name below is
 imported from its home module on first access (PEP 562), so a process pays
-only for the parts it uses.
+only for the parts it uses.  ``_EXPORTS`` is the one list of public names:
+each home module's ``__all__`` is its entry.
 """
 
 from importlib import import_module as _import_module
@@ -16,18 +17,20 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "analysis": (
-        "BoundResult", "CensusResult", "ClaimReport", "CounterExample", "RateReport",
-        "census", "claim_suite", "d1_claim_suite", "d2_claim_suite", "min_disc",
-        "rate_report", "rate_report_d1", "rate_report_d2", "rate_report_tn",
-        "tn_claim_suite", "tn_code_size",
+        "BoundResult", "CensusResult", "ClaimReport", "CounterExample",
+        "DEFAULT_ENUM_LIMIT", "RateReport", "census", "claim_suite", "d1_claim_suite",
+        "d2_claim_suite", "min_disc", "rate_report", "rate_report_d1", "rate_report_d2",
+        "rate_report_tn", "tn_claim_suite", "tn_code_size",
     ),
     "d1_codec": (
-        "D1Input", "TranspositionStep", "d1_message_decode", "d1_message_encode",
-        "d1_message_input", "decode_d1", "encode_d1", "encode_d1_streaming", "interleave",
+        "D1Input", "TranspositionStep", "TranspositionTrace", "d1_message_decode",
+        "d1_message_encode", "d1_message_input", "decode_d1", "encode_d1",
+        "encode_d1_streaming", "interleave",
     ),
     "d2_codec": (
-        "D2Input", "D2Params", "cell_schedule", "d2_input_from_json_dict",
-        "d2_input_to_json_dict", "d2_preset", "decode_d2", "encode_d2",
+        "Cell", "CellSchedule", "D2Input", "D2Params", "cell_schedule",
+        "d2_input_from_json_dict", "d2_input_to_json_dict", "d2_preset", "decode_d2",
+        "encode_d2",
     ),
     "errors": (
         "BpcError", "IndexOutOfRange", "LimitExceeded", "NotCodeword", "NotPermutation",

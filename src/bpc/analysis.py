@@ -21,6 +21,7 @@ import sys
 from fractions import Fraction
 from math import factorial
 
+from . import _EXPORTS
 from ._util import DEFAULT_ENUM_LIMIT, Record, ceil_rational_power, log2_int
 from .d2_codec import D2Params, d2_preset
 from .errors import IndexOutOfRange, LimitExceeded, ParamInvalid, SpecMismatch
@@ -37,25 +38,7 @@ from .perm_core import (
 )
 from .tn_codec import TnParams
 
-__all__ = [
-    "DEFAULT_ENUM_LIMIT",
-    "CensusResult",
-    "census",
-    "min_disc",
-    "RateReport",
-    "rate_report",
-    "rate_report_d1",
-    "rate_report_d2",
-    "rate_report_tn",
-    "tn_code_size",
-    "CounterExample",
-    "BoundResult",
-    "ClaimReport",
-    "claim_suite",
-    "d1_claim_suite",
-    "d2_claim_suite",
-    "tn_claim_suite",
-]
+__all__ = _EXPORTS["analysis"]
 
 
 def _fan_out(scan, tasks, workers: int) -> list:

@@ -310,19 +310,26 @@ def _cmd_decode_tn(args) -> int:
     return 0
 
 
+def _preset_spec(args, n: int) -> BalanceSpec:
+    """The spec ``--preset d1`` or ``--preset d2 --N`` names at length ``n``."""
+    if getattr(args, "blocks", None) is not None or getattr(args, "dev_max", None) is not None:
+        raise ParamInvalid("--preset and --blocks/--dev-max are mutually exclusive")
+    if args.preset == "d1":
+        return d1_preset(n)
+    if args.num_blocks is None:
+        raise ParamInvalid("--N is required for the d2 preset")
+    from .d2_codec import d2_preset
+    return d2_preset(n, args.num_blocks)
+
+
 def _cmd_verify(args) -> int:
     pi = _perm_arg(args.perm)
-    if args.preset == "d1":
-        report = verify_balance(pi, d1_preset(pi.n))
-    elif args.preset == "d2":
-        if args.num_blocks is None:
-            raise ParamInvalid("--N is required for the d2 preset")
-        from .d2_codec import d2_preset
-        report = verify_balance(pi, d2_preset(pi.n, args.num_blocks))
-    else:
+    if args.preset == "tn-neighbor":
         if args.k is None:
             raise ParamInvalid("--k is required for the tn-neighbor preset")
         report = check_two_neighbor(pi, NeighborSpec(args.k))
+    else:
+        report = verify_balance(pi, _preset_spec(args, pi.n))
     _emit_json(report.to_json_dict())
     return 0 if report.is_valid else VIOLATION
 
@@ -334,13 +341,8 @@ def _cmd_disc(args) -> int:
 
 
 def _census_spec(args):
-    if args.preset == "d1":
-        return d1_preset(args.n)
-    if args.preset == "d2":
-        if args.num_blocks is None:
-            raise ParamInvalid("--N is required for the d2 preset")
-        from .d2_codec import d2_preset
-        return d2_preset(args.n, args.num_blocks)
+    if args.preset is not None:
+        return _preset_spec(args, args.n)
     if args.blocks is None:
         raise ParamInvalid("supply --preset or --blocks/--dev-max")
     blocks = _int_list(args.blocks)
@@ -382,6 +384,8 @@ def _cmd_rate(args) -> int:
     epsilon, epsilon_k = (None if text is None else _fraction(text)
                           for text in (args.epsilon, args.epsilon_k))
     lengths = _int_list(args.n)
+    if not lengths:
+        raise ParamInvalid("--n must list at least one length")
     reports = [
         rate_report(args.config, n, N=args.num_blocks,
                     epsilon=epsilon, k=args.k, epsilon_k=epsilon_k)
@@ -403,7 +407,7 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_claims(args) -> int:
-    from .analysis import d1_claim_suite, d2_claim_suite, tn_claim_suite
+    from .analysis import claim_suite
     from .d2_codec import D2Params
     from .tn_codec import TnParams
 
@@ -411,18 +415,16 @@ def _cmd_claims(args) -> int:
     perms = [parse_permutation(ln) for ln in lines]
     if not perms:
         raise ParamInvalid("no permutations supplied")
-    n = perms[0].n
-    if args.config == "d1":
-        report = d1_claim_suite(perms, n)
-    elif args.config == "d2":
+    config, n = args.config, perms[0].n  # "d1" is a config as it is
+    if config == "d2":
         if args.num_blocks is None:
             raise ParamInvalid("--N is required for the d2 claim suite")
-        report = d2_claim_suite(perms, D2Params(n, args.num_blocks))
-    else:
+        config = D2Params(n, args.num_blocks)
+    elif config == "tn":
         if args.k is None:
             raise ParamInvalid("--k is required for the tn claim suite")
-        report = tn_claim_suite(perms, TnParams(n, args.k))
-    _emit_json(report.to_json_dict())
+        config = TnParams(n, args.k)
+    _emit_json(claim_suite(perms, config).to_json_dict())
     return 0
 
 

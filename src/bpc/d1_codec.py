@@ -12,22 +12,12 @@ half-membership projection.
 
 from __future__ import annotations
 
+from . import _EXPORTS
 from ._util import Record, int_text
 from .errors import IndexOutOfRange, OddLength, ParamInvalid
 from .perm_core import Permutation, _Emitter, _project, rank, unrank
 
-__all__ = [
-    "D1Input",
-    "TranspositionStep",
-    "TranspositionTrace",
-    "interleave",
-    "encode_d1",
-    "encode_d1_streaming",
-    "decode_d1",
-    "d1_message_input",
-    "d1_message_encode",
-    "d1_message_decode",
-]
+__all__ = _EXPORTS["d1_codec"]
 
 
 class D1Input(Record):
@@ -48,15 +38,14 @@ class D1Input(Record):
 def encode_d1(inp: D1Input) -> Permutation:
     """Greedy encoder: one pass, deviation maintained incrementally.
 
-    Block 1 is the low ordering and block 2 the high one (shifted by n/2).
-    The first symbol is unconditionally the head of the low ordering; every
-    later step takes low when the deviation is positive, else high.
+    Block 1 is the low ordering and block 2 the high one.  The first symbol
+    is unconditionally the head of the low ordering; every later step takes
+    low when the deviation is positive, else high.
     """
-    half = inp.gamma1.n
-    em = _Emitter(2 * half, (inp.gamma1.values, [v + half for v in inp.gamma2.values]))
+    em = _Emitter(inp.gamma1.n, (inp.gamma1.values, inp.gamma2.values))
     take = em.take
     take(1)
-    for _ in range(1, 2 * half):
+    for _ in range(1, inp.n):
         take(1 if em.dev2 > 0 else 2)
     return Permutation(tuple(em.out))
 

@@ -12,22 +12,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import _EXPORTS
 from ._util import Record, ceil_rational_power, exact_int
 from .errors import ParamInvalid
 from .perm_core import BalanceSpec, Permutation, _Emitter, _project
 
-__all__ = [
-    "D2Params",
-    "d2_preset",
-    "D2Input",
-    "Cell",
-    "CellSchedule",
-    "cell_schedule",
-    "encode_d2",
-    "decode_d2",
-    "d2_input_to_json_dict",
-    "d2_input_from_json_dict",
-]
+__all__ = _EXPORTS["d2_codec"]
 
 
 class D2Params(Record):
@@ -118,11 +108,6 @@ class D2Input(Record):
             raise ParamInvalid(f"every ordering must have length {size}")
         self._init(params, sigmas)
 
-    def ordering(self, i: int) -> list[int]:
-        """Block i's symbols in emission order (1-based block index)."""
-        offset = (i - 1) * self.params.block_size
-        return [v + offset for v in self.sigmas[i - 1].values]
-
 
 def encode_d2(inp: D2Input, *, tie_to_upper: bool = False) -> Permutation:
     """Append pairs cell by cell, steering by the running deviation.
@@ -136,7 +121,7 @@ def encode_d2(inp: D2Input, *, tie_to_upper: bool = False) -> Permutation:
     """
     params = inp.params
     schedule = cell_schedule(params)
-    em = _Emitter(params.n, (inp.ordering(i) for i in range(1, params.N + 1)))
+    em = _Emitter(params.block_size, (s.values for s in inp.sigmas))
     take = em.take
     for cell in schedule.cells:
         for _ in range(schedule.visits_per_cell):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from . import _EXPORTS
+
+__all__ = _EXPORTS["errors"]
+
 
 class BpcError(Exception):
     """Base class for every error raised by this package."""

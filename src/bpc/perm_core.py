@@ -21,6 +21,7 @@ from math import gcd, prod
 from operator import sub
 from typing import Iterable, Iterator, Mapping
 
+from . import _EXPORTS
 from ._util import Record, decimal_int, exact_int, int_text
 from .errors import (
     IndexOutOfRange,
@@ -30,27 +31,7 @@ from .errors import (
     SpecMismatch,
 )
 
-__all__ = [
-    "Permutation",
-    "make_permutation",
-    "identity",
-    "parse_permutation",
-    "format_permutation",
-    "window_sum",
-    "prefix_deviation",
-    "prefix_deviations_doubled",
-    "disc",
-    "BalanceSpec",
-    "d1_preset",
-    "NeighborSpec",
-    "BalanceViolation",
-    "NeighborViolation",
-    "ViolationReport",
-    "verify_balance",
-    "check_two_neighbor",
-    "rank",
-    "unrank",
-]
+__all__ = _EXPORTS["perm_core"]
 
 
 class Permutation(Record):
@@ -178,17 +159,22 @@ class _Emitter:
     emitted symbols, and their doubled prefix deviation ``dev2`` (the last
     entry of ``prefix_deviations_doubled`` of the output so far).
 
-    Every codec draws from it; each keeps only its own rule for which block
-    the sign of ``dev2`` mandates.  Blocks are 1-based, in the order given.
+    The block layout, which ``_project`` inverts: block i (1-based, in the
+    order given) queues its ordering of [1, size] shifted by (i-1)*size, and
+    n is size times the number of blocks.  Every codec draws from it; each
+    keeps only its own rule for which block the sign of ``dev2`` mandates.
     """
 
     __slots__ = ("queues", "out", "dev2", "_step")
 
-    def __init__(self, n: int, orderings: Iterable[Iterable[int]]):
-        self.queues = {i: deque(o) for i, o in enumerate(orderings, 1)}
+    def __init__(self, size: int, orderings: Iterable[Iterable[int]]):
+        self.queues = {}
+        for i, o in enumerate(orderings, 1):
+            offset = (i - 1) * size
+            self.queues[i] = deque([v + offset for v in o])
         self.out: list[int] = []
         self.dev2 = 0
-        self._step = n + 1
+        self._step = size * len(self.queues) + 1
 
     def take(self, block: int) -> None:
         """Emit the head of ``block``; an empty block is a defect witness."""
@@ -212,8 +198,9 @@ class _Emitter:
 
 
 def _project(pi: Permutation, size: int) -> tuple[Permutation, ...]:
-    """Split ``pi`` into its blocks of ``size`` consecutive symbols, block
-    ``(v-1)//size`` in order of appearance, each shifted onto [1, size]."""
+    """Invert ``_Emitter``'s block layout: the orderings of [1, size] that
+    the n/size blocks of ``pi`` hold, each block's symbols in order of
+    appearance."""
     blocks: list[list[int]] = [[] for _ in range(pi.n // size)]
     appends = [block.append for block in blocks]
     for v in pi.values:

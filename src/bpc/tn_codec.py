@@ -14,21 +14,12 @@ import enum
 import random
 from fractions import Fraction
 
+from . import _EXPORTS
 from ._util import Record, exact_int
 from .errors import NotCodeword, ParamInvalid, SelectorViolation
 from .perm_core import Permutation, _Emitter, _project
 
-__all__ = [
-    "Half",
-    "mandated_half",
-    "TnParams",
-    "TnInput",
-    "encode_tn",
-    "decode_tn",
-    "random_valid_input",
-    "tn_input_to_json_dict",
-    "tn_input_from_json_dict",
-]
+__all__ = _EXPORTS["tn_codec"]
 
 
 class Half(enum.Enum):
@@ -93,10 +84,6 @@ class TnInput(Record):
             raise ParamInvalid(f"selector entries must lie in [1, {p.m}]")
         self._init(params, sigmas, selector)
 
-    def ordering(self, i: int) -> list[int]:
-        offset = (i - 1) * self.params.k
-        return [v + offset for v in self.sigmas[i - 1].values]
-
 
 def _encode_pairs(params: TnParams, sigmas, pick) -> tuple[int, ...]:
     """The encoder run shared by ``encode_tn`` and ``random_valid_input``.
@@ -107,8 +94,8 @@ def _encode_pairs(params: TnParams, sigmas, pick) -> tuple[int, ...]:
     None only when every set of that half is empty, a ``SourceExhausted``
     defect.
     """
-    k, half = params.k, params.m // 2
-    em = _Emitter(params.n, ([v + i * k for v in s.values] for i, s in enumerate(sigmas)))
+    half = params.m // 2
+    em = _Emitter(params.k, (s.values for s in sigmas))
     lower, upper = range(1, half + 1), range(half + 1, params.m + 1)
     take = em.take
     for t in range(1, params.n // 2 + 1):

@@ -140,7 +140,8 @@ def reference_encode_d2(inp: D2Input):
     params = inp.params
     n, N, size = params.n, params.N, params.block_size
     mean = Fraction(n + 1, 2)
-    sources = {i: list(inp.ordering(i)) for i in range(1, N + 1)}
+    sources = {i: [v + (i - 1) * size for v in sigma.values]
+               for i, sigma in enumerate(inp.sigmas, 1)}
     out = []
     for c in range(1, N // 4 + 1):
         lower = (2 * c - 1, N - 2 * c + 1)
@@ -161,7 +162,8 @@ def reference_encode_tn(inp: TnInput):
     params = inp.params
     n, m, k = params.n, params.m, params.k
     mean = Fraction(n + 1, 2)
-    sources = {i: list(inp.ordering(i)) for i in range(1, m + 1)}
+    sources = {i: [v + (i - 1) * k for v in sigma.values]
+               for i, sigma in enumerate(inp.sigmas, 1)}
     out = []
     for sel in inp.selector:
         low_half = Fraction(sum(out), len(out)) >= mean if out else True

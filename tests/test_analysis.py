@@ -146,7 +146,8 @@ def test_search_answers_under_a_low_recursion_limit():
              "print(census(9, BalanceSpec(9, (2,), {2: Fraction(3, 2)})).count)\n"
              "print(min_disc(9, 2))\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env={"PYTHONPATH": src}, timeout=60)
+                          text=True, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+                          timeout=60)
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
     assert proc.stdout == "42\n(Fraction(1, 1), 42)\n"
 

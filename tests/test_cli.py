@@ -302,6 +302,14 @@ class TestAnalyze:
         assert obj["neighbor_k"] == 3
         assert int(obj["count"]) > 0
 
+    @pytest.mark.parametrize("preset", [("d1",), ("d2", "--N", "4")])
+    @pytest.mark.parametrize("spec", [("--blocks", "2"), ("--dev-max", "0"),
+                                      ("--blocks", "2", "--dev-max", "0")])
+    def test_census_preset_excludes_blocks_and_dev_max(self, capsys, preset, spec):
+        code, out, err = run(capsys, "analyze", "census", "--n", "4", "--preset", *preset, *spec)
+        assert (code, out) == (2, "")
+        assert err == "error: --preset and --blocks/--dev-max are mutually exclusive\n"
+
     def test_census_negative_cap_is_usage_error(self, capsys):
         code, out, err = run(capsys, "analyze", "census", "--n", "4",
                              "--blocks", "2", "--dev-max", "1", "--cap", "-3")
@@ -407,6 +415,11 @@ class TestAnalyze:
         assert err.startswith("error: exponent denominator <")
         assert "-bit integer> is too large" in err
 
+    @pytest.mark.parametrize("lengths", ["", ",", " , "])
+    def test_rate_without_a_length_is_usage_error(self, capsys, lengths):
+        code, out, err = run(capsys, "analyze", "rate", "--config", "d1", "--n", lengths)
+        assert (code, out, err) == (2, "", "error: --n must list at least one length\n")
+
     def test_rate_determinism(self, capsys):
         args = ("analyze", "rate", "--config", "d2", "--n", "64",
                 "--epsilon", "0.5")
@@ -497,14 +510,16 @@ class TestImportCost:
         import bpc
 
         homes = {
-            "analysis": "BoundResult CensusResult ClaimReport CounterExample RateReport census "
-                        "claim_suite d1_claim_suite d2_claim_suite min_disc rate_report "
-                        "rate_report_d1 rate_report_d2 rate_report_tn tn_claim_suite "
-                        "tn_code_size",
-            "d1_codec": "D1Input TranspositionStep d1_message_decode d1_message_encode "
-                        "d1_message_input decode_d1 encode_d1 encode_d1_streaming interleave",
-            "d2_codec": "D2Input D2Params cell_schedule d2_input_from_json_dict "
-                        "d2_input_to_json_dict d2_preset decode_d2 encode_d2",
+            "analysis": "BoundResult CensusResult ClaimReport CounterExample DEFAULT_ENUM_LIMIT "
+                        "RateReport census claim_suite d1_claim_suite d2_claim_suite min_disc "
+                        "rate_report rate_report_d1 rate_report_d2 rate_report_tn "
+                        "tn_claim_suite tn_code_size",
+            "d1_codec": "D1Input TranspositionStep TranspositionTrace d1_message_decode "
+                        "d1_message_encode d1_message_input decode_d1 encode_d1 "
+                        "encode_d1_streaming interleave",
+            "d2_codec": "Cell CellSchedule D2Input D2Params cell_schedule "
+                        "d2_input_from_json_dict d2_input_to_json_dict d2_preset decode_d2 "
+                        "encode_d2",
             "errors": "BpcError IndexOutOfRange LimitExceeded NotCodeword NotPermutation "
                       "OddLength ParamInvalid SelectorViolation SourceExhausted SpecMismatch",
             "perm_core": "BalanceSpec BalanceViolation NeighborSpec NeighborViolation "
@@ -527,6 +542,19 @@ class TestImportCost:
             bpc.no_such_name  # noqa: B018
         with pytest.raises(ImportError):
             from bpc import no_such_name  # noqa: F401
+
+    @pytest.mark.parametrize("module", ["analysis", "d1_codec", "d2_codec", "errors",
+                                        "perm_core", "tn_codec"])
+    def test_each_module_lists_its_names_from_the_package_table(self, module):
+        import importlib
+
+        import bpc
+
+        home = importlib.import_module(f"bpc.{module}")
+        assert home.__all__ is bpc._EXPORTS[module]
+        namespace = {}
+        exec(f"from bpc.{module} import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(home.__all__)
 
     @pytest.mark.parametrize("argv", [
         ("encode", "d1", "--n", "12", "--gamma1", "3,4,1,2,5,6", "--gamma2", "6,5,4,3,2,1"),

@@ -78,9 +78,7 @@ class TestSourceState:
 
     @staticmethod
     def emitter(inp):
-        half = inp.gamma1.n
-        return _Emitter(2 * half, (inp.gamma1.values,
-                                   [v + half for v in inp.gamma2.values]))
+        return _Emitter(inp.gamma1.n, (inp.gamma1.values, inp.gamma2.values))
 
     def test_tracks_counts_and_deviation(self):
         em = self.emitter(ex1_input())
@@ -94,7 +92,7 @@ class TestSourceState:
         assert em.dev2 == 0
 
     def test_empty_source_is_a_defect_signal(self):
-        em = _Emitter(2, ((), (2,)))
+        em = _Emitter(1, ((), (1,)))
         with pytest.raises(SourceExhausted) as err:
             em.take(1)
         assert err.value.state == {"emitted": 0, "dev_twice": 0, "mandated": (1,),

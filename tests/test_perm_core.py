@@ -1,7 +1,7 @@
 import random
 from enum import IntEnum
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -31,6 +31,7 @@ from bpc import (
     verify_balance,
     window_sum,
 )
+from bpc.perm_core import _Emitter, _project
 from support import (
     EX1_CODEWORD,
     EX1_INTERLEAVING,
@@ -401,6 +402,43 @@ class TestTwoNeighbor:
         pi = Permutation(tuple(vals))
         if check_two_neighbor(pi, NeighborSpec(k)).is_valid:
             assert check_two_neighbor(pi, NeighborSpec(k + 1)).is_valid
+
+
+def emit_and_project(size, orderings, order):
+    """Emit every symbol of the blocks, taking from block ``order[t]`` at
+    step t, and project the output back; also checks that the run's doubled
+    deviation ends at 0, as it does only when n = size * len(orderings)."""
+    em = _Emitter(size, orderings)
+    for block in order:
+        em.take(block)
+    assert em.dev2 == 0
+    return [p.values for p in _project(Permutation(tuple(em.out)), size)]
+
+
+class TestBlockLayout:
+    """``_project`` inverts ``_Emitter``'s block layout."""
+
+    @pytest.mark.parametrize("size, blocks", [(2048, 2), (64, 64), (16, 256)])
+    def test_concatenated_queues_project_to_the_orderings(self, size, blocks):
+        rng = random.Random(size + blocks)
+        orderings = [tuple(rng.sample(range(1, size + 1), size)) for _ in range(blocks)]
+        em = _Emitter(size, orderings)
+        for i, queue in em.queues.items():
+            assert list(queue) == [v + (i - 1) * size for v in orderings[i - 1]]
+        order = [i for i in range(1, blocks + 1) for _ in range(size)]
+        assert emit_and_project(size, orderings, order) == orderings
+        rng.shuffle(order)  # any interleaving of the blocks projects back as well
+        assert emit_and_project(size, orderings, order) == orderings
+
+    @pytest.mark.parametrize("size, blocks", [(s, b) for s in (1, 2, 3) for b in (1, 2, 3)
+                                              if s * b <= 6])
+    def test_exhaustive_at_tiny_sizes(self, size, blocks):
+        block_orders = list(permutations(range(1, size + 1)))
+        interleavings = set(permutations([i for i in range(1, blocks + 1)
+                                          for _ in range(size)]))
+        for orderings in product(block_orders, repeat=blocks):
+            for order in interleavings:
+                assert emit_and_project(size, orderings, order) == list(orderings)
 
 
 class TestRankUnrank:
