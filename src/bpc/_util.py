@@ -1,6 +1,6 @@
 """Helpers shared by several modules: exact arithmetic, strict parsing of
-decimal text, the base of the value types, and the default size limit of the
-exhaustive oracles."""
+decimal text, the base of the value types, the default size limit of the
+exhaustive oracles, and the parameters each codec takes."""
 
 from __future__ import annotations
 
@@ -11,6 +11,38 @@ from fractions import Fraction
 from .errors import ParamInvalid
 
 DEFAULT_ENUM_LIMIT = 10  # the largest n an exhaustive oracle runs at unless told otherwise
+
+# The parameters of each codec: d1 has none, d2 its block count N (or the
+# exponent epsilon, N = ceil(n**epsilon)), tn its set size k (or epsilon_k).
+CODEC_PARAMETERS = {"d1": (), "d2": ("N", "epsilon"), "tn": ("k", "epsilon_k")}
+
+
+def codec_parameters(codec: str | None, given: dict) -> dict:
+    """The entries of ``given`` that ``codec`` takes (None names no codec,
+    which takes none).  Any other entry that is set, not None, raises
+    ``ParamInvalid``: a parameter of another codec is refused, not ignored."""
+    takes = CODEC_PARAMETERS[codec] if codec is not None else ()
+    for name, value in given.items():
+        if value is not None and name not in takes:
+            raise ParamInvalid(f"{name} is not a parameter of the {codec} codec"
+                               if codec is not None else f"{name} is given but no codec is named")
+    return {name: given[name] for name in takes if name in given}
+
+
+def scale_parameter(codec: str, n: int, value: int | None, exponent) -> int:
+    """The scale parameter ``value`` of ``codec``, or ceil(n**exponent) when
+    the exponent is supplied; an explicit value must then agree with it, no
+    silent rounding to a legal value."""
+    name, exponent_name = CODEC_PARAMETERS[codec]
+    if exponent is not None:
+        derived = ceil_rational_power(n, Fraction(exponent))
+        if value is not None and value != derived:
+            raise ParamInvalid(
+                f"{name}={value} contradicts ceil(n**{exponent_name})={derived}")
+        return derived
+    if value is None:
+        raise ParamInvalid(f"either {name} or {exponent_name} is required")
+    return value
 
 
 class Record:

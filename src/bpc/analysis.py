@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import _EXPORTS
-from ._util import DEFAULT_ENUM_LIMIT, Record, ceil_rational_power, log2_int
+from ._util import DEFAULT_ENUM_LIMIT, Record, codec_parameters, log2_int, scale_parameter
 from .d2_codec import D2Params, d2_preset
 from .errors import IndexOutOfRange, LimitExceeded, ParamInvalid, SpecMismatch
 from .perm_core import (
@@ -203,21 +203,6 @@ def _rate_report(config: str, n: int, code_log2: float, target) -> RateReport:
                       rate=code_log2 / perm_log2, target=target)
 
 
-def _scale(n: int, value: int | None, exponent, name: str, exponent_name: str) -> int:
-    """The scale parameter ``value``, or ceil(n**exponent) when the exponent
-    is supplied; an explicit value must then agree with it, no silent
-    rounding to a legal value."""
-    if exponent is not None:
-        derived = ceil_rational_power(n, Fraction(exponent))
-        if value is not None and value != derived:
-            raise ParamInvalid(
-                f"{name}={value} contradicts ceil(n**{exponent_name})={derived}")
-        return derived
-    if value is None:
-        raise ParamInvalid(f"either {name} or {exponent_name} is required")
-    return value
-
-
 def rate_report_d1(n: int) -> RateReport:
     """Rate of the two-source codec: code size ((n/2)!)**2."""
     if n < 2 or n % 2 != 0:
@@ -229,68 +214,45 @@ def rate_report_d2(n: int, N: int | None = None,
                    epsilon: Fraction | None = None) -> RateReport:
     """Rate of the block codec: code size ((n/N)!)**N, with N given or
     derived as ceil(n**epsilon)."""
-    N = _scale(n, N, epsilon, "N", "epsilon")
+    N = scale_parameter("d2", n, N, epsilon)
     params = D2Params(n, N)
     target = float(1 - Fraction(epsilon)) if epsilon is not None else None
     label = f"d2(N={N}" + (f", eps={epsilon}" if epsilon is not None else "") + ")"
     return _rate_report(label, n, N * log2_int(factorial(params.block_size)), target)
 
 
-def _tn_size(params: TnParams) -> int:
-    n, k = params.n, params.k
-    return (factorial(n // 4) * (factorial(k) // factorial(k // 2)) ** (n // (2 * k))) ** 2
-
-
 def tn_code_size(params: TnParams, limit: int = DEFAULT_ENUM_LIMIT) -> int:
-    """Exact size of the neighbor-constrained code,
-    ((n/4)! * (k!/(k/2)!)**(n/2k))**2.
-
-    Distinct inputs give distinct codewords (decoding is a projection), so
-    the count is that of the encoder's runs.  A run is fixed by two
-    sequences: the pairs drawn from the low sets, in order, and the pairs
-    drawn from the high sets, in order; the sign of the running deviation D
-    forces how the two merge.  Either sequence is any interleaving of the
-    m/2 sets' ordered pairs: (n/4)! / ((k/2)!)**(m/2) interleavings times
-    k!**(m/2) orderings.  Every pair of sequences is a run, because a half
-    never runs dry while it is mandated: once the low half is exhausted,
-    every symbol left is high and adds 2v-n-1 > 0, and the final D is 0, so
-    D < 0 now and the high half is mandated; mirrored, an exhausted high
-    half leaves D > 0, which mandates the low half.
-
-    ``limit`` is the guard of the other oracles, kept so that a call above it
-    still raises ``LimitExceeded``; the count itself enumerates nothing and
-    costs O(n) big-int multiplications.
-    """
+    """``params.code_size``, the exact size of the neighbor-constrained code.
+    ``limit`` is the other oracles' guard, kept so that a call above it still
+    raises ``LimitExceeded``, although the count enumerates nothing."""
     if params.n > limit:
         raise LimitExceeded(f"tn code size at n={params.n} is past the limit {limit}; "
                             "raise the limit explicitly")
-    return _tn_size(params)
+    return params.code_size
 
 
 def rate_report_tn(n: int, k: int | None = None,
                    epsilon_k: Fraction | None = None) -> RateReport:
-    """Rate of the neighbor-constrained codec: code size
-    ((n/4)! * (k!/(k/2)!)**(n/2k))**2 (see ``tn_code_size``), exact at every
-    n, with k given or derived as ceil(n**epsilon_k)."""
-    k = _scale(n, k, epsilon_k, "k", "epsilon_k")
+    """Rate of the neighbor-constrained codec: code size ``TnParams.code_size``,
+    exact at every n, with k given or derived as ceil(n**epsilon_k)."""
+    k = scale_parameter("tn", n, k, epsilon_k)
     params = TnParams(n, k)
     target = float((1 + Fraction(epsilon_k)) / 2) if epsilon_k is not None else None
     label = f"tn(k={k}" + (f", eps_k={epsilon_k}" if epsilon_k is not None else "") + ")"
-    return _rate_report(label, n, log2_int(_tn_size(params)), target)
+    return _rate_report(label, n, log2_int(params.code_size), target)
 
 
 def rate_report(config: str, n: int, *, N: int | None = None,
                 epsilon: Fraction | None = None, k: int | None = None,
                 epsilon_k: Fraction | None = None) -> RateReport:
     """Dispatch on a codec descriptor: ``d1``, ``d2`` (N or epsilon), or
-    ``tn`` (k or epsilon_k)."""
-    if config == "d1":
-        return rate_report_d1(n)
-    if config == "d2":
-        return rate_report_d2(n, N=N, epsilon=epsilon)
-    if config == "tn":
-        return rate_report_tn(n, k=k, epsilon_k=epsilon_k)
-    raise ParamInvalid(f"unknown codec descriptor {config!r}")
+    ``tn`` (k or epsilon_k); a keyword of another codec raises
+    ``ParamInvalid``."""
+    reports = {"d1": rate_report_d1, "d2": rate_report_d2, "tn": rate_report_tn}
+    if not isinstance(config, str) or config not in reports:
+        raise ParamInvalid(f"unknown codec descriptor {config!r}")
+    given = {"N": N, "epsilon": epsilon, "k": k, "epsilon_k": epsilon_k}
+    return reports[config](n, **codec_parameters(config, given))
 
 
 class CounterExample(Record):

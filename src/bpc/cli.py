@@ -19,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from ._util import DEFAULT_ENUM_LIMIT, decimal_fraction, decimal_int
+from ._util import DEFAULT_ENUM_LIMIT, codec_parameters, decimal_fraction, decimal_int
 from .errors import (
     BpcError,
     NotCodeword,
@@ -148,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d2p = dec_sub.add_parser("d2")
     d2p.add_argument("--perm", required=True)
     d2p.add_argument("--n", type=decimal_int, required=True)
-    d2p.add_argument("--N", type=decimal_int, required=True, dest="num_blocks")
+    d2p.add_argument("--N", type=decimal_int, required=True)
     d2p.set_defaults(handler=_cmd_decode_d2)
 
     dtp = dec_sub.add_parser("tn")
@@ -159,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check a permutation against a preset")
     ver.add_argument("--preset", choices=("d1", "d2", "tn-neighbor"), required=True)
-    ver.add_argument("--N", type=decimal_int, dest="num_blocks")
+    ver.add_argument("--N", type=decimal_int)
     ver.add_argument("--k", type=decimal_int)
     ver.add_argument("--perm", required=True)
     ver.set_defaults(handler=_cmd_verify)
@@ -175,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cen = ana_sub.add_parser("census", help="count permutations passing checks")
     cen.add_argument("--n", type=decimal_int, required=True)
     cen.add_argument("--preset", choices=("d1", "d2"))
-    cen.add_argument("--N", type=decimal_int, dest="num_blocks")
+    cen.add_argument("--N", type=decimal_int)
     cen.add_argument("--blocks", help="comma-separated window lengths")
     cen.add_argument("--dev-max", dest="dev_max",
                      help="allowed deviations (one per block, or one for all)")
@@ -197,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rat.add_argument("--config", choices=("d1", "d2", "tn"), required=True)
     rat.add_argument("--n", required=True,
                      help="length, or comma-separated list for a table")
-    rat.add_argument("--N", type=decimal_int, dest="num_blocks")
+    rat.add_argument("--N", type=decimal_int)
     rat.add_argument("--epsilon")
     rat.add_argument("--k", type=decimal_int)
     rat.add_argument("--epsilon-k", dest="epsilon_k")
@@ -206,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     clm = ana_sub.add_parser("claims", help="batch-check codeword bounds")
     clm.add_argument("--config", choices=("d1", "d2", "tn"), required=True)
-    clm.add_argument("--N", type=decimal_int, dest="num_blocks")
+    clm.add_argument("--N", type=decimal_int)
     clm.add_argument("--k", type=decimal_int)
     clm.add_argument("--perms", required=True,
                      help="file of permutations, one per line ('-' for stdin)")
@@ -294,42 +294,59 @@ def _cmd_decode_d1(args) -> int:
     return 0
 
 
-def _cmd_decode_d2(args) -> int:
-    from .d2_codec import D2Params, d2_input_to_json_dict, decode_d2
+def _codec_params(args, preset: str | None, n: int):
+    """The parameters ``--N``/``--k`` give the codec that ``preset`` (a
+    --preset or --config value) names, at length ``n``: "d1", ``D2Params``,
+    ``TnParams``, or the ``NeighborSpec`` of the tn-neighbor preset, a bound
+    at any n; None names no codec.  An option of another codec is a usage
+    error."""
+    codec = "tn" if preset == "tn-neighbor" else preset
+    given = codec_parameters(codec, {name: getattr(args, name, None) for name in ("N", "k")})
+    if codec in (None, "d1"):
+        return codec
+    (name, value), = given.items()  # N for d2, k for tn
+    if value is None:
+        raise ParamInvalid(f"--{name} is required for the {codec} codec")
+    if codec == "d2":
+        from .d2_codec import D2Params
+        return D2Params(n, value)
+    if preset == "tn-neighbor":
+        return NeighborSpec(value)
+    from .tn_codec import TnParams
+    return TnParams(n, value)
 
-    inp = decode_d2(_perm_arg(args.perm), D2Params(args.n, args.num_blocks))
+
+def _cmd_decode_d2(args) -> int:
+    from .d2_codec import d2_input_to_json_dict, decode_d2
+
+    inp = decode_d2(_perm_arg(args.perm), _codec_params(args, "d2", args.n))
     _emit_json(d2_input_to_json_dict(inp))
     return 0
 
 
 def _cmd_decode_tn(args) -> int:
-    from .tn_codec import TnParams, decode_tn, tn_input_to_json_dict
+    from .tn_codec import decode_tn, tn_input_to_json_dict
 
-    inp = decode_tn(_perm_arg(args.perm), TnParams(args.n, args.k))
+    inp = decode_tn(_perm_arg(args.perm), _codec_params(args, "tn", args.n))
     _emit_json(tn_input_to_json_dict(inp))
     return 0
 
 
-def _preset_spec(args, n: int) -> BalanceSpec:
-    """The spec ``--preset d1`` or ``--preset d2 --N`` names at length ``n``."""
-    if getattr(args, "blocks", None) is not None or getattr(args, "dev_max", None) is not None:
-        raise ParamInvalid("--preset and --blocks/--dev-max are mutually exclusive")
-    if args.preset == "d1":
+def _preset_spec(params, n: int) -> BalanceSpec:
+    """The spec of the d1 preset, or of the d2 preset at ``params``, at length ``n``."""
+    if params == "d1":
         return d1_preset(n)
-    if args.num_blocks is None:
-        raise ParamInvalid("--N is required for the d2 preset")
     from .d2_codec import d2_preset
-    return d2_preset(n, args.num_blocks)
+    return d2_preset(n, params.N)
 
 
 def _cmd_verify(args) -> int:
     pi = _perm_arg(args.perm)
-    if args.preset == "tn-neighbor":
-        if args.k is None:
-            raise ParamInvalid("--k is required for the tn-neighbor preset")
-        report = check_two_neighbor(pi, NeighborSpec(args.k))
+    params = _codec_params(args, args.preset, pi.n)
+    if isinstance(params, NeighborSpec):
+        report = check_two_neighbor(pi, params)
     else:
-        report = verify_balance(pi, _preset_spec(args, pi.n))
+        report = verify_balance(pi, _preset_spec(params, pi.n))
     _emit_json(report.to_json_dict())
     return 0 if report.is_valid else VIOLATION
 
@@ -341,8 +358,11 @@ def _cmd_disc(args) -> int:
 
 
 def _census_spec(args):
-    if args.preset is not None:
-        return _preset_spec(args, args.n)
+    params = _codec_params(args, args.preset, args.n)  # without --preset, refuses --N
+    if params is not None:
+        if args.blocks is not None or args.dev_max is not None:
+            raise ParamInvalid("--preset and --blocks/--dev-max are mutually exclusive")
+        return _preset_spec(params, args.n)
     if args.blocks is None:
         raise ParamInvalid("supply --preset or --blocks/--dev-max")
     blocks = _int_list(args.blocks)
@@ -387,7 +407,7 @@ def _cmd_rate(args) -> int:
     if not lengths:
         raise ParamInvalid("--n must list at least one length")
     reports = [
-        rate_report(args.config, n, N=args.num_blocks,
+        rate_report(args.config, n, N=args.N,
                     epsilon=epsilon, k=args.k, epsilon_k=epsilon_k)
         for n in lengths
     ]
@@ -408,22 +428,12 @@ def _cmd_rate(args) -> int:
 
 def _cmd_claims(args) -> int:
     from .analysis import claim_suite
-    from .d2_codec import D2Params
-    from .tn_codec import TnParams
 
     lines = [ln for ln in _read_file_or_stdin(args.perms).splitlines() if ln.strip()]
     perms = [parse_permutation(ln) for ln in lines]
     if not perms:
         raise ParamInvalid("no permutations supplied")
-    config, n = args.config, perms[0].n  # "d1" is a config as it is
-    if config == "d2":
-        if args.num_blocks is None:
-            raise ParamInvalid("--N is required for the d2 claim suite")
-        config = D2Params(n, args.num_blocks)
-    elif config == "tn":
-        if args.k is None:
-            raise ParamInvalid("--k is required for the tn claim suite")
-        config = TnParams(n, args.k)
+    config = _codec_params(args, args.config, perms[0].n)
     _emit_json(claim_suite(perms, config).to_json_dict())
     return 0
 

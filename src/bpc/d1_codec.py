@@ -74,10 +74,10 @@ class TranspositionTrace(Record):
 
 
 def interleave(inp: D1Input) -> Permutation:
-    """The streaming encoder's start state: orderings merged alternately."""
-    half = inp.gamma1.n
-    return Permutation(tuple([v for a, b in zip(inp.gamma1.values, inp.gamma2.values)
-                              for v in (a, b + half)]))
+    """The streaming encoder's start state: the two blocks of ``encode_d1``
+    merged alternately."""
+    queues = _Emitter(inp.gamma1.n, (inp.gamma1.values, inp.gamma2.values)).queues
+    return Permutation(tuple([v for pair in zip(queues[1], queues[2]) for v in pair]))
 
 
 def encode_d1_streaming(inp: D1Input) -> tuple[Permutation, TranspositionTrace]:

@@ -171,7 +171,7 @@ class _Emitter:
         self.queues = {}
         for i, o in enumerate(orderings, 1):
             offset = (i - 1) * size
-            self.queues[i] = deque([v + offset for v in o])
+            self.queues[i] = deque([v + offset for v in o] if offset else o)
         self.out: list[int] = []
         self.dev2 = 0
         self._step = size * len(self.queues) + 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import random
 from fractions import Fraction
+from math import factorial
 
 from . import _EXPORTS
 from ._util import Record, exact_int
@@ -54,6 +55,26 @@ class TnParams(Record):
     @property
     def m(self) -> int:
         return self.n // self.k
+
+    @property
+    def code_size(self) -> int:
+        """Exact size of the code, ((n/4)! * (k!/(k/2)!)**(n/2k))**2.
+
+        Distinct inputs give distinct codewords (decoding is a projection),
+        so the count is that of the encoder's runs.  A run is fixed by two
+        sequences: the pairs drawn from the low sets, in order, and the pairs
+        drawn from the high sets, in order; the sign of the running
+        deviation D forces how the two merge.  Either sequence is any
+        interleaving of the m/2 sets' ordered pairs: (n/4)! / ((k/2)!)**(m/2)
+        interleavings times k!**(m/2) orderings.  Every pair of sequences is
+        a run, because a half never runs dry while it is mandated: once the
+        low half is exhausted, every symbol left is high and adds 2v-n-1 > 0,
+        and the final D is 0, so D < 0 now and the high half is mandated;
+        mirrored, an exhausted high half leaves D > 0, which mandates the low
+        half.
+        """
+        n, k = self.n, self.k
+        return (factorial(n // 4) * (factorial(k) // factorial(k // 2)) ** (n // (2 * k))) ** 2
 
     def set_of(self, symbol: int) -> int:
         """1-based index of the set containing ``symbol``."""

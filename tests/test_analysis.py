@@ -253,6 +253,21 @@ class TestRates:
         with pytest.raises(ParamInvalid):
             rate_report("xyz", 8)
 
+    @pytest.mark.parametrize("config, n, own, foreign", [
+        ("d1", 8, {}, {"N": 4}),
+        ("d1", 8, {}, {"epsilon_k": Fraction(1, 2)}),
+        ("d2", 16, {"N": 4}, {"k": 4}),
+        ("d2", 16, {"epsilon": Fraction(1, 2)}, {"epsilon_k": Fraction(1, 2)}),
+        ("tn", 16, {"k": 4}, {"epsilon": Fraction(1, 2)}),
+        ("tn", 16, {"epsilon_k": Fraction(1, 2)}, {"N": 4}),
+    ])
+    def test_dispatcher_refuses_a_keyword_of_another_codec(self, config, n, own, foreign):
+        rate_report(config, n, **own)
+        (name, _), = foreign.items()
+        message = f"^{name} is not a parameter of the {config} codec$"
+        with pytest.raises(ParamInvalid, match=message):
+            rate_report(config, n, **own, **foreign)
+
     def test_odd_length_rejected(self):
         with pytest.raises(ParamInvalid):
             rate_report_d1(13)
@@ -300,6 +315,7 @@ class TestTnCodeSize:
     def test_closed_form_matches_memoized_search(self, n, k):
         params = TnParams(n, k)
         assert tn_code_size(params, limit=n) == memo_tn_code_size(params)
+        assert params.code_size == memo_tn_code_size(params)
 
 
 class TestClaimSuites:

@@ -456,6 +456,73 @@ class TestAnalyze:
         assert all(b["failures"] == 0 for b in obj["bounds"])
 
 
+PERM16 = "1 16 2 15 3 14 4 13 5 12 6 11 7 10 8 9"
+OPTION_VALUES = {"--N": "4", "--k": "4", "--epsilon": "1/2", "--epsilon-k": "1/2"}
+# (command, the codec it names, the codec options its parser accepts, the
+# ones that codec takes); the census by --blocks names no codec
+CODEC_COMMANDS = [
+    *((("verify", "--preset", preset, "--perm", PERM16), codec, ("--N", "--k"), own)
+      for preset, codec, own in [("d1", "d1", ()), ("d2", "d2", ("--N",)),
+                                 ("tn-neighbor", "tn", ("--k",))]),
+    (("analyze", "census", "--n", "6", "--preset", "d1"), "d1", ("--N",), ()),
+    (("analyze", "census", "--n", "8", "--preset", "d2"), "d2", ("--N",), ("--N",)),
+    (("analyze", "census", "--n", "4", "--blocks", "2", "--dev-max", "1"), None, ("--N",), ()),
+    *((("analyze", "claims", "--config", codec, "--perms", "-"), codec, ("--N", "--k"), own)
+      for codec, own in [("d1", ()), ("d2", ("--N",)), ("tn", ("--k",))]),
+    *((("analyze", "rate", "--config", codec, "--n", "16"), codec,
+       ("--N", "--k", "--epsilon", "--epsilon-k"), own)
+      for codec, own in [("d1", ()), ("d2", ("--N", "--epsilon")),
+                         ("tn", ("--k", "--epsilon-k"))]),
+]
+
+
+class TestCodecOptions:
+    """Each command takes the codec options of the codec it names and
+    refuses every other one its parser accepts."""
+
+    @staticmethod
+    def run_with(capsys, monkeypatch, command, *options):
+        monkeypatch.setattr("sys.stdin", io.StringIO(PERM16 + "\n"))
+        argv = [*command]
+        for option in options:
+            argv += [option, OPTION_VALUES[option]]
+        return run(capsys, *argv)
+
+    @pytest.mark.parametrize("command, codec, accepted, own", [
+        pytest.param(*case, id=" ".join(case[0][:4])) for case in CODEC_COMMANDS])
+    def test_own_options_answer_and_foreign_ones_exit_two(self, capsys, monkeypatch, command,
+                                                          codec, accepted, own):
+        required = own[:1]  # d2 and tn need one parameter; d1 and no codec none
+        for option in own:
+            options = required if option in required else (*required, option)
+            code, out, err = self.run_with(capsys, monkeypatch, command, *options)
+            assert code in (0, 1) and err == "", (option, err)
+            json.loads(out)
+        for option in accepted:
+            if option in own:
+                continue
+            name = option[2:].replace("-", "_")
+            expected = (f"error: {name} is not a parameter of the {codec} codec\n" if codec
+                        else f"error: {name} is given but no codec is named\n")
+            code, out, err = self.run_with(capsys, monkeypatch, command, *required, option)
+            assert (code, out, err) == (2, "", expected), option
+
+    @pytest.mark.parametrize("argv, error", [
+        (("verify", "--preset", "d2", "--perm", PERM16), "--N is required for the d2 codec"),
+        (("verify", "--preset", "tn-neighbor", "--perm", PERM16),
+         "--k is required for the tn codec"),
+        (("analyze", "census", "--n", "8", "--preset", "d2"), "--N is required for the d2 codec"),
+        (("analyze", "claims", "--config", "d2", "--perms", "-"),
+         "--N is required for the d2 codec"),
+        (("analyze", "claims", "--config", "tn", "--perms", "-"),
+         "--k is required for the tn codec"),
+    ])
+    def test_a_missing_parameter_reads_the_same_in_every_command(self, capsys, monkeypatch,
+                                                                  argv, error):
+        code, out, err = self.run_with(capsys, monkeypatch, argv)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 class TestSubprocessPipes:
     def test_block_codec_roundtrip_across_processes(self):
         import subprocess

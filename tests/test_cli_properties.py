@@ -120,6 +120,24 @@ ARGV = st.one_of(
 )
 
 
+# The codec options each codec takes, kept here apart from the package's own
+# table; a codec option that the codec named by --preset or --config does not
+# take (any, when a census names none) is refused with exit code 2.
+OWN_OPTIONS = {"d1": (), "d2": ("--N", "--epsilon"), "tn": ("--k", "--epsilon-k"),
+               "tn-neighbor": ("--k",)}
+CODEC_OPTIONS = ("--N", "--k", "--epsilon", "--epsilon-k")
+
+
+def foreign_option(argv):
+    """The first codec option in ``argv`` that its codec does not take, or None."""
+    if argv[0] not in ("verify", "analyze") or argv[1:2] == ["min-disc"]:
+        return None  # encode, decode, disc and min-disc name no codec by option
+    named = next((value for flag, value in zip(argv, argv[1:])
+                  if flag in ("--preset", "--config")), None)
+    own = OWN_OPTIONS.get(named, ())
+    return next((a for a in argv if a in CODEC_OPTIONS and a not in own), None)
+
+
 def emits_json(argv):
     """Whether a successful run of ``argv`` writes a JSON payload."""
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else None
@@ -150,6 +168,8 @@ def test_every_run_ends_with_a_documented_exit_code(argv, payload, tmp_path):
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
     assert code in (0, 1, 2), (argv, code, err.getvalue())
+    if foreign_option(argv) is not None:
+        assert code == 2, (argv, code, out.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 0 and emits_json(argv):
         json.loads(out.getvalue())
