@@ -8,12 +8,14 @@ analysis oracles (censuses, minimum discrepancy, rate reports).
 ``import bpc`` loads none of the submodules: each public name below is
 imported from its home module on first access (PEP 562), so a process pays
 only for the parts it uses.  ``_EXPORTS`` is the one list of public names:
-each home module's ``__all__`` is its entry.
+each home module's ``__all__`` is its entry.  ``DEFAULT_ENUM_LIMIT`` (home
+``analysis``) is defined here, so reading it loads no oracle.
 """
 
 from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+DEFAULT_ENUM_LIMIT = 10  # the largest n an exhaustive oracle runs at unless told otherwise
 
 _EXPORTS = {
     "analysis": (

@@ -1,6 +1,6 @@
 """Helpers shared by several modules: exact arithmetic, strict parsing of
-decimal text, the base of the value types, the default size limit of the
-exhaustive oracles, and the parameters each codec takes."""
+decimal text, the base of the value types, and the parameters each codec
+takes (the oracles' default size limit lives in the package ``__init__``)."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ import re
 from fractions import Fraction
 
 from .errors import ParamInvalid
-
-DEFAULT_ENUM_LIMIT = 10  # the largest n an exhaustive oracle runs at unless told otherwise
 
 # The parameters of each codec: d1 has none, d2 its block count N (or the
 # exponent epsilon, N = ceil(n**epsilon)), tn its set size k (or epsilon_k).

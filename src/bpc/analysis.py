@@ -21,8 +21,8 @@ import sys
 from fractions import Fraction
 from math import factorial
 
-from . import _EXPORTS
-from ._util import DEFAULT_ENUM_LIMIT, Record, codec_parameters, log2_int, scale_parameter
+from . import DEFAULT_ENUM_LIMIT, _EXPORTS
+from ._util import Record, codec_parameters, log2_int, scale_parameter
 from .d2_codec import D2Params, d2_preset
 from .errors import IndexOutOfRange, LimitExceeded, ParamInvalid, SpecMismatch
 from .perm_core import (
@@ -314,9 +314,9 @@ class ClaimReport(Record):
 
 def _claims(config: str, perms, n: int, checks) -> ClaimReport:
     """Tally each ``(name, detail)`` check over the batch.  ``detail(pi,
-    devs2)`` gets a permutation and its doubled prefix deviations and returns
-    None on a pass, else the failure's detail; each check's first failure is
-    its counterexample."""
+    devs2)`` gets a permutation and its doubled prefix deviations, tests them
+    against a doubled allowance and returns None on a pass, else the failure's
+    detail in undoubled units; each check's first failure is its counterexample."""
     total, failures, first = 0, [0] * len(checks), [None] * len(checks)
     for pi in perms:
         if pi.n != n:
@@ -342,14 +342,13 @@ def _prefix_bound_detail(devs2: list[int], allowed2: int,
         if abs(devs2[j]) > allowed2:
             return {"j": str(j), "dev": str(Fraction(devs2[j], 2)),
                     "allowed": str(Fraction(allowed2, 2))}
-    return None
 
 
 def _window_spread_detail(devs2: list[int], allowed2: int) -> dict[str, str] | None:
     # A window's doubled deviation is a difference of two prefix entries, so
     # the worst window over all lengths is the spread of the prefix sequence.
     lo, hi = min(devs2), max(devs2)
-    if hi - lo <= 2 * allowed2:
+    if hi - lo <= allowed2:
         return None
     a, c = sorted((devs2.index(lo), devs2.index(hi)))
     return {"b": str(c - a), "j": str(a + 1), "dev": str(Fraction(hi - lo, 2)),
@@ -361,7 +360,7 @@ def d1_claim_suite(perms, n: int) -> ClaimReport:
     n+1 and every window deviation (any length) within 2*(n+1); O(n) each."""
     return _claims(f"d1(n={n})", perms, n, (
         ("prefix_bound", lambda pi, devs2: _prefix_bound_detail(devs2, 2 * (n + 1))),
-        ("window_bound", lambda pi, devs2: _window_spread_detail(devs2, 2 * (n + 1)))))
+        ("window_bound", lambda pi, devs2: _window_spread_detail(devs2, 4 * (n + 1)))))
 
 
 def d2_claim_suite(perms, params: D2Params) -> ClaimReport:
@@ -409,7 +408,7 @@ def tn_claim_suite(perms, params: TnParams) -> ClaimReport:
 
     return _claims(f"tn(n={n},k={k})", perms, n, (
         ("two_neighbor", neighbor),
-        ("window_bound", lambda pi, devs2: _window_spread_detail(devs2, 2 * (n + 1)))))
+        ("window_bound", lambda pi, devs2: _window_spread_detail(devs2, 4 * (n + 1)))))
 
 
 def claim_suite(perms, config) -> ClaimReport:

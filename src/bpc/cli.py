@@ -19,7 +19,8 @@ import json
 import sys
 from fractions import Fraction
 
-from ._util import DEFAULT_ENUM_LIMIT, codec_parameters, decimal_fraction, decimal_int
+from . import DEFAULT_ENUM_LIMIT
+from ._util import codec_parameters, decimal_fraction, decimal_int
 from .errors import (
     BpcError,
     NotCodeword,
@@ -369,7 +370,7 @@ def _census_spec(args):
     if args.dev_max is None:
         raise ParamInvalid("--dev-max is required with --blocks")
     devs = [_fraction(t) for t in args.dev_max.replace(",", " ").split()]
-    if len(devs) == 1:
+    if len(devs) == 1 and blocks:
         devs = devs * len(blocks)
     if len(devs) != len(blocks):
         raise ParamInvalid("--dev-max must list one value, or one per block")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _EXPORTS
-from ._util import Record, ceil_rational_power, exact_int
+from ._util import Record, exact_int, scale_parameter
 from .errors import ParamInvalid
 from .perm_core import BalanceSpec, Permutation, _Emitter, _project
 
@@ -38,7 +38,7 @@ class D2Params(Record):
     @classmethod
     def from_epsilon(cls, n: int, epsilon: Fraction) -> "D2Params":
         """Derive N = ceil(n**epsilon) exactly, then validate it unchanged."""
-        return cls(n, ceil_rational_power(n, Fraction(epsilon)))
+        return cls(n, scale_parameter("d2", n, None, epsilon))
 
     @property
     def block_size(self) -> int:

@@ -266,16 +266,22 @@ def reference_window_violations(xs, steps, limits) -> list[tuple[int, int]]:
             if abs(xs[s + b] - xs[s]) > limits[b]]
 
 
-def reference_window_spread_detail(devs2, allowed2):
-    lo_i = max(range(len(devs2)), key=lambda i: -devs2[i])
-    hi_i = max(range(len(devs2)), key=lambda i: devs2[i])
-    if devs2[hi_i] - devs2[lo_i] <= 2 * allowed2:
+def reference_window_spread_detail(pi: Permutation, allowed: Fraction):
+    """The worst window over all lengths against the real allowance
+    ``allowed``: prefix deviations ``sum(pi[:j]) - j*(n+1)/2`` summed afresh
+    as Fractions, the window from the first lowest prefix to the first
+    highest one (in position order) deviating by their difference."""
+    n = pi.n
+    devs = [sum(pi.values[:j]) - Fraction(j * (n + 1), 2) for j in range(n + 1)]
+    lo_i = devs.index(min(devs))
+    hi_i = devs.index(max(devs))
+    if devs[hi_i] - devs[lo_i] <= allowed:
         return None
     a, c = sorted((lo_i, hi_i))
     return {
         "b": str(c - a), "j": str(a + 1),
-        "dev": str(Fraction(abs(devs2[c] - devs2[a]), 2)),
-        "allowed": str(Fraction(allowed2, 2)),
+        "dev": str(devs[hi_i] - devs[lo_i]),
+        "allowed": str(allowed),
     }
 
 
@@ -322,7 +328,7 @@ def reference_d1_claim_suite(perms, n: int) -> ClaimReport:
                 detail = {"j": str(j), "dev": str(dev), "allowed": str(n + 1)}
                 break
         prefix.record(pi, detail)
-        window.record(pi, reference_window_spread_detail(devs2, 2 * (n + 1)))
+        window.record(pi, reference_window_spread_detail(pi, Fraction(2 * (n + 1))))
     return ClaimReport(config=f"d1(n={n})", total=len(perms),
                        bounds=(prefix.result(), window.result()))
 
@@ -414,8 +420,7 @@ def reference_tn_claim_suite(perms, params: TnParams) -> ClaimReport:
             detail = {"i": str(first.i), "left": str(first.left_diff),
                       "right": str(first.right_diff), "allowed": str(k)}
         neighbor.record(pi, detail)
-        devs2 = reference_devs2(pi)
-        window.record(pi, reference_window_spread_detail(devs2, 2 * (n + 1)))
+        window.record(pi, reference_window_spread_detail(pi, Fraction(2 * (n + 1))))
     return ClaimReport(config=f"tn(n={n},k={k})", total=len(perms),
                        bounds=(neighbor.result(), window.result()))
 

@@ -137,6 +137,21 @@ class TestEncodeDecodeD1:
                            "--gamma1", "1 2", "--gamma2", "1 2", "--i1", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("given,error", [
+        (("--gamma1", "3,4,1,2,5,6"), "error: both --gamma1 and --gamma2 are required\n"),
+        (("--gamma2", "6,5,4,3,2,1"), "error: both --gamma1 and --gamma2 are required\n"),
+        (("--i1", "0"), "error: both --i1 and --i2 are required\n"),
+        (("--i2", "0"), "error: both --i1 and --i2 are required\n"),
+    ], ids=["gamma1", "gamma2", "i1", "i2"])
+    def test_half_a_form_is_usage_error(self, capsys, given, error):
+        code, out, err = run(capsys, "encode", "d1", "--n", "12", *given)
+        assert (code, out, err) == (2, "", error)
+
+    def test_decode_json_orderings(self, capsys):
+        code, out, err = run(capsys, "decode", "d1", "--perm", EX1_TEXT, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == '{"gamma1": [3, 4, 1, 2, 5, 6], "gamma2": [6, 5, 4, 3, 2, 1]}\n'
+
     def test_n_consistency(self, capsys):
         code, _, err = run(capsys, "encode", "d1", "--n", "6",
                            "--gamma1", "1 2", "--gamma2", "1 2")
@@ -271,6 +286,38 @@ class TestVerifyAndDisc:
         assert code == 2
 
 
+def _claims_json(config, perm, bounds):
+    """The claims payload of a one-permutation batch: ``bounds`` lists each
+    bound's name and its witness detail, None where it passes."""
+    return json.dumps({"config": config, "total": 1, "bounds": [
+        {"name": name, "checked": 1, "passed": int(detail is None),
+         "failures": int(detail is not None),
+         "first_counterexample": None if detail is None else
+         {"perm": perm, "bound": name, "detail": detail}}
+        for name, detail in bounds]}) + "\n"
+
+
+ID20 = " ".join(map(str, range(1, 21)))
+SCRAMBLED32 = " ".join(map(str, (1, 32, *range(2, 32))))
+ZIGZAG24 = " ".join(map(str, (2, 24, 1, *range(3, 24))))
+CLAIM_WITNESSES = [
+    (("--config", "d1"), ID20, _claims_json("d1(n=20)", ID20, [
+        ("prefix_bound", {"j": "3", "dev": "-51/2", "allowed": "21"}),
+        ("window_bound", {"b": "10", "j": "1", "dev": "50", "allowed": "42"})])),
+    (("--config", "d2", "--N", "8"), SCRAMBLED32, _claims_json("d2(n=32,N=8)", SCRAMBLED32, [
+        ("even_prefix_bound", {"j": "4", "dev": "-28", "allowed": "8"}),
+        ("pair_locality", {"i": "2", "j+1": "4", "gap": "29", "allowed": "16"}),
+        ("window_bound", {"b": "4", "j": "3", "dev": "52", "allowed": "33"})])),
+    (("--config", "tn", "--k", "4"), ZIGZAG24, _claims_json("tn(n=24,k=4)", ZIGZAG24, [
+        ("two_neighbor", {"i": "2", "left": "22", "right": "23", "allowed": "4"}),
+        ("window_bound", {"b": "11", "j": "3", "dev": "123/2", "allowed": "50"})])),
+    (("--config", "tn", "--k", "4"), ID20 + " 21 22 23 24",
+     _claims_json("tn(n=24,k=4)", ID20 + " 21 22 23 24", [
+         ("two_neighbor", None),
+         ("window_bound", {"b": "12", "j": "1", "dev": "72", "allowed": "50"})])),
+]
+
+
 class TestAnalyze:
     def test_census_json(self, capsys):
         code, out, _ = run(capsys, "analyze", "census", "--n", "4",
@@ -309,6 +356,27 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "census", "--n", "4", "--preset", *preset, *spec)
         assert (code, out) == (2, "")
         assert err == "error: --preset and --blocks/--dev-max are mutually exclusive\n"
+
+    @pytest.mark.parametrize("spec,error", [
+        ((), "error: supply --preset or --blocks/--dev-max\n"),
+        (("--dev-max", "1"), "error: supply --preset or --blocks/--dev-max\n"),
+        (("--blocks", "2"), "error: --dev-max is required with --blocks\n"),
+        (("--blocks", "2,3,4", "--dev-max", "1,2"),
+         "error: --dev-max must list one value, or one per block\n"),
+        # with no lengths, one allowance is one too many, not one for all
+        (("--blocks", "", "--dev-max", "1"),
+         "error: --dev-max must list one value, or one per block\n"),
+    ], ids=["no-spec", "dev-max-only", "blocks-only", "two-for-three", "no-lengths"])
+    def test_census_spec_errors(self, capsys, spec, error):
+        code, out, err = run(capsys, "analyze", "census", "--n", "4", *spec)
+        assert (code, out, err) == (2, "", error)
+
+    def test_census_without_lengths_checks_only_the_neighbor_bound(self, capsys):
+        code, out, err = run(capsys, "analyze", "census", "--n", "6", "--blocks", "",
+                             "--dev-max", "", "--neighbor-k", "1")
+        assert (code, err) == (0, "")
+        assert out == ('{"n": 6, "blocks": [], "dev_max": {}, "neighbor_k": 1, '
+                       '"count": "170", "achievers": []}\n')
 
     def test_census_negative_cap_is_usage_error(self, capsys):
         code, out, err = run(capsys, "analyze", "census", "--n", "4",
@@ -385,6 +453,16 @@ class TestAnalyze:
         assert lines[0] == "config,n,code_log2,perm_log2,rate,target,note"
         assert len(lines) == 3
 
+    def test_rate_table_json(self, capsys):
+        code, out, err = run(capsys, "analyze", "rate", "--config", "d1", "--n", "4,6")
+        assert (code, err) == (0, "")
+        assert out == (
+            '[{"config": "d1", "n": 4, "code_log2": 2.0, "perm_log2": 4.584962500721156, '
+            '"rate": 0.4362085839710631, "target": 1.0, "note": null}, '
+            '{"config": "d1", "n": 6, "code_log2": 5.169925001442312, '
+            '"perm_log2": 9.491853096329674, "rate": 0.5446697234959765, "target": 1.0, '
+            '"note": null}]\n')
+
     def test_rate_tn_past_n_10_is_exact(self, capsys):
         code, out, _ = run(capsys, "analyze", "rate", "--config", "tn",
                            "--n", "8,24", "--k", "4", "--format", "csv")
@@ -454,6 +532,25 @@ class TestAnalyze:
         assert [b["name"] for b in obj["bounds"]] == ["two_neighbor",
                                                       "window_bound"]
         assert all(b["failures"] == 0 for b in obj["bounds"])
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+    def test_claims_on_no_permutations_is_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "perms.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze", "claims", "--config", "d1",
+                             "--perms", str(path))
+        assert (code, out, err) == (2, "", "error: no permutations supplied\n")
+
+    @pytest.mark.parametrize("options,perm,expected", CLAIM_WITNESSES,
+                             ids=["d1", "d2", "tn", "tn-identity"])
+    def test_claims_witness_of_every_bound(self, capsys, tmp_path, options, perm, expected):
+        # every dev/allowed pair is in the sum's own units: the d1 and tn
+        # window allowance is 2(n+1), the d2 ones 2n/N, 4n/N and 8(n+1)/N
+        path = tmp_path / "perms.txt"
+        path.write_text(perm + "\n")
+        code, out, err = run(capsys, "analyze", "claims", *options, "--perms", str(path))
+        assert (code, err) == (0, "")
+        assert out == expected
 
 
 PERM16 = "1 16 2 15 3 14 4 13 5 12 6 11 7 10 8 9"
@@ -566,6 +663,13 @@ class TestImportCost:
     def test_package_import_loads_no_submodule(self):
         probe = "import sys, bpc; print(sorted(m for m in sys.modules if m.startswith('bpc.')))"
         assert _probe(probe) == ["[]"]
+
+    def test_enum_limit_loads_no_submodule(self):
+        probe = ("import sys, bpc; limit = bpc.DEFAULT_ENUM_LIMIT; "
+                 "print(limit, sorted(m for m in sys.modules if m.startswith('bpc.')))")
+        assert _probe(probe) == ["10 []"]
+        import bpc.analysis
+        assert bpc.analysis.DEFAULT_ENUM_LIMIT is bpc.DEFAULT_ENUM_LIMIT == 10
 
     def test_cli_import_loads_no_dataclasses(self):
         probe = "import sys, bpc.cli; print('dataclasses' in sys.modules)"

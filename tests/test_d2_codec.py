@@ -56,6 +56,21 @@ class TestParams:
         with pytest.raises(ParamInvalid):
             D2Params.from_epsilon(30, Fraction(1, 2))
 
+    @pytest.mark.parametrize("n,epsilon,error", [
+        (0, Fraction(1, 2), "base must be >= 1"),
+        (64, True, r"exponent must lie in \(0, 1\)"),
+        (64, Fraction(1, 10001), "exponent denominator 10001 is too large"),
+        (64, None, "either N or epsilon is required"),
+    ], ids=["n-zero", "bool", "huge-denominator", "none"])
+    def test_from_epsilon_refusals(self, n, epsilon, error):
+        # the exponent takes the one path to N that rate_report_d2 takes
+        with pytest.raises(ParamInvalid, match=f"^{error}"):
+            D2Params.from_epsilon(n, epsilon)
+
+    def test_from_epsilon_reads_text_and_floats_exactly(self):
+        assert D2Params.from_epsilon(64, "1/2") == D2Params(64, 8)
+        assert D2Params.from_epsilon(64, 0.5) == D2Params(64, 8)
+
 
 class TestSchedule:
     def test_two_cells_at_n32(self):

@@ -1,18 +1,37 @@
 """The examples in the documentation run: every ``>>>`` example in the
-``bpc`` modules, and the README's ``python`` quick start."""
+``bpc`` modules, the README's ``python`` quick start, and the ``bpc``
+command lines of the README's ``sh`` blocks."""
 
 import doctest
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import bpc
 import bpc.perm_core
+from bpc import cli
 
 MODULES = [info.name for info in pkgutil.iter_modules(bpc.__path__, "bpc.")]
+README = Path(__file__).resolve().parent.parent / "README.md"
+FILE_OPTIONS = ("--input", "--perms")  # their values name files the README does not ship
+
+
+def readme_command_lines() -> list[str]:
+    """Each ``bpc ...`` line of the README's ``sh`` blocks, comment cut off,
+    in both forms of a ``[...]`` optional part: without it and with it."""
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.DOTALL):
+        for line in block.splitlines():
+            line = line.split("  #")[0].strip()
+            if line.startswith("bpc "):
+                lines.append(re.sub(r"\s*\[[^]]*\]", "", line))
+                if "[" in line:
+                    lines.append(re.sub(r"\[([^]]*)\]", r"\1", line))
+    return lines
 
 
 @pytest.mark.parametrize("name", ["bpc", *MODULES])
@@ -26,7 +45,24 @@ def test_the_examples_are_found():
 
 
 def test_readme_quick_start():
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.DOTALL)
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_command_lines_are_found():
+    lines = readme_command_lines()
+    assert len(lines) >= 14
+    assert "bpc decode d1 --perm \"3 12 4 11 1 10 2 9 8 5 7 6\" --message" in lines
+
+
+@pytest.mark.parametrize("line", readme_command_lines())
+def test_readme_command_line_parses(line, capsys):
+    argv = shlex.split(line)[1:]
+    try:
+        cli._build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"the parser refuses {line!r}: {capsys.readouterr().err}")
+    if "..." in line or any(option in argv for option in FILE_OPTIONS):
+        return  # a placeholder or a file argument: parsed, not run
+    assert cli.run(argv) == 0, capsys.readouterr().err

@@ -72,6 +72,16 @@ class TestMakePermutation:
         with pytest.raises(NotPermutation):
             make_permutation((1.0, 2))
 
+    def test_length_iteration_and_text(self):
+        pi = Permutation((2, 3, 1))
+        assert len(pi) == 3
+        assert list(pi) == [2, 3, 1]
+        assert str(pi) == "2 3 1"
+
+    def test_identity_of_length_zero_rejected(self):
+        with pytest.raises(ParamInvalid, match=r"^length must be >= 1$"):
+            identity(0)
+
     @given(perms_strategy)
     def test_bijection_invariant(self, pi):
         assert sorted(pi.values) == list(range(1, pi.n + 1))
@@ -327,6 +337,17 @@ class TestBalanceSpecValidation:
         spec = d2_preset(4, 4)
         assert spec.blocks == ()
         assert verify_balance(identity(4), spec).is_valid
+
+    def test_length_zero_rejected(self):
+        with pytest.raises(ParamInvalid, match=r"^preset length must be >= 1$"):
+            d1_preset(0)
+        with pytest.raises(ParamInvalid, match=r"^spec length must be >= 1$"):
+            BalanceSpec(0, (), {})
+
+    @pytest.mark.parametrize("dev_max", [{3: Fraction(1)}, {}, {2: Fraction(1), 3: Fraction(1)}])
+    def test_dev_max_keys_must_be_the_lengths(self, dev_max):
+        with pytest.raises(ParamInvalid, match=r"^dev_max keys must match the block set$"):
+            BalanceSpec(4, (2,), dev_max)
 
     def test_blocks_must_increase(self):
         with pytest.raises(ParamInvalid):

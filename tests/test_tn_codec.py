@@ -119,6 +119,8 @@ class TestEncode:
             TnInput(params, sigmas, (1, 3, 4, 5))  # index out of range
         with pytest.raises(ParamInvalid):
             TnInput(params, sigmas[:3], (1, 3, 4, 2))  # missing ordering
+        with pytest.raises(ParamInvalid, match=r"^every ordering must have length 2$"):
+            TnInput(params, sigmas[:3] + (Permutation((1, 2, 3)),), (1, 3, 4, 2))
 
 
 class TestExhaustiveSmall:
