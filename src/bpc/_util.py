@@ -48,20 +48,25 @@ class Record:
 
     A subclass names its fields, in order, in ``__slots__`` and sets them in
     its own ``__init__``, by ``_init`` or, where construction is hot, by
-    ``object.__setattr__``.  The base adds the rest of a value type:
-    equality and hash by class and field values, a ``Name(field=value, ...)``
-    repr, ``AttributeError`` on assignment, and pickling through the
-    constructor (so an unpickled value is validated like a new one).
+    ``object.__setattr__``.  A slot named ``_...`` is not a field: it holds
+    state that the constructor derives from the fields.  The base adds the
+    rest of a value type: equality and hash by class and field values, a
+    ``Name(field=value, ...)`` repr, ``AttributeError`` on assignment, and
+    pickling through the constructor (so an unpickled value is validated,
+    and its derived state rebuilt, like a new one).
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._names = tuple(name for name in cls.__slots__ if not name.startswith("_"))
 
     def _init(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._names])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -72,7 +77,7 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import DEFAULT_ENUM_LIMIT, _EXPORTS
-from ._util import Record, codec_parameters, log2_int, scale_parameter
+from ._util import Record, codec_parameters, exact_int, log2_int, scale_parameter
 from .d2_codec import D2Params, d2_preset
 from .errors import IndexOutOfRange, LimitExceeded, ParamInvalid, SpecMismatch
 from .perm_core import (
@@ -30,7 +30,6 @@ from .perm_core import (
     NeighborSpec,
     Permutation,
     _check_neighbor_range,
-    _doubled_limits,
     _window_violations,
     check_two_neighbor,
     format_permutation,
@@ -51,6 +50,7 @@ def _fan_out(scan, tasks, workers: int) -> list:
 
 
 def _check_limit(n: int, limit: int) -> None:
+    n, limit = exact_int(n), exact_int(limit)
     if n < 1:
         raise ParamInvalid("n must be >= 1")
     if n > limit:
@@ -135,11 +135,11 @@ def census(n: int, spec: BalanceSpec, neighbor: NeighborSpec | None = None,
         raise SpecMismatch(f"spec is for n={spec.n}, census is over S_{n}")
     if neighbor is not None:
         _check_neighbor_range(n, neighbor.k)
-    if cap < 0:
+    if exact_int(cap) < 0:
         raise ParamInvalid(f"achiever cap must be >= 0, got {cap}")
-    if workers < 0:
+    if exact_int(workers) < 0:
         raise ParamInvalid("worker count must be >= 0")
-    limits = [(b, lim) for b, lim in _doubled_limits(spec).items() if lim < b * (n - b)]
+    limits = [(b, lim) for b, lim in spec._limits.items() if lim < b * (n - b)]
     neighbor_k = neighbor.k if neighbor else None
     if not limits and neighbor_k is None:
         count, achievers = factorial(n), itertools.permutations(range(1, n + 1))
@@ -162,6 +162,7 @@ def min_disc(n: int, b: int, limit: int = DEFAULT_ENUM_LIMIT,
     2 from that parity, and each census prunes every prefix already past t.
     """
     _check_limit(n, limit)
+    b = exact_int(b)
     if not 2 <= b <= n:
         raise IndexOutOfRange(f"window length {b} outside [2, {n}]")
     for t in itertools.count(b * (n + 1) % 2, 2):
@@ -372,7 +373,6 @@ def d2_claim_suite(perms, params: D2Params) -> ClaimReport:
     span = 4 * n // N
     spec = d2_preset(n, N)
     gap_limits = dict.fromkeys(spec.blocks, span)
-    window_limits = _doubled_limits(spec)
 
     def locality(pi, devs2):
         # symbols i and i+b at most span apart; the first (b, i) is reported
@@ -383,7 +383,7 @@ def d2_claim_suite(perms, params: D2Params) -> ClaimReport:
         return None
 
     def window(pi, devs2):
-        for b, s in _window_violations(devs2, spec.blocks, window_limits):
+        for b, s in _window_violations(devs2, spec.blocks, spec._limits):
             return {"b": str(b), "j": str(s + 1),
                     "dev": str(Fraction(abs(devs2[s + b] - devs2[s]), 2)),
                     "allowed": str(spec.dev_max[b])}

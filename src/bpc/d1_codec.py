@@ -13,7 +13,7 @@ half-membership projection.
 from __future__ import annotations
 
 from . import _EXPORTS
-from ._util import Record, int_text
+from ._util import Record, exact_int, int_text
 from .errors import IndexOutOfRange, OddLength, ParamInvalid
 from .perm_core import Permutation, _Emitter, _project, rank, unrank
 
@@ -120,6 +120,7 @@ def decode_d1(pi: Permutation) -> D1Input:
 
 def d1_message_input(i1: int, i2: int, n: int) -> D1Input:
     """The ordering pair whose codeword carries ranks (i1, i2), each below (n/2)!."""
+    n = exact_int(n)
     if n < 2 or n % 2 != 0:
         raise OddLength(f"length {n} is not a positive even integer")
     half = n // 2

@@ -23,12 +23,13 @@ __all__ = _EXPORTS["d2_codec"]
 class D2Params(Record):
     """Block split of {1, ..., n} into N equal parts.
 
-    N must divide n and be a positive multiple of 4.
+    Both are exact ints; N must divide n and be a positive multiple of 4.
     """
 
     __slots__ = ("n", "N")
 
     def __init__(self, n: int, N: int):
+        n, N = exact_int(n), exact_int(N)
         if N < 4 or N % 4 != 0:
             raise ParamInvalid(f"block count {N} must be a multiple of 4")
         if n < 1 or n % N != 0:
@@ -152,8 +153,8 @@ def d2_input_to_json_dict(inp: D2Input) -> dict:
 
 def d2_input_from_json_dict(obj: dict) -> D2Input:
     try:
-        params = D2Params(exact_int(obj["n"]), exact_int(obj["N"]))
-        sigmas = tuple(Permutation(tuple(map(exact_int, s))) for s in obj["sigmas"])
+        params = D2Params(obj["n"], obj["N"])
+        sigmas = tuple(Permutation(tuple(s)) for s in obj["sigmas"])
     except (KeyError, TypeError) as exc:
         raise ParamInvalid(f"malformed block-codec input: {exc!r}") from exc
     return D2Input(params, sigmas)

@@ -275,7 +275,7 @@ def disc(pi: Permutation, b: int) -> Fraction:
     Every window start ``j`` in ``[1, n-b+1]`` is considered, in O(n).  The
     result is an integer when ``b*(n+1)`` is even, else a half-integer.
     """
-    n = pi.n
+    n, b = pi.n, exact_int(b)
     if not 1 <= b <= n:
         raise IndexOutOfRange(f"block length {b} outside [1, {n}]")
     devs2 = prefix_deviations_doubled(pi)
@@ -286,15 +286,19 @@ class BalanceSpec(Record):
     """A set of window lengths plus the allowed deviation for each.
 
     ``dev_max[b]`` bounds ``|window_sum - b*(n+1)/2|`` for every length-``b``
-    window.  Deviations are non-negative exact rationals.
+    window.  ``n`` and the lengths are exact ints, deviations non-negative
+    exact rationals.  Construction derives, once, the limit per length that
+    the verifiers and the census read, the largest doubled deviation allowed:
+    |w - b*(n+1)/2| > p/q  <=>  |2w - b*(n+1)| * q > 2p  <=>  dev2 > 2p // q.
+    ``dev_max`` is read only then, so it must not be mutated afterwards.
     """
 
-    __slots__ = ("n", "blocks", "dev_max")
+    __slots__ = ("n", "blocks", "dev_max", "_limits")
 
     def __init__(self, n: int, blocks: tuple[int, ...], dev_max: Mapping[int, Fraction]):
+        n, blocks = exact_int(n), tuple(map(exact_int, blocks))
         if n < 1:
             raise ParamInvalid("spec length must be >= 1")
-        blocks = tuple(blocks)
         if any(b2 <= b1 for b1, b2 in zip(blocks, blocks[1:])):
             raise ParamInvalid("block lengths must be strictly increasing")
         if blocks and not (1 <= blocks[0] and blocks[-1] <= n):
@@ -303,9 +307,10 @@ class BalanceSpec(Record):
             raise ParamInvalid("dev_max keys must match the block set")
         dev = {b: dev_max[b] for b in blocks}
         dev = {b: v if type(v) is Fraction else Fraction(v) for b, v in dev.items()}
-        if any(v.numerator < 0 for v in dev.values()):
+        limits = {b: 2 * a.numerator // a.denominator for b, a in dev.items()}
+        if min(limits.values(), default=0) < 0:  # 2p // q < 0 exactly when p < 0
             raise ParamInvalid("allowed deviations must be non-negative")
-        self._init(n, blocks, dev)
+        self._init(n, blocks, dev, limits)
 
 
 def d1_preset(n: int) -> BalanceSpec:
@@ -317,18 +322,13 @@ def d1_preset(n: int) -> BalanceSpec:
     return BalanceSpec(n, blocks, {b: allowed for b in blocks})
 
 
-def _doubled_limits(spec: BalanceSpec) -> dict[int, int]:
-    """Per length b, the largest doubled window deviation the spec allows:
-    |w - b*(n+1)/2| > p/q  <=>  |2w - b*(n+1)| * q > 2p  <=>  dev2 > 2p // q."""
-    return {b: 2 * a.numerator // a.denominator for b, a in spec.dev_max.items()}
-
-
 class NeighborSpec(Record):
     """Two-neighbor distance bound ``k``."""
 
     __slots__ = ("k",)
 
     def __init__(self, k: int):
+        k = exact_int(k)
         if k < 1:
             raise ParamInvalid("neighbor bound k must be >= 1")
         self._init(k)
@@ -411,13 +411,12 @@ def verify_balance(pi: Permutation, spec: BalanceSpec) -> ViolationReport:
     n = pi.n
     if spec.n != n:
         raise SpecMismatch(f"spec is for n={spec.n}, permutation has n={n}")
-    limits = _doubled_limits(spec)
     D = prefix_deviations_doubled(pi)
     return ViolationReport(tuple(
         BalanceViolation(b=b, j=s + 1, window_sum=(D[s + b] - D[s] + b * (n + 1)) // 2,
                          target=Fraction(b * (n + 1), 2), allowed_dev=spec.dev_max[b],
                          actual_dev=Fraction(abs(D[s + b] - D[s]), 2))
-        for b, s in _window_violations(D, spec.blocks, limits)))
+        for b, s in _window_violations(D, spec.blocks, spec._limits)))
 
 
 def _check_neighbor_range(n: int, k: int) -> None:

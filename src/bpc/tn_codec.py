@@ -36,14 +36,15 @@ def mandated_half(dev: Fraction | int) -> Half:
 class TnParams(Record):
     """Set split for the neighbor-constrained codec.
 
-    ``k`` is both the set size and the neighbor distance bound; it must be
-    even and divide ``n``, and the number of sets m = n/k must be even so
-    the sets split into a low and a high half.
+    ``n`` and ``k`` are exact ints.  ``k`` is both the set size and the
+    neighbor distance bound; it must be even and divide ``n``, and the number
+    of sets m = n/k must be even so the sets split into a low and a high half.
     """
 
     __slots__ = ("n", "k")
 
     def __init__(self, n: int, k: int):
+        n, k = exact_int(n), exact_int(k)
         if k < 2 or k % 2 != 0:
             raise ParamInvalid(f"set size {k} must be a positive even integer")
         if n < 1 or n % k != 0:
@@ -84,9 +85,10 @@ class TnParams(Record):
 class TnInput(Record):
     """Orderings of the m sets plus the selector stream (one set per pair).
 
-    Construction checks shapes only; whether the selector respects the
-    mandated halves (and never over-draws a set) is discovered during
-    encoding, where a violation carries full diagnostic state.
+    Construction checks shapes, and that the selector's entries are exact
+    ints in [1, m]; whether the selector respects the mandated halves (and
+    never over-draws a set) is discovered during encoding, where a violation
+    carries full diagnostic state.
     """
 
     __slots__ = ("params", "sigmas", "selector")
@@ -101,7 +103,9 @@ class TnInput(Record):
         if len(selector) != p.n // 2:
             raise ParamInvalid(
                 f"selector must have {p.n // 2} entries, got {len(selector)}")
-        if any(not 1 <= s <= p.m for s in selector):
+        if set(map(type, selector)) != {int}:  # in C; exact_int names a non-integer
+            selector = tuple(map(exact_int, selector))
+        if min(selector) < 1 or max(selector) > p.m:
             raise ParamInvalid(f"selector entries must lie in [1, {p.m}]")
         self._init(params, sigmas, selector)
 
@@ -211,9 +215,9 @@ def tn_input_to_json_dict(inp: TnInput) -> dict:
 
 def tn_input_from_json_dict(obj: dict) -> TnInput:
     try:
-        params = TnParams(exact_int(obj["n"]), exact_int(obj["k"]))
-        sigmas = tuple(Permutation(tuple(map(exact_int, s))) for s in obj["sigmas"])
-        selector = tuple(map(exact_int, obj["selector"]))
+        params = TnParams(obj["n"], obj["k"])
+        sigmas = tuple(Permutation(tuple(s)) for s in obj["sigmas"])
+        selector = tuple(obj["selector"])
     except (KeyError, TypeError) as exc:
         raise ParamInvalid(f"malformed neighbor-codec input: {exc!r}") from exc
     return TnInput(params, sigmas, selector)

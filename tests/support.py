@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from bpc import (
+    BalanceSpec,
     BalanceViolation,
     BoundResult,
     CensusResult,
@@ -217,6 +218,35 @@ def random_permutation(rng: random.Random, n: int) -> Permutation:
     vals = list(range(1, n + 1))
     rng.shuffle(vals)
     return Permutation(tuple(vals))
+
+
+def allowances(n: int) -> list[Fraction]:
+    """0, 1/3, 1/2, 5/7, 2(n+1) (the d1 preset's) and 10**30/7 (past any
+    window): their doubled limits 2p // q round down from thirds, halves and
+    sevenths, and the last is a big int."""
+    return [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7),
+            Fraction(2 * (n + 1)), Fraction(10**30, 7)]
+
+
+def allowance_specs(n: int) -> list:
+    """Specs on every length 1..n: one per allowance, and one that gives the
+    lengths the allowances in turn."""
+    values = allowances(n)
+    lengths = tuple(range(1, n + 1))
+    return [BalanceSpec(n, lengths, dict.fromkeys(lengths, a)) for a in values] + [
+        BalanceSpec(n, lengths, {b: values[b % len(values)] for b in lengths})]
+
+
+def far_from_balance(rng: random.Random, n: int) -> list[Permutation]:
+    """The identity, the reversal, the low half then the high half each
+    reversed, the high half then the low half, and 20 seeded shuffles: the
+    sorted words put a prefix deviation of about n**2/8 in the middle."""
+    low, high = list(range(1, n // 2 + 1)), list(range(n // 2 + 1, n + 1))
+    words = [low + high, high[::-1] + low[::-1], low[::-1] + high[::-1], high + low]
+    for _ in range(20):
+        words.append(low + high)
+        rng.shuffle(words[-1])
+    return [Permutation(tuple(w)) for w in words]
 
 
 # ---------------------------------------------------------------------------

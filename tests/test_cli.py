@@ -239,6 +239,31 @@ class TestEncodeDecodeTn:
             assert "integer" in err
 
 
+class TestJsonIntegers:
+    """A JSON input with 8.0 or true where an integer belongs exits 2 with
+    one stderr line: the value types name n, N, k and the selector entries,
+    ``Permutation`` names a sigma entry."""
+
+    @pytest.mark.parametrize("codec, field", [
+        ("d2", "n"), ("d2", "N"), ("d2", "sigma"),
+        ("tn", "n"), ("tn", "k"), ("tn", "sigma"), ("tn", "selector")])
+    @pytest.mark.parametrize("bad, text", [(8.0, "8.0"), (True, "True")])
+    def test_non_integer_is_usage_error(self, capsys, monkeypatch, codec, field, bad, text):
+        obj = (d2_input_to_json_dict(ex3_input()) if codec == "d2"
+               else tn_input_to_json_dict(ex4_input()))
+        if field == "sigma":
+            obj["sigmas"][0][0] = bad
+        elif field == "selector":
+            obj["selector"][0] = bad
+        else:
+            obj[field] = bad
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
+        code, out, err = run(capsys, "encode", codec, "--input", "-")
+        assert (code, out) == (2, "")
+        assert err == (f"error: symbol {text} is not an integer\n" if field == "sigma"
+                       else f"error: expected an integer, got {text}\n")
+
+
 class TestVerifyAndDisc:
     def test_verify_valid(self, capsys):
         code, out, _ = run(capsys, "verify", "--preset", "d1", "--perm", EX1_TEXT)

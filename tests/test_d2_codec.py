@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bpc import (
     D2Input,
     D2Params,
+    NotPermutation,
     ParamInvalid,
     Permutation,
     cell_schedule,
@@ -261,8 +262,13 @@ class TestJson:
             obj[field] = bad
         else:
             obj[field][0][index] = bad
-        with pytest.raises(ParamInvalid):
+        # the loader checks nothing itself: Permutation refuses a sigma
+        # entry, D2Params the other fields
+        error, text = ((NotPermutation, f"symbol {bad!r} is not an integer") if field == "sigmas"
+                       else (ParamInvalid, f"expected an integer, got {bad!r}"))
+        with pytest.raises(error) as info:
             d2_input_from_json_dict(obj)
+        assert str(info.value) == text
 
     def test_shape_validation(self):
         with pytest.raises(ParamInvalid):

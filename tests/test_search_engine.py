@@ -22,7 +22,13 @@ from bpc import (
     tn_code_size,
 )
 from bpc import analysis
-from support import reference_census, reference_min_disc, reference_tn_code_size
+from support import (
+    allowance_specs,
+    allowances,
+    reference_census,
+    reference_min_disc,
+    reference_tn_code_size,
+)
 
 
 def random_allowance(rng: random.Random, n: int, b: int) -> Fraction:
@@ -73,6 +79,17 @@ def test_census_matches_full_enumeration(n):
         want = reference_census(n, spec, neighbor=neighbor, cap=cap)
         assert got == want, (spec, neighbor, cap)
         assert got.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_census_reads_the_stored_limits(n):
+    # the limits BalanceSpec derives at construction, against the reference's
+    # own comparison |2w - b(n+1)| * q > 2p at every allowance; on a single
+    # length the tight allowances leave some censuses non-empty
+    single = [BalanceSpec(n, (b,), {b: a}) for a in allowances(n) for b in range(1, n + 1)]
+    for spec in single + allowance_specs(n):
+        got = census(n, spec, cap=3)
+        assert got.to_json_dict() == reference_census(n, spec, cap=3).to_json_dict(), spec
 
 
 def test_census_cases_cover_every_kind():

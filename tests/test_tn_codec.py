@@ -9,6 +9,7 @@ from bpc import (
     Half,
     NeighborSpec,
     NotCodeword,
+    NotPermutation,
     ParamInvalid,
     Permutation,
     SelectorViolation,
@@ -289,5 +290,10 @@ class TestJson:
             obj[field][0] = bad
         else:
             obj[field] = bad
-        with pytest.raises(ParamInvalid):
+        # the loader checks nothing itself: Permutation refuses a sigma
+        # entry, the value types the other fields
+        error, text = ((NotPermutation, f"symbol {bad!r} is not an integer") if field == "sigmas"
+                       else (ParamInvalid, f"expected an integer, got {bad!r}"))
+        with pytest.raises(error) as info:
             tn_input_from_json_dict(obj)
+        assert str(info.value) == text

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpc import ParamInvalid
-from bpc._util import ceil_rational_power, decimal_fraction, decimal_int, log2_int
+from bpc._util import Record, ceil_rational_power, decimal_fraction, decimal_int, log2_int
 
 
 class TestCeilRationalPower:
@@ -102,3 +103,40 @@ class TestDecimalFraction:
     def test_zero_denominator_raises_as_fraction_does(self):
         with pytest.raises(ZeroDivisionError):
             decimal_fraction("1/0")
+
+
+class Scaled(Record):
+    """A value with one field and one derived slot, its double."""
+
+    __slots__ = ("x", "_twice")
+
+    def __init__(self, x: int):
+        self._init(x, 2 * x)
+
+
+class TestRecordDerivedSlot:
+    def tampered(self, x: int) -> Scaled:
+        value = Scaled(x)
+        object.__setattr__(value, "_twice", -1)
+        return value
+
+    def test_field_names_are_computed_once_per_class(self):
+        assert Scaled.__dict__["_names"] == ("x",)
+
+    def test_equality_and_hash_ignore_the_slot(self):
+        a, b = Scaled(3), self.tampered(3)
+        assert a == b and hash(a) == hash(b)
+        assert a != Scaled(4)
+
+    def test_repr_ignores_the_slot(self):
+        assert repr(self.tampered(3)) == "Scaled(x=3)"
+
+    def test_pickling_ignores_the_slot_and_rebuilds_it(self):
+        value = self.tampered(3)
+        assert value.__reduce__() == (Scaled, (3,))
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and back._twice == 6
+
+    def test_the_slot_cannot_be_assigned(self):
+        with pytest.raises(AttributeError, match="cannot assign"):
+            Scaled(3)._twice = 0

@@ -1,7 +1,9 @@
 """The prefix-deviation kernel behind the verifiers and claim suites, checked
 for exact equality against the slow window-scanning references in support.py:
-exhaustively at small n and on seeded, corrupted codewords at large n."""
+exhaustively at small n, and at large n on seeded, corrupted codewords and
+on seeded words far from balance."""
 
+import pickle
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -31,9 +33,12 @@ from bpc import (
 )
 from bpc.perm_core import _window_violations
 from support import (
+    allowance_specs,
     brute_window_max_dev,
+    far_from_balance,
     random_d1_input,
     random_d2_input,
+    random_permutation,
     reference_check_two_neighbor,
     reference_containment,
     reference_d1_claim_suite,
@@ -86,6 +91,30 @@ def test_verify_balance_matches_reference_exhaustively(n):
 
 
 @pytest.mark.parametrize("n", range(1, 8))
+def test_verify_balance_reads_the_stored_limits_exhaustively(n):
+    # the limits BalanceSpec derives at construction, against the reference's
+    # own comparison |2w - b(n+1)| * q > 2p at every allowance
+    specs = allowance_specs(n)
+    for pi in all_perms(n):
+        for spec in specs:
+            assert verify_balance(pi, spec) == reference_verify_balance(pi, spec), (pi, spec)
+
+
+def test_verify_balance_reads_the_stored_limits_on_seeded_words():
+    rng = random.Random(6464)
+    n = 64
+    words = far_from_balance(rng, n)[:8] + [random_permutation(rng, n) for _ in range(4)]
+    words += [encode_d1(random_d1_input(rng, n)) for _ in range(4)]
+    for spec in allowance_specs(n):
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec
+        for pi in words:
+            report = verify_balance(pi, spec)
+            assert report == reference_verify_balance(pi, spec)
+            assert verify_balance(pi, back) == report
+
+
+@pytest.mark.parametrize("n", range(1, 8))
 def test_disc_matches_brute_force_exhaustively(n):
     for pi in all_perms(n):
         for b in range(1, n + 1):
@@ -115,6 +144,30 @@ def test_tn_claim_suite_matches_reference_exhaustively(n, k):
     perms = all_perms(n)
     for pi in perms:
         assert same_claims(tn_claim_suite, reference_tn_claim_suite, [pi], params)
+
+
+@pytest.mark.parametrize("n", [20, 40, 64])
+def test_d1_claim_suite_matches_reference_far_from_balance(n):
+    # sorted halves and shuffles break the window allowance 2(n+1), some by
+    # less than twice it, so a drift in that allowance or in its text shows
+    batch = far_from_balance(random.Random(n), n)
+    for pi in batch:
+        assert same_claims(d1_claim_suite, reference_d1_claim_suite, [pi], n)
+    assert same_claims(d1_claim_suite, reference_d1_claim_suite, batch, n)
+    window = d1_claim_suite(batch, n).bounds[1]
+    assert window.name == "window_bound" and 4 <= window.failures < len(batch)
+
+
+@pytest.mark.parametrize("n,k", [(24, 4), (64, 8)])
+def test_tn_claim_suite_matches_reference_far_from_balance(n, k):
+    params = TnParams(n, k)
+    batch = far_from_balance(random.Random(n * k), n)
+    for pi in batch:
+        assert same_claims(tn_claim_suite, reference_tn_claim_suite, [pi], params)
+    assert same_claims(tn_claim_suite, reference_tn_claim_suite, batch, params)
+    neighbor, window = tn_claim_suite(batch, params).bounds
+    assert window.name == "window_bound" and window.failures >= 4
+    assert neighbor.failures > 0
 
 
 def test_d2_claim_suite_matches_reference_on_random_permutations():
