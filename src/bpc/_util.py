@@ -96,8 +96,7 @@ def ceil_rational_power(n: int, exponent: Fraction) -> int:
     For exponent p/q this is the rounded-up integer q-th root of n**p; a
     float seed is corrected by exact integer comparisons.
     """
-    if n < 1:
-        raise ParamInvalid("base must be >= 1")
+    at_least(n, 1, "base")
     if not 0 < exponent < 1:
         raise ParamInvalid("exponent must lie in (0, 1)")
     p, q = exponent.numerator, exponent.denominator
@@ -143,6 +142,20 @@ def exact_int(value: object) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParamInvalid(f"expected an integer, got {value!r}")
     return value
+
+
+def at_least(value: object, floor: int, name: str) -> int:
+    """``exact_int(value)``, or ``ParamInvalid`` "<name> must be >= <floor>" below it."""
+    if exact_int(value) < floor:
+        raise ParamInvalid(f"{name} must be >= {floor}")
+    return value
+
+
+def exact_ints(values) -> tuple:
+    """``values`` as a tuple of ints by ``exact_int``'s rule, their types tested in C;
+    only another type than int sends them through ``exact_int``, to name the bad one."""
+    values = tuple(values)
+    return values if set(map(type, values)) <= {int} else tuple(map(exact_int, values))
 
 
 def decimal_int(text: str) -> int:

@@ -22,7 +22,8 @@ from fractions import Fraction
 from math import factorial
 
 from . import DEFAULT_ENUM_LIMIT, _EXPORTS
-from ._util import Record, codec_parameters, exact_int, log2_int, scale_parameter
+from ._util import Record, at_least, codec_parameters, exact_int, log2_int, scale_parameter
+from .d1_codec import _half
 from .d2_codec import D2Params, d2_preset
 from .errors import IndexOutOfRange, LimitExceeded, ParamInvalid, SpecMismatch
 from .perm_core import (
@@ -50,9 +51,7 @@ def _fan_out(scan, tasks, workers: int) -> list:
 
 
 def _check_limit(n: int, limit: int) -> None:
-    n, limit = exact_int(n), exact_int(limit)
-    if n < 1:
-        raise ParamInvalid("n must be >= 1")
+    n, limit = at_least(n, 1, "n"), exact_int(limit)
     if n > limit:
         raise LimitExceeded(
             f"exhaustive enumeration over S_{n} exceeds the limit {limit}; "
@@ -137,8 +136,7 @@ def census(n: int, spec: BalanceSpec, neighbor: NeighborSpec | None = None,
         _check_neighbor_range(n, neighbor.k)
     if exact_int(cap) < 0:
         raise ParamInvalid(f"achiever cap must be >= 0, got {cap}")
-    if exact_int(workers) < 0:
-        raise ParamInvalid("worker count must be >= 0")
+    at_least(workers, 0, "worker count")
     limits = [(b, lim) for b, lim in spec._limits.items() if lim < b * (n - b)]
     neighbor_k = neighbor.k if neighbor else None
     if not limits and neighbor_k is None:
@@ -162,8 +160,7 @@ def min_disc(n: int, b: int, limit: int = DEFAULT_ENUM_LIMIT,
     2 from that parity, and each census prunes every prefix already past t.
     """
     _check_limit(n, limit)
-    b = exact_int(b)
-    if not 2 <= b <= n:
+    if not 2 <= exact_int(b) <= n:
         raise IndexOutOfRange(f"window length {b} outside [2, {n}]")
     for t in itertools.count(b * (n + 1) % 2, 2):
         count = census(n, BalanceSpec(n, (b,), {b: Fraction(t, 2)}),
@@ -206,9 +203,7 @@ def _rate_report(config: str, n: int, code_log2: float, target) -> RateReport:
 
 def rate_report_d1(n: int) -> RateReport:
     """Rate of the two-source codec: code size ((n/2)!)**2."""
-    if n < 2 or n % 2 != 0:
-        raise ParamInvalid("the two-source codec needs an even n >= 2")
-    return _rate_report("d1", n, 2 * log2_int(factorial(n // 2)), 1.0)
+    return _rate_report("d1", n, 2 * log2_int(factorial(_half(n))), 1.0)
 
 
 def rate_report_d2(n: int, N: int | None = None,
@@ -226,7 +221,7 @@ def tn_code_size(params: TnParams, limit: int = DEFAULT_ENUM_LIMIT) -> int:
     """``params.code_size``, the exact size of the neighbor-constrained code.
     ``limit`` is the other oracles' guard, kept so that a call above it still
     raises ``LimitExceeded``, although the count enumerates nothing."""
-    if params.n > limit:
+    if params.n > exact_int(limit):
         raise LimitExceeded(f"tn code size at n={params.n} is past the limit {limit}; "
                             "raise the limit explicitly")
     return params.code_size
@@ -359,6 +354,7 @@ def _window_spread_detail(devs2: list[int], allowed2: int) -> dict[str, str] | N
 def d1_claim_suite(perms, n: int) -> ClaimReport:
     """Check the two-source codeword bounds: every prefix deviation within
     n+1 and every window deviation (any length) within 2*(n+1); O(n) each."""
+    n = exact_int(n)
     return _claims(f"d1(n={n})", perms, n, (
         ("prefix_bound", lambda pi, devs2: _prefix_bound_detail(devs2, 2 * (n + 1))),
         ("window_bound", lambda pi, devs2: _window_spread_detail(devs2, 4 * (n + 1)))))

@@ -13,11 +13,18 @@ half-membership projection.
 from __future__ import annotations
 
 from . import _EXPORTS
-from ._util import Record, exact_int, int_text
+from ._util import Record, at_least, exact_int, int_text
 from .errors import IndexOutOfRange, OddLength, ParamInvalid
 from .perm_core import Permutation, _Emitter, _project, rank, unrank
 
 __all__ = _EXPORTS["d1_codec"]
+
+
+def _half(n: int) -> int:
+    """n/2 for a codeword length ``n``: an exact int, even (else ``OddLength``) and >= 2."""
+    if exact_int(n) % 2 != 0:
+        raise OddLength(f"length {int_text(n)} is odd")
+    return at_least(n, 2, "length") // 2
 
 
 class D1Input(Record):
@@ -113,17 +120,12 @@ def decode_d1(pi: Permutation) -> D1Input:
     Total on all even-length permutations, codeword or not; on codewords it
     inverts both encoders.
     """
-    if pi.n % 2 != 0:
-        raise OddLength(f"length {pi.n} is odd")
-    return D1Input(*_project(pi, pi.n // 2))
+    return D1Input(*_project(pi, _half(pi.n)))
 
 
 def d1_message_input(i1: int, i2: int, n: int) -> D1Input:
     """The ordering pair whose codeword carries ranks (i1, i2), each below (n/2)!."""
-    n = exact_int(n)
-    if n < 2 or n % 2 != 0:
-        raise OddLength(f"length {n} is not a positive even integer")
-    half = n // 2
+    half = _half(n)
     gammas = []
     for name, i in (("i1", i1), ("i2", i2)):
         try:

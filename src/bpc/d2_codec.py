@@ -97,11 +97,12 @@ def cell_schedule(params: D2Params) -> CellSchedule:
 
 
 class D2Input(Record):
-    """Per-block orderings sigma_1..sigma_N, each a permutation of [n/N]."""
+    """Per-block orderings sigma_1..sigma_N (a tuple), each a permutation of [n/N]."""
 
     __slots__ = ("params", "sigmas")
 
     def __init__(self, params: D2Params, sigmas: tuple[Permutation, ...]):
+        sigmas = tuple(sigmas)
         if len(sigmas) != params.N:
             raise ParamInvalid(f"expected {params.N} orderings, got {len(sigmas)}")
         size = params.block_size

@@ -23,12 +23,12 @@ class SpecMismatch(BpcError):
     """Verifier spec does not apply to the given permutation."""
 
 
-class OddLength(BpcError):
-    """The two-source codec only accepts even permutation lengths."""
-
-
 class ParamInvalid(BpcError):
     """Codec or analysis parameters violate a shape or divisibility rule."""
+
+
+class OddLength(ParamInvalid):
+    """An odd length, which the two-source codec refuses; a ``ParamInvalid``."""
 
 
 class LimitExceeded(BpcError):

@@ -22,7 +22,7 @@ from operator import sub
 from typing import Iterable, Iterator, Mapping
 
 from . import _EXPORTS
-from ._util import Record, decimal_int, exact_int, int_text
+from ._util import Record, at_least, decimal_int, exact_int, exact_ints, int_text
 from .errors import (
     IndexOutOfRange,
     NotPermutation,
@@ -94,9 +94,7 @@ def make_permutation(values: Iterable[int]) -> Permutation:
 
 def identity(n: int) -> Permutation:
     """The identity permutation (1, 2, ..., n)."""
-    if n < 1:
-        raise ParamInvalid("length must be >= 1")
-    return Permutation(tuple(range(1, n + 1)))
+    return Permutation(tuple(range(1, at_least(n, 1, "length") + 1)))
 
 
 def parse_permutation(text: str) -> Permutation:
@@ -128,7 +126,7 @@ def format_permutation(pi: Permutation) -> str:
 
 def window_sum(pi: Permutation, j: int, b: int) -> int:
     """Sum of the length-``b`` window starting at position ``j`` (1-based)."""
-    n = pi.n
+    n, j, b = pi.n, exact_int(j), exact_int(b)
     if not 1 <= b <= n:
         raise IndexOutOfRange(f"block length {b} outside [1, {n}]")
     if not 1 <= j <= n - b + 1:
@@ -138,7 +136,7 @@ def window_sum(pi: Permutation, j: int, b: int) -> int:
 
 def prefix_deviation(pi: Permutation, j: int) -> Fraction:
     """Running sum of the first ``j`` symbols minus ``j*(n+1)/2``, exact."""
-    n = pi.n
+    n, j = pi.n, exact_int(j)
     if not 1 <= j <= n:
         raise IndexOutOfRange(f"prefix length {j} outside [1, {n}]")
     return Fraction(2 * sum(pi.values[:j]) - j * (n + 1), 2)
@@ -296,9 +294,7 @@ class BalanceSpec(Record):
     __slots__ = ("n", "blocks", "dev_max", "_limits")
 
     def __init__(self, n: int, blocks: tuple[int, ...], dev_max: Mapping[int, Fraction]):
-        n, blocks = exact_int(n), tuple(map(exact_int, blocks))
-        if n < 1:
-            raise ParamInvalid("spec length must be >= 1")
+        n, blocks = at_least(n, 1, "spec length"), exact_ints(blocks)
         if any(b2 <= b1 for b1, b2 in zip(blocks, blocks[1:])):
             raise ParamInvalid("block lengths must be strictly increasing")
         if blocks and not (1 <= blocks[0] and blocks[-1] <= n):
@@ -315,8 +311,7 @@ class BalanceSpec(Record):
 
 def d1_preset(n: int) -> BalanceSpec:
     """Every window length 1..n, allowed deviation 2*(n+1)."""
-    if n < 1:
-        raise ParamInvalid("preset length must be >= 1")
+    n = at_least(n, 1, "preset length")
     allowed = Fraction(2 * (n + 1))
     blocks = tuple(range(1, n + 1))
     return BalanceSpec(n, blocks, {b: allowed for b in blocks})
@@ -328,10 +323,7 @@ class NeighborSpec(Record):
     __slots__ = ("k",)
 
     def __init__(self, k: int):
-        k = exact_int(k)
-        if k < 1:
-            raise ParamInvalid("neighbor bound k must be >= 1")
-        self._init(k)
+        self._init(at_least(k, 1, "neighbor bound k"))
 
 
 class BalanceViolation(Record):
@@ -514,9 +506,7 @@ def unrank(index: int, n: int) -> Permutation:
     >>> unrank(5, 3).values
     (3, 2, 1)
     """
-    index, n = exact_int(index), exact_int(n)
-    if n < 1:
-        raise ParamInvalid("length must be >= 1")
+    index, n = exact_int(index), at_least(n, 1, "length")
     tree = _product_tree(n)
     q, x = divmod(index, tree[-1][0])
     if q:

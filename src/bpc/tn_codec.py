@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import _EXPORTS
-from ._util import Record, exact_int
+from ._util import Record, exact_int, exact_ints
 from .errors import NotCodeword, ParamInvalid, SelectorViolation
 from .perm_core import Permutation, _Emitter, _project
 
@@ -85,17 +85,17 @@ class TnParams(Record):
 class TnInput(Record):
     """Orderings of the m sets plus the selector stream (one set per pair).
 
-    Construction checks shapes, and that the selector's entries are exact
-    ints in [1, m]; whether the selector respects the mandated halves (and
-    never over-draws a set) is discovered during encoding, where a violation
-    carries full diagnostic state.
+    Both are stored as tuples.  Construction checks shapes, and that the
+    selector's entries are exact ints in [1, m]; whether the selector respects
+    the mandated halves (and never over-draws a set) is discovered during
+    encoding, where a violation carries full diagnostic state.
     """
 
     __slots__ = ("params", "sigmas", "selector")
 
     def __init__(self, params: TnParams, sigmas: tuple[Permutation, ...],
                  selector: tuple[int, ...]):
-        p = params
+        p, sigmas, selector = params, tuple(sigmas), exact_ints(selector)
         if len(sigmas) != p.m:
             raise ParamInvalid(f"expected {p.m} orderings, got {len(sigmas)}")
         if any(s.n != p.k for s in sigmas):
@@ -103,8 +103,6 @@ class TnInput(Record):
         if len(selector) != p.n // 2:
             raise ParamInvalid(
                 f"selector must have {p.n // 2} entries, got {len(selector)}")
-        if set(map(type, selector)) != {int}:  # in C; exact_int names a non-integer
-            selector = tuple(map(exact_int, selector))
         if min(selector) < 1 or max(selector) > p.m:
             raise ParamInvalid(f"selector entries must lie in [1, {p.m}]")
         self._init(params, sigmas, selector)
