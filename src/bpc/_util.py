@@ -65,6 +65,14 @@ class Record:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _trusted(cls, *values):
+        """The value of these fields, unchecked: only for fields the library
+        built itself and knows valid, of a type that derives no ``_`` slot."""
+        self = object.__new__(cls)
+        self._init(*values)
+        return self
+
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self._names])
 

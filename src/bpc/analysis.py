@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from . import DEFAULT_ENUM_LIMIT, _EXPORTS
@@ -39,6 +40,7 @@ from .perm_core import (
 from .tn_codec import TnParams
 
 __all__ = _EXPORTS["analysis"]
+_d2_spec = lru_cache(maxsize=4)(d2_preset)  # d2_claim_suite's spec, derived once per (n, N)
 
 
 def _fan_out(scan, tasks, workers: int) -> list:
@@ -147,7 +149,7 @@ def census(n: int, spec: BalanceSpec, neighbor: NeighborSpec | None = None,
         count, achievers = sum(c for c, _ in parts), [a for _, ach in parts for a in ach]
     listed = itertools.islice(achievers, min(cap, sys.maxsize))  # islice takes no stop past it
     return CensusResult(n=n, spec=spec, neighbor=neighbor, count=count,
-                        achievers=tuple(map(Permutation, listed)))
+                        achievers=tuple(map(Permutation._trusted, listed)))
 
 
 def min_disc(n: int, b: int, limit: int = DEFAULT_ENUM_LIMIT,
@@ -367,7 +369,7 @@ def d2_claim_suite(perms, params: D2Params) -> ClaimReport:
     lengths at each start failing the last two."""
     n, N = params.n, params.N
     span = 4 * n // N
-    spec = d2_preset(n, N)
+    spec = _d2_spec(n, N)
     gap_limits = dict.fromkeys(spec.blocks, span)
 
     def locality(pi, devs2):

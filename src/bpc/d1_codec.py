@@ -54,7 +54,7 @@ def encode_d1(inp: D1Input) -> Permutation:
     take(1)
     for _ in range(1, inp.n):
         take(1 if em.dev2 > 0 else 2)
-    return Permutation(tuple(em.out))
+    return Permutation._trusted(tuple(em.out))
 
 
 class TranspositionStep(Record):
@@ -67,8 +67,7 @@ class TranspositionStep(Record):
     __slots__ = ("position", "moved_symbol")
 
     def __init__(self, position: int, moved_symbol: int):
-        object.__setattr__(self, "position", position)  # no loop: built per reinsert
-        object.__setattr__(self, "moved_symbol", moved_symbol)
+        self._init(position, moved_symbol)
 
 
 class TranspositionTrace(Record):
@@ -84,7 +83,7 @@ def interleave(inp: D1Input) -> Permutation:
     """The streaming encoder's start state: the two blocks of ``encode_d1``
     merged alternately."""
     queues = _Emitter(inp.gamma1.n, (inp.gamma1.values, inp.gamma2.values)).queues
-    return Permutation(tuple([v for pair in zip(queues[1], queues[2]) for v in pair]))
+    return Permutation._trusted(tuple([v for pair in zip(queues[1], queues[2]) for v in pair]))
 
 
 def encode_d1_streaming(inp: D1Input) -> tuple[Permutation, TranspositionTrace]:
@@ -97,20 +96,24 @@ def encode_d1_streaming(inp: D1Input) -> tuple[Permutation, TranspositionTrace]:
     and ``highs`` high symbols that is the next low symbol (interleaving
     index 2*lows) exactly when lows <= highs, else the next high one (index
     2*highs + 1).  When the codeword's symbol v comes from the other half,
-    v is reinserted at slot j (one trace entry).
+    v is reinserted at slot j (one trace entry), built without a Python call.
     """
     pi = encode_d1(inp)
     half = inp.gamma1.n
     lows = highs = 0
-    steps = []
+    positions, moved = [], []
     for j, v in enumerate(pi.values, 1):
         low = v <= half
         if low != (lows <= highs):
-            steps.append(TranspositionStep(position=j, moved_symbol=v))
+            positions.append(j)
+            moved.append(v)
         if low:
             lows += 1
         else:
             highs += 1
+    steps = list(map(object.__new__, [TranspositionStep] * len(moved)))
+    any(map(TranspositionStep.position.__set__, steps, positions))  # each returns None
+    any(map(TranspositionStep.moved_symbol.__set__, steps, moved))
     return pi, TranspositionTrace(tuple(steps))
 
 
@@ -120,7 +123,7 @@ def decode_d1(pi: Permutation) -> D1Input:
     Total on all even-length permutations, codeword or not; on codewords it
     inverts both encoders.
     """
-    return D1Input(*_project(pi, _half(pi.n)))
+    return D1Input._trusted(*_project(pi, _half(pi.n)))
 
 
 def d1_message_input(i1: int, i2: int, n: int) -> D1Input:

@@ -131,7 +131,7 @@ def encode_d2(inp: D2Input, *, tie_to_upper: bool = False) -> Permutation:
             a, b = cell.lower if lower or not em.out else cell.upper
             take(a)
             take(b)
-    return Permutation(tuple(em.out))
+    return Permutation._trusted(tuple(em.out))
 
 
 def decode_d2(pi: Permutation, params: D2Params) -> D2Input:
@@ -141,7 +141,7 @@ def decode_d2(pi: Permutation, params: D2Params) -> D2Input:
     """
     if params.n != pi.n:
         raise ParamInvalid(f"params are for n={params.n}, permutation has n={pi.n}")
-    return D2Input(params, _project(pi, params.block_size))
+    return D2Input._trusted(params, _project(pi, params.block_size))
 
 
 def d2_input_to_json_dict(inp: D2Input) -> dict:

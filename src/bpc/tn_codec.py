@@ -154,7 +154,7 @@ def encode_tn(inp: TnInput) -> Permutation:
         raise SelectorViolation(f"step {t}: set {sel} {reason}", step=t, selected=sel,
                                 mandated=half, remaining=em.remaining())
 
-    return Permutation(_encode_pairs(inp.params, inp.sigmas, check))
+    return Permutation._trusted(_encode_pairs(inp.params, inp.sigmas, check))
 
 
 def decode_tn(pi: Permutation, params: TnParams) -> TnInput:
@@ -173,7 +173,7 @@ def decode_tn(pi: Permutation, params: TnParams) -> TnInput:
         raise NotCodeword(
             f"pair ({v[2 * t]}, {v[2 * t + 1]}) at positions {2 * t + 1},{2 * t + 2} "
             f"straddles sets {a} and {b}")
-    return TnInput(params, _project(pi, k), tuple(selector))
+    return TnInput._trusted(params, _project(pi, k), tuple(selector))
 
 
 def random_valid_input(params: TnParams, rng: random.Random) -> TnInput:

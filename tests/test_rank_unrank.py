@@ -1,9 +1,9 @@
-"""rank/unrank by a product tree over word-sized radix groups against the
-per-symbol references.
+"""rank/unrank by a product tree over runs of radices against the per-symbol
+references.
 
 The references in ``support`` do one full-width big-int operation per symbol;
 the library splits (or folds) the index along a balanced product tree whose
-leaves are CPython-digit-sized groups of radices.  Both must agree exactly on
+leaves are runs of 32 radices.  Both must agree exactly on
 every index they accept, and raise the same ``IndexOutOfRange`` message on
 every index they reject.
 """
@@ -70,7 +70,7 @@ LEAF_COUNTS = (1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129)
 
 
 LENGTHS_BY_LEAVES = {}
-for _n in range(1, 1000):
+for _n in range(1, 4200):
     LENGTHS_BY_LEAVES.setdefault(len(_radix_groups(_n)), []).append(_n)
 
 
@@ -170,12 +170,11 @@ def test_non_int_index_or_length_is_rejected(index, n):
         unrank(index, n)
 
 
-@pytest.mark.parametrize("n", (1, 2, 13, 14, 1024, 2048, 4096))
-def test_radix_groups_cover_every_radix_once_below_one_digit(n):
+@pytest.mark.parametrize("n", (1, 2, 13, 14, 31, 32, 33, 64, 65, 1024, 2048, 4096))
+def test_radix_groups_cover_every_radix_once_in_runs_of_32(n):
     groups = _radix_groups(n)
     assert [r for _, radices in groups for r in radices] == list(range(1, n + 1))
-    digit = 1 << sys.int_info.bits_per_digit
     for prod, radices in groups:
-        assert prod == math.prod(radices) < digit
-    for (prod, _), (_, after) in zip(groups, groups[1:]):
-        assert prod * after[0] >= digit  # each run is as long as one digit allows
+        assert prod == math.prod(radices)
+    assert [len(radices) for _, radices in groups[:-1]] == [32] * (len(groups) - 1)
+    assert 1 <= len(groups[-1][1]) <= 32
