@@ -49,11 +49,12 @@ class Record:
     A subclass names its fields, in order, in ``__slots__`` and sets them in
     its own ``__init__``, by ``_init`` or, where construction is hot, by
     ``object.__setattr__``.  A slot named ``_...`` is not a field: it holds
-    state that the constructor derives from the fields.  The base adds the
-    rest of a value type: equality and hash by class and field values, a
-    ``Name(field=value, ...)`` repr, ``AttributeError`` on assignment, and
-    pickling through the constructor (so an unpickled value is validated,
-    and its derived state rebuilt, like a new one).
+    state derived from the fields, by the constructor or, as a memo, on its
+    first read; either way it is never compared, hashed, printed or pickled.
+    The base adds the rest of a value type: equality and hash by class and
+    field values, a ``Name(field=value, ...)`` repr, ``AttributeError`` on
+    assignment, and pickling through the constructor (so an unpickled value
+    is validated, and its derived state rebuilt, like a new one).
     """
 
     __slots__ = ()

@@ -32,10 +32,10 @@ from .perm_core import (
     NeighborSpec,
     Permutation,
     _check_neighbor_range,
+    _devs2_of,
     _window_violations,
     check_two_neighbor,
     format_permutation,
-    prefix_deviations_doubled,
 )
 from .tn_codec import TnParams
 
@@ -312,15 +312,16 @@ class ClaimReport(Record):
 
 def _claims(config: str, perms, n: int, checks) -> ClaimReport:
     """Tally each ``(name, detail)`` check over the batch.  ``detail(pi,
-    devs2)`` gets a permutation and its doubled prefix deviations, tests them
-    against a doubled allowance and returns None on a pass, else the failure's
-    detail in undoubled units; each check's first failure is its counterexample."""
+    devs2)`` gets a permutation and its doubled prefix deviations (its memo,
+    shared with the verifiers and ``disc``), tests them against a doubled
+    allowance and returns None on a pass, else the failure's detail in
+    undoubled units; each check's first failure is its counterexample."""
     total, failures, first = 0, [0] * len(checks), [None] * len(checks)
     for pi in perms:
         if pi.n != n:
             raise ParamInvalid(f"expected permutations of length {n}, got {pi.n}")
         total += 1
-        devs2 = prefix_deviations_doubled(pi)
+        devs2 = _devs2_of(pi)
         for i, (name, detail) in enumerate(checks):
             found = detail(pi, devs2)
             if found is not None:
@@ -332,7 +333,7 @@ def _claims(config: str, perms, n: int, checks) -> ClaimReport:
         for (name, _), fails, example in zip(checks, failures, first)))
 
 
-def _prefix_bound_detail(devs2: list[int], allowed2: int,
+def _prefix_bound_detail(devs2: tuple[int, ...], allowed2: int,
                          step: int = 1) -> dict[str, str] | None:
     if max(map(abs, devs2[step::step])) <= allowed2:  # in C; the loop finds the first failure
         return None
@@ -342,7 +343,7 @@ def _prefix_bound_detail(devs2: list[int], allowed2: int,
                     "allowed": str(Fraction(allowed2, 2))}
 
 
-def _window_spread_detail(devs2: list[int], allowed2: int) -> dict[str, str] | None:
+def _window_spread_detail(devs2: tuple[int, ...], allowed2: int) -> dict[str, str] | None:
     # A window's doubled deviation is a difference of two prefix entries, so
     # the worst window over all lengths is the spread of the prefix sequence.
     lo, hi = min(devs2), max(devs2)

@@ -113,19 +113,17 @@ def _encode_pairs(params: TnParams, sigmas, pick) -> tuple[int, ...]:
 
     Step t emits two symbols from the set ``pick(t, sets, em)`` names, where
     ``sets`` is the range of the half mandated by the deviation after 2(t-1)
-    symbols (ties go low) and ``em`` is the run's emitter.  ``pick`` returns
-    None only when every set of that half is empty, a ``SourceExhausted``
-    defect.
+    symbols (ties go low) and ``em`` is the run's emitter.  That half always
+    holds a non-empty set (the proof is in ``TnParams.code_size``), so
+    ``pick`` always has one to name; ``_Emitter.take`` still raises
+    ``SourceExhausted`` should an empty set ever be taken from.
     """
     half = params.m // 2
     em = _Emitter(params.k, (s.values for s in sigmas))
     lower, upper = range(1, half + 1), range(half + 1, params.m + 1)
     take = em.take
     for t in range(1, params.n // 2 + 1):
-        sets = lower if em.dev2 >= 0 else upper
-        sel = pick(t, sets, em)
-        if sel is None:
-            raise em.exhausted(tuple(sets))
+        sel = pick(t, lower if em.dev2 >= 0 else upper, em)
         take(sel)
         take(sel)
     return tuple(em.out)
@@ -137,8 +135,7 @@ def encode_tn(inp: TnInput) -> Permutation:
     At step t the mandated half comes from the deviation after 2(t-1)
     symbols (ties go low, so step 1 is always a low set).  A selector entry
     in the wrong half or naming an empty set raises ``SelectorViolation``;
-    an entirely empty mandated half cannot happen and is raised as a
-    ``SourceExhausted`` defect if it ever does.
+    the mandated half itself never runs dry (``TnParams.code_size``).
     """
     selector = inp.selector
 
@@ -146,8 +143,6 @@ def encode_tn(inp: TnInput) -> Permutation:
         sel = selector[t - 1]
         if sel in sets and em.queues[sel]:
             return sel
-        if not any(em.queues[i] for i in sets):
-            return None
         half = mandated_half(em.dev2).value
         reason = ("is already exhausted" if sel in sets
                   else f"is not in the mandated {half} half")
@@ -191,10 +186,7 @@ def random_valid_input(params: TnParams, rng: random.Random) -> TnInput:
     selector = []
 
     def choose(t, sets, em):
-        options = [i for i in sets if em.queues[i]]
-        if not options:
-            return None
-        sel = rng.choice(options)
+        sel = rng.choice([i for i in sets if em.queues[i]])
         selector.append(sel)
         return sel
 

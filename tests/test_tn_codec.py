@@ -24,6 +24,7 @@ from bpc import (
     tn_input_from_json_dict,
     tn_input_to_json_dict,
 )
+from bpc.tn_codec import _encode_pairs
 from support import (
     EX4_CODEWORD,
     EX4_SELECTOR,
@@ -161,6 +162,61 @@ class TestExhaustiveSmall:
                 images.add(pi.values)
         assert count == 64
         assert len(images) == 64  # injectivity
+
+
+class _Branch(Exception):
+    """Stops a replayed encoder run at the step where the walk branches."""
+
+
+def encoder_runs(params: TnParams, sigmas) -> int:
+    """Count the encoder's runs over ``sigmas``, every selector choice walked.
+
+    Each selector prefix is replayed through ``_encode_pairs``; at the first
+    step past it the walk branches on every non-empty set of the mandated
+    half, and asserts that there is one."""
+    runs, todo = 0, [()]
+    while todo:
+        prefix = todo.pop()
+        options = []
+
+        def pick(t, sets, em):
+            if t <= len(prefix):
+                return prefix[t - 1]
+            options.extend(i for i in sets if em.queues[i])
+            assert options, f"step {t}: every set of {tuple(sets)} is empty after {prefix}"
+            raise _Branch
+
+        try:
+            _encode_pairs(params, sigmas, pick)
+        except _Branch:
+            todo.extend(prefix + (i,) for i in options)
+        else:
+            runs += 1
+    return runs
+
+
+class TestMandatedHalfNeverEmpty:
+    @pytest.mark.parametrize("n,k", [(8, 2), (8, 4), (12, 2)])
+    def test_no_selector_choice_exhausts_the_mandated_half(self, n, k):
+        # the proof in TnParams.code_size, walked: over every ordering of
+        # every set and every choice among the mandated half's non-empty
+        # sets, some set is left to choose, and the runs number code_size
+        params = TnParams(n, k)
+        per_set = [tuple(map(Permutation, itertools.permutations(range(1, k + 1))))] * params.m
+        assert sum(encoder_runs(params, sigmas)
+                   for sigmas in itertools.product(*per_set)) == params.code_size
+
+    @pytest.mark.parametrize("selector, text", [
+        ((1, 3, 1, 2), "step 3: set 1 is not in the mandated upper half"),
+        ((3, 1, 2, 4), "step 1: set 3 is not in the mandated lower half"),
+        ((1, 3, 4, 1), "step 4: set 1 is already exhausted"),
+        ((2, 4, 2, 1), "step 3: set 2 is already exhausted"),
+        ((2, 3, 1, 3), "step 4: set 3 is already exhausted")])
+    def test_selector_violation_messages(self, selector, text):
+        sigmas = (Permutation((1, 2)),) * 4
+        with pytest.raises(SelectorViolation) as err:
+            encode_tn(TnInput(TnParams(8, 2), sigmas, selector))
+        assert str(err.value) == text
 
 
 class TestDecode:
