@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParamInvalid
@@ -102,8 +103,8 @@ class Record:
 def ceil_rational_power(n: int, exponent: Fraction) -> int:
     """Smallest integer m with m >= n**exponent, computed exactly.
 
-    For exponent p/q this is the rounded-up integer q-th root of n**p; a
-    float seed is corrected by exact integer comparisons.
+    For exponent p/q this is the rounded-up integer q-th root of n**p,
+    found by bisection on exact integer powers.
     """
     at_least(n, 1, "base")
     if not 0 < exponent < 1:
@@ -116,13 +117,12 @@ def ceil_rational_power(n: int, exponent: Fraction) -> int:
             f"exponent denominator {int_text(q)} is too large; pass an exact rational "
             "such as Fraction(3, 5) or the string '0.6'")
     target = n ** p
-    # seed in log space (n**p may be far beyond float range), then fix up
-    m = max(1, round(math.exp(math.log(n) * p / q)))
-    while m ** q < target:
-        m += 1
-    while m > 1 and (m - 1) ** q >= target:
-        m -= 1
-    return m
+    b = target.bit_length()  # so 2**((b-1)//q) <= m <= 2**ceil(b/q): about log2(n) halvings
+    lo, hi = 1 << (b - 1) // q, 1 << -(-b // q)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if mid ** q < target else (lo, mid)
+    return lo
 
 
 def log2_int(x: int) -> float:
@@ -176,13 +176,37 @@ def decimal_int(text: str) -> int:
     return int(text)
 
 
+_RATIONAL = re.compile(
+    r"[+-]?(?=\.?[0-9])(?:([0-9]+)/([0-9]+)|([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?)")
+
+
 def decimal_fraction(text: str) -> Fraction:
     """The rational written in ``text`` in ASCII digits: an integer, a ratio
     ``p/q`` or a decimal with an optional exponent (``2``, ``3/2``, ``0.6``,
     ``1e3``).  The other spellings ``Fraction`` takes (``1_0``, Arabic-Indic
     digits, padding blanks) raise ``ValueError``, as text ``Fraction`` cannot
-    read does; a zero denominator raises ``ZeroDivisionError``."""
-    if re.fullmatch(r"[+-]?(?=\.?[0-9])(?:[0-9]+/[0-9]+|[0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)",
-                    text) is None:
+    read does; a zero denominator raises ``ZeroDivisionError``.  So does a
+    numerator or denominator that, as written and before reduction, needs
+    more digits than ``int`` reads (``sys.get_int_max_str_digits()``): it is
+    refused before its power of ten is built."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
         raise ValueError(f"not a decimal rational: {text!r}")
+    num, den, whole, point, exp = match.groups()
+    if num is None:  # whole.point * 10**exp is the integer (whole point) * 10**shift
+        point = point or ""
+        shift = int(exp or 0) - len(point)
+        digits = (len(whole) + len(point) + max(shift, 0), 1 + max(-shift, 0))
+    else:
+        digits = (len(num), len(den))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(digits) > limit:
+        raise ValueError(f"a rational of more than {limit} digits")
     return Fraction(text)
+
+
+def token_text(token: str, position: int | None = None) -> str:
+    """``token`` quoted for an error message, cut to 12 characters, and its
+    1-based ``position`` in a list when given: short for any input."""
+    cut = "..." if len(token) > 12 else ""
+    return f"{token[:12]!r}{cut}" + ("" if position is None else f" at position {position}")

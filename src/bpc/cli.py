@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import DEFAULT_ENUM_LIMIT
-from ._util import codec_parameters, decimal_fraction, decimal_int
+from ._util import codec_parameters, decimal_fraction, decimal_int, token_text
 from .errors import (
     BpcError,
     NotCodeword,
@@ -90,18 +90,25 @@ def _perm_arg(value: str) -> Permutation:
     return parse_permutation(_read_file_or_stdin(value) if value == "-" else value)
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str, position: int | None = None) -> Fraction:
+    """The rational ``text``, the ``position``-th entry of a list when given;
+    a bad one is a usage error naming it, cut short."""
     try:
         return decimal_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParamInvalid(f"bad rational {text!r}") from exc
+        raise ParamInvalid(f"bad rational {token_text(text, position)}") from exc
 
 
 def _int_list(text: str) -> list[int]:
-    try:
-        return [decimal_int(t) for t in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ParamInvalid(f"bad integer list {text!r}") from exc
+    """The integers in ``text``, separated by commas or spaces; a bad one is
+    a usage error naming it, cut short, and its position."""
+    values = []
+    for position, token in enumerate(text.replace(",", " ").split(), 1):
+        try:
+            values.append(decimal_int(token))
+        except ValueError as exc:
+            raise ParamInvalid(f"bad integer list entry {token_text(token, position)}") from exc
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -369,7 +376,7 @@ def _census_spec(args):
     blocks = _int_list(args.blocks)
     if args.dev_max is None:
         raise ParamInvalid("--dev-max is required with --blocks")
-    devs = [_fraction(t) for t in args.dev_max.replace(",", " ").split()]
+    devs = [_fraction(t, pos) for pos, t in enumerate(args.dev_max.replace(",", " ").split(), 1)]
     if len(devs) == 1 and blocks:
         devs = devs * len(blocks)
     if len(devs) != len(blocks):
@@ -378,8 +385,9 @@ def _census_spec(args):
 
 
 def _cmd_census(args) -> int:
-    from .analysis import census
+    from .analysis import _check_limit, census
 
+    _check_limit(args.n, args.limit)  # before a preset builds n lengths
     spec = _census_spec(args)
     neighbor = NeighborSpec(args.neighbor_k) if args.neighbor_k is not None else None
     result = census(args.n, spec, neighbor=neighbor, cap=args.cap,

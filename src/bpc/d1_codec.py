@@ -48,6 +48,17 @@ def encode_d1(inp: D1Input) -> Permutation:
     Block 1 is the low ordering and block 2 the high one.  The first symbol
     is unconditionally the head of the low ordering; every later step takes
     low when the deviation is positive, else high.
+
+    Two facts about the doubled prefix deviation D (2*sum - j*(n+1) after j
+    symbols; a low symbol v adds 2v-n-1 in [-(n-1), -1], a high one in
+    [1, n-1]).  The mandated half is never empty: once the low half is
+    exhausted, every symbol left is high and adds > 0, and the final D is 0,
+    so D < 0 now and the high half is mandated; mirrored, an exhausted high
+    half leaves D > 0, which mandates the low half.  And every D lies in
+    [-(n-1), n-1]: the first step lands in [-(n-1), -1]; from 1 <= D <= n-1
+    a low step lands in [D-(n-1), D-1], within [-(n-2), n-2]; from
+    -(n-1) <= D <= 0 a high step lands in [D+1, D+n-1], within
+    [-(n-2), n-1].  The bound is reached at every n (at n = 2, D_1 = -1).
     """
     em = _Emitter(inp.gamma1.n, (inp.gamma1.values, inp.gamma2.values))
     take = em.take

@@ -118,8 +118,24 @@ def encode_d2(inp: D2Input, *, tie_to_upper: bool = False) -> Permutation:
     the upper pair (``tie_to_upper`` flips only the zero case); within a
     pair the smaller source index is emitted first.  Cell 1's first visit
     is the lower pair by construction.  A cell is left only once all four
-    of its sources are empty; an empty source of the mandated pair raises
-    ``SourceExhausted``.
+    of its sources are empty.
+
+    The mandated pair is never empty, and the doubled prefix deviation D
+    (2*sum - j*(n+1) after j symbols) is 0 at every cell boundary.  With
+    s = n/N, block j holds (j-1)s+1..js and its mirror is block N+1-j, so
+    a block and its mirror hold s pairs of symbols summing to n+1.  A
+    cell's four blocks 2c-1, 2c, N-2c+1 and N-2c+2 are two mirror pairs,
+    so emptying the cell adds 0 to D, and D = 0 when each cell starts.  A
+    lower-pair visit takes one symbol of block 2c-1 and one of N-2c+1,
+    which sum to at most (2c-1)s + (N-2c+1)s = n: it adds <= -2 to D.  An
+    upper-pair visit sums to at least (2c-1)s+1 + (N-2c+1)s+1 = n+2 and
+    adds >= +2.  The two blocks of a pair empty together, each after s
+    visits.  So once the lower pair is empty while the cell is not, every
+    visit left is upper, each adds >= 2 and the cell ends at D = 0: D < 0
+    now, which mandates the upper pair under either tie rule (cell 1's
+    first visit is at an empty output, whose lower pair is full).
+    Mirrored, an empty upper pair leaves D > 0, which mandates the lower
+    pair.  ``SourceExhausted`` from ``_Emitter.take`` stays the guard.
     """
     params = inp.params
     schedule = cell_schedule(params)

@@ -22,7 +22,7 @@ from operator import sub
 from typing import Iterable, Iterator, Mapping
 
 from . import _EXPORTS
-from ._util import Record, at_least, decimal_int, exact_int, exact_ints, int_text
+from ._util import Record, at_least, decimal_int, exact_int, exact_ints, int_text, token_text
 from .errors import (
     IndexOutOfRange,
     NotPermutation,
@@ -131,8 +131,7 @@ def parse_permutation(text: str) -> Permutation:
         try:
             values.append(decimal_int(t))
         except ValueError as exc:
-            cut = "..." if len(t) > 12 else ""  # the error stays short for any input
-            raise NotPermutation(f"bad symbol {t[:12]!r}{cut} at position {pos}") from exc
+            raise NotPermutation(f"bad symbol {token_text(t, pos)}") from exc
     return Permutation(tuple(values))
 
 

@@ -13,7 +13,7 @@ import sys
 from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
-from math import factorial
+from math import exp, factorial, log
 
 from bpc import (
     BalanceSpec,
@@ -701,3 +701,17 @@ def reference_decode_tn(pi: Permutation, params: TnParams) -> TnInput:
     for s in v:
         blocks[(s - 1) // k].append(s - (s - 1) // k * k)
     return TnInput(params, tuple(Permutation(tuple(b)) for b in blocks), tuple(selector))
+
+
+def reference_ceil_rational_power(n: int, exponent: Fraction) -> int:
+    """ceil(n**exponent) from a float seed, ``exp(log(n)*p/q)`` rounded, walked
+    to the exact answer one integer at a time.  The walk is as long as the
+    seed's error, so compare with it only where n**exponent < 2**48."""
+    p, q = exponent.numerator, exponent.denominator
+    target = n ** p
+    m = max(1, round(exp(log(n) * p / q)))
+    while m ** q < target:
+        m += 1
+    while m > 1 and (m - 1) ** q >= target:
+        m -= 1
+    return m

@@ -10,6 +10,7 @@ from support import (
     EX1_CODEWORD,
     EX3_CODEWORD,
     EX4_CODEWORD,
+    default_digit_limit,
     ex3_input,
     ex4_input,
 )
@@ -438,14 +439,21 @@ class TestAnalyze:
         assert obj["achievers"] == [" ".join(map(str, range(1, 951)))]
 
     def test_census_allowance_past_the_digit_limit(self, capsys):
-        # the allowance 10**100000 has 100001 digits, past the interpreter's
-        # int-to-str limit; it is printed exactly, and checks nothing at n = 4
-        code, out, err = run(capsys, "analyze", "census", "--n", "4", "--blocks", "2",
-                             "--dev-max", "1e100000")
-        assert (code, err) == (0, "")
-        obj = json.loads(out)
-        assert obj["dev_max"] == {"2": "1" + "0" * 100000}
-        assert obj["count"] == "24"
+        # a rational is read under int's digit limit: 10**4299 has 4300 digits,
+        # at the default limit, and is printed exactly (it checks nothing at
+        # n = 4); 10**4300 is refused, as its 4301-digit literal is
+        with default_digit_limit():
+            code, out, err = run(capsys, "analyze", "census", "--n", "4", "--blocks", "2",
+                                 "--dev-max", "1e4299")
+            assert (code, err) == (0, "")
+            obj = json.loads(out)
+            assert obj["dev_max"] == {"2": "1" + "0" * 4299}
+            assert obj["count"] == "24"
+            for text, shown in (("1e4300", "'1e4300'"), ("1" + "0" * 4300, "'100000000000'...")):
+                code, out, err = run(capsys, "analyze", "census", "--n", "4",
+                                     "--blocks", "2", "--dev-max", text)
+                assert (code, out) == (2, "")
+                assert err == f"error: bad rational {shown} at position 1\n"
 
     def test_census_count_past_the_digit_limit(self, capsys):
         # 2000! has 5736 digits, past the interpreter's int-to-str limit
@@ -510,13 +518,17 @@ class TestAnalyze:
         assert "bad rational" in err
 
     def test_rate_epsilon_with_a_huge_denominator_is_usage_error(self, capsys):
-        # 1e-100000 has a 100001-digit denominator: refused, and the refusal
-        # names its size without printing it
+        # 1e-100000 has a 100001-digit denominator, past int's digit limit:
+        # the parser refuses it before building it; a denominator it reads
+        # but past 10,000 is refused by the exponent's own rule
+        with default_digit_limit():
+            code, out, err = run(capsys, "analyze", "rate", "--config", "d2", "--n", "64",
+                                 "--epsilon", "1e-100000")
+        assert (code, out, err) == (2, "", "error: bad rational '1e-100000'\n")
         code, out, err = run(capsys, "analyze", "rate", "--config", "d2", "--n", "64",
-                             "--epsilon", "1e-100000")
+                             "--epsilon", "1/10001")
         assert (code, out) == (2, "")
-        assert err.startswith("error: exponent denominator <")
-        assert "-bit integer> is too large" in err
+        assert err.startswith("error: exponent denominator 10001 is too large")
 
     @pytest.mark.parametrize("lengths", ["", ",", " , "])
     def test_rate_without_a_length_is_usage_error(self, capsys, lengths):
@@ -850,6 +862,33 @@ class TestExitCodes:
                     "--epsilon-k", text)[1] for text in ("1/2", "0.5", "5e-1", "+.5")}
         assert len(outs) == 1
         assert json.loads(outs.pop())["config"] == "tn(k=8, eps_k=1/2)"
+
+    @pytest.mark.parametrize("argv, error", [
+        (("analyze", "rate", "--config", "d2", "--n", "2" + "0" * 60, "--epsilon", "1/2"),
+         "error: block count 1414213562373095048801688724210 must be a multiple of 4\n"),
+        (("analyze", "rate", "--config", "tn", "--n", "2" + "0" * 60, "--epsilon-k", "1/2"),
+         f"error: set size 1414213562373095048801688724210 must divide n={2 * 10 ** 60}\n"),
+        (("analyze", "rate", "--config", "d2", "--n", "3" + "0" * 400, "--epsilon", "9/10"),
+         "error: block count 2687875379522286583581921073726943045"),
+        (("analyze", "census", "--n", "4", "--blocks", "2", "--dev-max", "1e99999999"),
+         "error: bad rational '1e99999999' at position 1\n"),
+        (("analyze", "rate", "--config", "d2", "--n", "16", "--epsilon", "1e-99999999"),
+         "error: bad rational '1e-99999999'\n"),
+        (("analyze", "census", "--n", "1" + "0" * 21, "--preset", "d1"),
+         f"error: exhaustive enumeration over S_{10 ** 21} exceeds the limit 10"),
+        (("analyze", "census", "--n", "1" + "0" * 21, "--preset", "d2", "--N", "4"),
+         f"error: exhaustive enumeration over S_{10 ** 21} exceeds the limit 10"),
+    ], ids=["rate-d2-2e60", "rate-tn-2e60", "rate-d2-3e400", "census-dev-max-1e99999999",
+            "rate-epsilon-1e-99999999", "census-d1-1e21", "census-d2-1e21"])
+    def test_huge_inputs_are_usage_errors(self, capsys, argv, error):
+        # each of these hung or exited 3 while the scale parameter came from a
+        # float seed, rationals expanded without bound and census built its
+        # preset before it compared n with the limit
+        with default_digit_limit():
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(error)
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_unexpected_exception_is_a_defect(self, capsys, monkeypatch):
         def boom(args):

@@ -23,6 +23,7 @@ from bpc import (
     encode_d1_streaming,
     interleave,
     prefix_deviation,
+    prefix_deviations_doubled,
     verify_balance,
 )
 from bpc.perm_core import _Emitter
@@ -223,21 +224,31 @@ class TestDecode:
 
 
 class TestBounds:
-    @pytest.mark.parametrize("n", (2, 4, 6, 8))
+    @pytest.mark.parametrize("n", (2, 4, 6, 8, 10))
     def test_prefix_and_window_bounds_exhaustive(self, n):
-        bound = Fraction(n + 1)
+        # encode_d1's docstring proves that the mandated half is never empty
+        # and that every doubled prefix deviation lies in [-(n-1), n-1]:
+        # every input at n <= 10, and the bound is reached
+        worst = 0
         for inp in all_d1_inputs(n):
-            pi = encode_d1(inp)
-            for j in range(1, n + 1):
-                assert abs(prefix_deviation(pi, j)) <= bound
+            try:
+                pi = encode_d1(inp)
+            except SourceExhausted as exc:
+                pytest.fail(f"mandated half empty for {inp}: {exc.state}")
+            devs2 = prefix_deviations_doubled(pi)
+            assert devs2[0] == devs2[-1] == 0
+            worst = max(worst, max(map(abs, devs2)))
+            assert worst <= n - 1, inp
             assert verify_balance(pi, d1_preset(n)).is_valid
+        assert worst == n - 1
 
     def test_prefix_and_window_bounds_random(self):
         rng = random.Random(20240)
         for _ in range(250):
             n = 2 * rng.randint(5, 100)
             pi = encode_d1(random_d1_input(rng, n))
-            assert max(abs(prefix_deviation(pi, j)) for j in range(1, n + 1)) <= n + 1
+            worst = max(abs(prefix_deviation(pi, j)) for j in range(1, n + 1))
+            assert worst <= Fraction(n - 1, 2)
             assert verify_balance(pi, d1_preset(n)).is_valid
 
 

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from bpc import (
     NotPermutation,
     ParamInvalid,
     Permutation,
+    SourceExhausted,
     cell_schedule,
     d2_input_from_json_dict,
     d2_input_to_json_dict,
@@ -19,6 +21,7 @@ from bpc import (
     decode_d2,
     encode_d2,
     prefix_deviation,
+    prefix_deviations_doubled,
     verify_balance,
 )
 from support import (
@@ -218,6 +221,27 @@ class TestBounds:
         span = 4 * params.block_size
         for boundary in range(span, 65, span):
             assert prefix_deviation(pi, boundary) == 0
+
+    @pytest.mark.parametrize("tie_to_upper", (False, True))
+    @pytest.mark.parametrize("n, N", [
+        (n, N) for n in range(4, 49) for N in range(4, n + 1, 4)
+        if n % N == 0 and factorial(n // N) ** N <= 10 ** 4])
+    def test_every_input_encodes_and_returns_to_zero_at_cell_boundaries(
+            self, n, N, tie_to_upper):
+        # encode_d2's docstring proves both: every shape with n <= 48 and at
+        # most 10**4 inputs, every input, under either tie rule
+        params = D2Params(n, N)
+        span = 4 * params.block_size
+        count = 0
+        for inp in all_d2_inputs(params):
+            try:
+                pi = encode_d2(inp, tie_to_upper=tie_to_upper)
+            except SourceExhausted as exc:
+                pytest.fail(f"mandated pair empty for {inp}: {exc.state}")
+            devs2 = prefix_deviations_doubled(pi)
+            assert all(devs2[boundary] == 0 for boundary in range(0, n + 1, span)), inp
+            count += 1
+        assert count == factorial(params.block_size) ** N
 
     def test_exhaustive_availability_hunt_n12(self):
         # every ordering choice at (12, 4): no mandated pair ever runs dry,

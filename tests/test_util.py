@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from bpc import ParamInvalid
 from bpc._util import Record, ceil_rational_power, decimal_fraction, decimal_int, log2_int
+from support import default_digit_limit, reference_ceil_rational_power
 
 
 class TestCeilRationalPower:
@@ -35,6 +37,35 @@ class TestCeilRationalPower:
         assert m ** q >= n ** p
         assert m == 1 or (m - 1) ** q < n ** p
 
+    @pytest.mark.parametrize("n,eps,expected", [
+        (10 ** 60, Fraction(1, 2), 10 ** 30),  # a float seed is off by more than any walk
+        (10 ** 400, Fraction(9, 10), 10 ** 360),  # n is past float range
+        (2 * 10 ** 60, Fraction(1, 2), 1414213562373095048801688724210),
+        (10 ** 60 + 1, Fraction(1, 2), 10 ** 30 + 1),
+        (2 ** 300, Fraction(1, 3), 2 ** 100),
+        (2 ** 300 + 1, Fraction(1, 3), 2 ** 100 + 1),
+    ], ids=["1e60", "1e400", "2e60", "1e60+1", "2^300", "2^300+1"])
+    def test_exact_past_float_range(self, n, eps, expected):
+        assert ceil_rational_power(n, eps) == expected
+
+    def test_matches_the_float_seeded_reference_exhaustively(self):
+        exponents = sorted({Fraction(p, q) for q in range(2, 9) for p in range(1, q)})
+        for n in range(1, 3000):
+            for eps in exponents:
+                assert ceil_rational_power(n, eps) == reference_ceil_rational_power(n, eps)
+
+    def test_matches_the_float_seeded_reference_on_seeded_cases(self):
+        rng = random.Random(22)
+        checked = 0
+        while checked < 5000:
+            q = rng.randint(2, 400)
+            eps = Fraction(rng.randint(1, q - 1), q)
+            n = rng.randint(1, 2 ** rng.randint(1, 64))
+            if n ** eps.numerator >= 2 ** (48 * eps.denominator):
+                continue  # n**eps >= 2**48: the reference's walk may not end
+            assert ceil_rational_power(n, eps) == reference_ceil_rational_power(n, eps)
+            checked += 1
+
     def test_domain(self):
         with pytest.raises(ParamInvalid):
             ceil_rational_power(0, Fraction(1, 2))
@@ -50,6 +81,11 @@ class TestCeilRationalPower:
             ceil_rational_power(64, Fraction(0.6))
         # dyadic floats are still exact and small
         assert ceil_rational_power(64, Fraction(0.5)) == 8
+
+    def test_a_denominator_past_the_digit_limit_is_named_by_its_size(self):
+        with default_digit_limit(), pytest.raises(ParamInvalid) as info:
+            ceil_rational_power(64, Fraction(1, 10 ** 5000))
+        assert str(info.value).startswith("exponent denominator <16610-bit integer> is too large")
 
 
 class TestLog2Int:
@@ -103,6 +139,27 @@ class TestDecimalFraction:
     def test_zero_denominator_raises_as_fraction_does(self):
         with pytest.raises(ZeroDivisionError):
             decimal_fraction("1/0")
+
+    @pytest.mark.parametrize("text", [
+        "1e4299", "1e-4299", "9" * 4300, "1/" + "9" * 4300, "9" * 4300 + "/7",
+        "1" * 2000 + "." + "1" * 2300, "0." + "0" * 4298 + "1", "12e4298", "1.5e4299",
+    ], ids=["1e4299", "1e-4299", "9x4300", "1/9x4300", "9x4300/7", "1x2000.1x2300",
+            "0.0x4298-1", "12e4298", "1.5e4299"])
+    def test_text_within_the_digit_limit_reads_as_fraction_reads_it(self, text):
+        with default_digit_limit():
+            assert decimal_fraction(text) == Fraction(text)
+
+    @pytest.mark.parametrize("text", [
+        "1e4300", "1e-4300", "9" * 4301, "1/" + "9" * 4301, "9" * 4301 + "/7",
+        "1" * 2000 + "." + "1" * 2301, "0." + "0" * 4299 + "1", "12e4299", "1.5e4300",
+        "1e99999999", "-1e-99999999", "1e" + "9" * 5000,
+    ], ids=["1e4300", "1e-4300", "9x4301", "1/9x4301", "9x4301/7", "1x2000.1x2301",
+            "0.0x4299-1", "12e4299", "1.5e4300", "1e99999999", "-1e-99999999", "1e9x5000"])
+    def test_text_past_the_digit_limit_is_a_value_error(self, text):
+        # the count is of the numerator and the denominator as written, before
+        # reduction: 1e4300 is 10**4300, 4301 digits, as int("1" + "0" * 4300)
+        with default_digit_limit(), pytest.raises(ValueError):
+            decimal_fraction(text)
 
 
 class Scaled(Record):
