@@ -33,8 +33,8 @@ from .perm_core import (
     Permutation,
     _check_neighbor_range,
     _devs2_of,
+    _far_neighbors,
     _window_violations,
-    check_two_neighbor,
     format_permutation,
 )
 from .tn_codec import TnParams
@@ -398,12 +398,13 @@ def tn_claim_suite(perms, params: TnParams) -> ClaimReport:
     """Check neighbor-constrained codewords: the two-neighbor bound at k,
     and the full-window balance bound with allowance 2*(n+1); O(n) each."""
     n, k = params.n, params.k
-    spec = NeighborSpec(k)
 
     def neighbor(pi, devs2):
-        entries = check_two_neighbor(pi, spec).entries
-        return {key: str(value) for key, value
-                in entries[0].to_json_dict().items()} if entries else None
+        v = pi.values
+        for t in _far_neighbors(v, n, k):  # the first violation only
+            return {"i": str(t + 2), "left": str(abs(v[t + 1] - v[t])),
+                    "right": str(abs(v[t + 2] - v[t + 1])), "allowed": str(k)}
+        return None
 
     return _claims(f"tn(n={n},k={k})", perms, n, (
         ("two_neighbor", neighbor),

@@ -122,10 +122,7 @@ def encode_d1_streaming(inp: D1Input) -> tuple[Permutation, TranspositionTrace]:
             lows += 1
         else:
             highs += 1
-    steps = list(map(object.__new__, [TranspositionStep] * len(moved)))
-    any(map(TranspositionStep.position.__set__, steps, positions))  # each returns None
-    any(map(TranspositionStep.moved_symbol.__set__, steps, moved))
-    return pi, TranspositionTrace(tuple(steps))
+    return pi, TranspositionTrace(TranspositionStep._trusted_rows(positions, moved))
 
 
 def decode_d1(pi: Permutation) -> D1Input:

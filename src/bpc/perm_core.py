@@ -12,6 +12,7 @@ the public constructors; what the library assembles itself is ``_trusted``.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
@@ -357,13 +358,7 @@ class BalanceViolation(Record):
 
     def __init__(self, b: int, j: int, window_sum: int, target: Fraction,
                  allowed_dev: Fraction, actual_dev: Fraction):
-        set_ = object.__setattr__  # one call per field, no loop: built per violation
-        set_(self, "b", b)
-        set_(self, "j", j)
-        set_(self, "window_sum", window_sum)
-        set_(self, "target", target)
-        set_(self, "allowed_dev", allowed_dev)
-        set_(self, "actual_dev", actual_dev)
+        self._init(b, j, window_sum, target, allowed_dev, actual_dev)
 
     def to_json_dict(self) -> dict:
         return {
@@ -427,12 +422,18 @@ def verify_balance(pi: Permutation, spec: BalanceSpec) -> ViolationReport:
     n = pi.n
     if spec.n != n:
         raise SpecMismatch(f"spec is for n={spec.n}, permutation has n={n}")
-    D = _devs2_of(pi)
-    return ViolationReport(tuple(
-        BalanceViolation(b=b, j=s + 1, window_sum=(D[s + b] - D[s] + b * (n + 1)) // 2,
-                         target=Fraction(b * (n + 1), 2), allowed_dev=spec.dev_max[b],
-                         actual_dev=Fraction(abs(D[s + b] - D[s]), 2))
-        for b, s in _window_violations(D, spec.blocks, spec._limits)))
+    D, step = _devs2_of(pi), n + 1
+    found = list(_window_violations(D, spec.blocks, spec._limits))
+    if not found:
+        return ViolationReport(())
+    lengths = [b for b, _ in found]
+    devs = [D[s + b] - D[s] for b, s in found]  # doubled window deviations
+    targets = {b: Fraction(b * step, 2) for b in set(lengths)}  # one per failing length
+    return ViolationReport(BalanceViolation._trusted_rows(
+        lengths, [s + 1 for _, s in found],
+        [(d + b * step) // 2 for b, d in zip(lengths, devs)],
+        list(map(targets.__getitem__, lengths)), list(map(spec.dev_max.__getitem__, lengths)),
+        [Fraction(abs(d), 2) for d in devs]))
 
 
 def _check_neighbor_range(n: int, k: int) -> None:
@@ -442,23 +443,75 @@ def _check_neighbor_range(n: int, k: int) -> None:
         raise SpecMismatch(f"neighbor bound {k} outside [1, {n - 1}]")
 
 
+# unsigned array typecodes by size in bytes, as this platform builds them
+_LANE_CODES = {array(code).itemsize: code for code in "QLI"}
+_BIG_ENDIAN = array("H", [1]).tobytes() == b"\0\1"
+
+
+@lru_cache(maxsize=4)  # about 12(n-1) bytes per shape below n = 2**29: 48 KiB at n = 4096
+def _lane_constants(count: int, size: int, k: int) -> tuple[int, int, int]:
+    """For ``count`` lanes of ``size`` bytes: the mask of all their bits, the
+    offset 2**(w-1) - k - 1 in every lane, and the top bit of every lane."""
+    width = 8 * size
+    ones = int.from_bytes(b"\1".ljust(size, b"\0") * count, "little")
+    return (1 << width * count) - 1, ((1 << width - 1) - k - 1) * ones, ones << width - 1
+
+
+def _far_neighbors(values, n: int, k: int) -> Iterator[int]:
+    """Yield, ascending, each t with |v[t+1] - v[t]| > k and
+    |v[t+2] - v[t+1]| > k, so that 1-based position t + 2 has no neighbor
+    within k, for ``values`` v in [0, n] and k in [0, n], n < 2**61.
+
+    All len(v) - 1 adjacent gaps are tested at once, in the lanes of one big
+    int (broadword comparison: Lamport, CACM 18(8), 1975; Knuth, TAOCP 4A,
+    7.1.3).  Lanes are w = 32 bits wide while n < 2**29, else 64, so that
+    every gap d = v[t+1] - v[t] has |d| <= n < 2**(w-3).  Lane t of
+    ``packed`` holds v[t], written by an ``array`` whose typecode is chosen
+    by its itemsize; shifted by w, lane t + 1 lines up with lane t, and lane
+    t of x is d.  With c = 2**(w-1) - k - 1 in every lane, lane t of x + c
+    is 2**(w-1) + d - k - 1, whose top bit is set exactly when d > k, and
+    lane t of c - x is 2**(w-1) - d - k - 1, whose top bit is set exactly
+    when -d > k.  Both lie within (0, 2**w), so no lane borrows from its
+    neighbor: the bias 2**(w-1) repays the borrow of a negative d in x.
+    ``far`` flags the gaps above k, and ``far & (far >> w)`` the positions
+    whose two gaps both are.  A word with no such position costs ten
+    big-int passes over (n-1)*w bits (the constants are cached per shape)
+    and no Python step or C call per symbol; otherwise the top byte of each
+    lane is read back as one flag per gap, and ``bytes.find`` visits only
+    the flagged t.
+    """
+    size = 4 if n < 1 << 29 else 8  # bytes per lane
+    width, count = 8 * size, len(values) - 1  # bits per lane, gap lanes
+    lanes = array(_LANE_CODES[size], values)
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    packed = int.from_bytes(lanes.tobytes(), "little")
+    mask, c, top = _lane_constants(count, size, k)
+    x = (packed >> width) - (packed & mask)  # the mask keeps x + c and c - x non-negative
+    far = (x + c | c - x) & top
+    both = far & (far >> width)
+    if both:
+        flags = both.to_bytes(size * count, "little")[size - 1::size]
+        t = flags.find(0x80)
+        while t >= 0:
+            yield t
+            t = flags.find(0x80, t + 1)
+
+
 def check_two_neighbor(pi: Permutation, spec: NeighborSpec) -> ViolationReport:
     """Check that each interior position has a neighbor within distance k.
 
-    The adjacent gaps and the flags ``gap > k`` are computed in C, and
-    ``bytes.find`` of two flags in a row visits only the violating positions."""
+    ``_far_neighbors`` tests every adjacent gap at once in packed lanes, so
+    only the violating positions are visited, and their two gaps recomputed."""
     n, k = pi.n, spec.k
     _check_neighbor_range(n, k)
     v = pi.values
-    gaps = list(map(abs, map(sub, v[1:], v)))  # gaps[t] = |v[t+1] - v[t]|
-    far = bytes(map(k.__lt__, gaps))
-    entries = []
-    t = far.find(b"\1\1")
-    while t >= 0:  # position t + 2 (1-based) has both gaps above k
-        entries.append(NeighborViolation(i=t + 2, left_diff=gaps[t],
-                                         right_diff=gaps[t + 1], allowed=k))
-        t = far.find(b"\1\1", t + 1)
-    return ViolationReport(tuple(entries))
+    at = list(_far_neighbors(v, n, k))
+    if not at:
+        return ViolationReport(())
+    return ViolationReport(NeighborViolation._trusted_rows(
+        [t + 2 for t in at], [abs(v[t + 1] - v[t]) for t in at],
+        [abs(v[t + 2] - v[t + 1]) for t in at], [k] * len(at)))
 
 
 @lru_cache(maxsize=64)

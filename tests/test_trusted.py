@@ -5,7 +5,10 @@ their permutations with ``Permutation._trusted``, and the decoders build
 their ``D1Input``/``D2Input``/``TnInput`` with ``Record._trusted``; neither
 runs the public constructor's checks.  The round trips here run with both
 routed back through the checking constructors, so every value those paths
-build at these sizes is shown to pass the checks it skips.
+build at these sizes is shown to pass the checks it skips.  The verifiers
+and the streaming encoder build their records in bulk, by
+``Record._trusted_rows``; those must be the values the keyword constructors
+build.
 """
 
 import itertools
@@ -19,15 +22,20 @@ import pytest
 
 from bpc import (
     BalanceSpec,
+    BalanceViolation,
     D1Input,
     D2Input,
     D2Params,
+    NeighborSpec,
+    NeighborViolation,
     NotCodeword,
     NotPermutation,
     Permutation,
     SelectorViolation,
     TnParams,
+    TranspositionStep,
     census,
+    check_two_neighbor,
     d1_message_decode,
     d1_message_encode,
     d1_preset,
@@ -42,9 +50,19 @@ from bpc import (
     random_valid_input,
     rank,
     unrank,
+    verify_balance,
 )
 from bpc._util import Record
-from support import all_d1_inputs, all_d2_inputs, random_d2_input, random_permutation
+from support import (
+    all_d1_inputs,
+    all_d2_inputs,
+    random_d1_input,
+    random_d2_input,
+    random_permutation,
+    reference_check_two_neighbor,
+    reference_encode_d1_streaming,
+    reference_verify_balance,
+)
 
 D2_SHAPES = [(n, N) for n in range(1, 17) for N in range(4, n + 1, 4) if n % N == 0]
 TN_SHAPES = [(n, k) for n in range(1, 17) for k in range(2, n + 1, 2)
@@ -174,3 +192,41 @@ def test_unpickling_a_trusted_value_runs_the_checks():
     # checking constructor, whatever was pickled
     with pytest.raises(NotPermutation, match="appears more than once"):
         pickle.loads(pickle.dumps(Permutation._trusted((1, 1))))
+
+
+def assert_same_values(built, keyword_built):
+    assert built == keyword_built  # by class and fields
+    assert list(map(hash, built)) == list(map(hash, keyword_built))
+    assert list(map(repr, built)) == list(map(repr, keyword_built))
+    assert pickle.loads(pickle.dumps(built)) == keyword_built
+
+
+@pytest.mark.parametrize("cls, columns", [
+    (BalanceViolation, ([3, 5, 5], [1, 2, 9], [10, 4, 21], [Fraction(15, 2), Fraction(25, 2)] * 2,
+                        [Fraction(1), Fraction(3, 2), Fraction(3, 2)],
+                        [Fraction(5, 2), Fraction(17, 2), Fraction(0)])),
+    (NeighborViolation, ([2, 7], [5, 6], [9, 4], [3, 3])),
+    (TranspositionStep, ([1, 4, 6], [8, 2, 5])),
+])
+def test_bulk_built_records_equal_keyword_built_ones(cls, columns):
+    built = cls._trusted_rows(*columns)
+    keyword_built = tuple(cls(**dict(zip(cls._names, row))) for row in zip(*columns))
+    assert_same_values(built, keyword_built)
+    assert cls._trusted_rows(*([] for _ in columns)) == ()
+
+
+def test_verifier_and_trace_records_equal_keyword_built_ones():
+    rng = random.Random("trusted/rows")
+    pi = random_permutation(rng, 64)
+    spec = BalanceSpec(64, (2, 5), {2: Fraction(20), 5: Fraction(41, 2)})
+    balance = verify_balance(pi, spec).entries
+    assert balance
+    assert_same_values(balance, reference_verify_balance(pi, spec).entries)
+    neighbor = check_two_neighbor(pi, NeighborSpec(8)).entries
+    assert neighbor
+    assert_same_values(neighbor, reference_check_two_neighbor(pi, NeighborSpec(8)).entries)
+    inp = random_d1_input(rng, 64)
+    steps = encode_d1_streaming(inp)[1].steps
+    assert steps
+    assert_same_values(steps, tuple(TranspositionStep(position=j, moved_symbol=v)
+                                    for j, v in reference_encode_d1_streaming(inp)[1]))
