@@ -110,11 +110,30 @@ class Record:
         return type(self), self._fields()
 
 
+# The largest exact integer the library builds, in bits (512 KiB): n**p for a
+# scale parameter, a rate report's factorials and the n! of rank/unrank.
+MAX_INT_BITS = 1 << 22
+
+
+def check_int_bits(bits: int, what: str) -> None:
+    """``ParamInvalid`` naming ``MAX_INT_BITS`` when ``bits``, an upper bound
+    on the bit length of the integer ``what`` that is about to be built,
+    exceeds it: checked before the arithmetic starts, so no size hangs."""
+    if bits > MAX_INT_BITS:
+        raise ParamInvalid(f"{what} needs up to {int_text(bits)} bits, "
+                           f"past the {MAX_INT_BITS}-bit limit on exact integers")
+
+
+def factorial_bits(m: int) -> int:
+    """An upper bound on the bit length of m!, m * bit_length(m), as m! <= m**m."""
+    return m * m.bit_length()
+
+
 def ceil_rational_power(n: int, exponent: Fraction) -> int:
     """Smallest integer m with m >= n**exponent, computed exactly.
 
-    For exponent p/q this is the rounded-up integer q-th root of n**p,
-    found by bisection on exact integer powers.
+    For exponent p/q this is the rounded-up integer q-th root of n**p, from
+    ``_floor_root``.
     """
     at_least(n, 1, "base")
     if not 0 < exponent < 1:
@@ -126,13 +145,42 @@ def ceil_rational_power(n: int, exponent: Fraction) -> int:
         raise ParamInvalid(
             f"exponent denominator {int_text(q)} is too large; pass an exact rational "
             "such as Fraction(3, 5) or the string '0.6'")
+    check_int_bits(p * n.bit_length(), f"n**{p}")
     target = n ** p
-    b = target.bit_length()  # so 2**((b-1)//q) <= m <= 2**ceil(b/q): about log2(n) halvings
-    lo, hi = 1 << (b - 1) // q, 1 << -(-b // q)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (mid + 1, hi) if mid ** q < target else (lo, mid)
-    return lo
+    root, power = _floor_root(target, q)
+    return root if power == target else root + 1
+
+
+def _floor_root(x: int, q: int) -> tuple[int, int]:
+    """r = floor(x ** (1/q)) for x >= 1 and q >= 2, with r**q.
+
+    A root of at most 64 bits is bisected between 2**((b-1)//q) and
+    2**ceil(b/q), b = bit_length(x).  A longer one is seeded from the top
+    bits: (the root of x >> q*j, plus one) shifted left by j is at least r,
+    and with j a little under half of r's bits, it is within a factor
+    1 + 2**-(bits/2 + log2 q) of it.  Integer Newton steps
+    y = ((q-1)t + x // t**(q-1)) // q then fall monotonically to r, each
+    squaring the relative error, so a step or two and the step that stops
+    at r suffice, and the seeds' powers halve in size down the recursion: a
+    1000-digit n**p takes a few exact powers where a bisection on all of
+    r's bits took log2 r of them.
+    """
+    b = x.bit_length()
+    bits = -(-b // q)  # r < 2**bits
+    if bits <= 64:
+        lo, hi = 1 << (b - 1) // q, 1 << bits
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if mid ** q <= x else (lo, mid - 1)
+        return lo, lo ** q
+    j = bits // 2 - q.bit_length()
+    t = (_floor_root(x >> q * j, q)[0] + 1) << j
+    while True:
+        power = t ** (q - 1)
+        y = ((q - 1) * t + x // power) // q
+        if y >= t:
+            return t, power * t
+        t = y
 
 
 def log2_int(x: int) -> float:

@@ -18,12 +18,23 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from . import DEFAULT_ENUM_LIMIT, _EXPORTS
-from ._util import Record, at_least, codec_parameters, exact_int, log2_int, scale_parameter
+from ._util import (
+    Record,
+    at_least,
+    check_int_bits,
+    codec_parameters,
+    exact_int,
+    factorial_bits,
+    int_text,
+    log2_int,
+    scale_parameter,
+)
 from .d1_codec import _half
 from .d2_codec import D2Params, d2_preset
 from .errors import IndexOutOfRange, LimitExceeded, ParamInvalid, SpecMismatch
@@ -197,15 +208,25 @@ class RateReport(Record):
         }
 
 
-def _rate_report(config: str, n: int, code_log2: float, target) -> RateReport:
-    perm_log2 = log2_int(factorial(n))
-    return RateReport(config=config, n=n, code_log2=code_log2, perm_log2=perm_log2,
-                      rate=code_log2 / perm_log2, target=target)
+def _log2_factorial(m: int) -> float:
+    check_int_bits(factorial_bits(m), f"{int_text(m)}!")
+    return log2_int(factorial(m))
+
+
+def _rate_report(config: str, n: int, code_log2: Callable[[], float],
+                 target) -> RateReport:
+    """The report of a code of log2 size ``code_log2()``, called once n! is
+    known to fit the size limit: no code of length n is larger than S_n."""
+    perm_log2 = _log2_factorial(n)
+    code = code_log2()
+    return RateReport(config=config, n=n, code_log2=code, perm_log2=perm_log2,
+                      rate=code / perm_log2, target=target)
 
 
 def rate_report_d1(n: int) -> RateReport:
     """Rate of the two-source codec: code size ((n/2)!)**2."""
-    return _rate_report("d1", n, 2 * log2_int(factorial(_half(n))), 1.0)
+    half = _half(n)
+    return _rate_report("d1", n, lambda: 2 * _log2_factorial(half), 1.0)
 
 
 def rate_report_d2(n: int, N: int | None = None,
@@ -216,7 +237,7 @@ def rate_report_d2(n: int, N: int | None = None,
     params = D2Params(n, N)
     target = float(1 - Fraction(epsilon)) if epsilon is not None else None
     label = f"d2(N={N}" + (f", eps={epsilon}" if epsilon is not None else "") + ")"
-    return _rate_report(label, n, N * log2_int(factorial(params.block_size)), target)
+    return _rate_report(label, n, lambda: N * _log2_factorial(params.block_size), target)
 
 
 def tn_code_size(params: TnParams, limit: int = DEFAULT_ENUM_LIMIT) -> int:
@@ -237,7 +258,7 @@ def rate_report_tn(n: int, k: int | None = None,
     params = TnParams(n, k)
     target = float((1 + Fraction(epsilon_k)) / 2) if epsilon_k is not None else None
     label = f"tn(k={k}" + (f", eps_k={epsilon_k}" if epsilon_k is not None else "") + ")"
-    return _rate_report(label, n, log2_int(params.code_size), target)
+    return _rate_report(label, n, lambda: log2_int(params.code_size), target)
 
 
 def rate_report(config: str, n: int, *, N: int | None = None,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import _EXPORTS
 from ._util import Record, at_least, exact_int, int_text
 from .errors import IndexOutOfRange, OddLength, ParamInvalid
-from .perm_core import Permutation, _Emitter, _project, rank, unrank
+from .perm_core import Permutation, _block_table, _exhausted, _layout, _project, rank, unrank
 
 __all__ = _EXPORTS["d1_codec"]
 
@@ -59,13 +59,24 @@ def encode_d1(inp: D1Input) -> Permutation:
     a low step lands in [D-(n-1), D-1], within [-(n-2), n-2]; from
     -(n-1) <= D <= 0 a high step lands in [D+1, D+n-1], within
     [-(n-2), n-1].  The bound is reached at every n (at n = 2, D_1 = -1).
+    An empty mandated half would raise ``SourceExhausted``, the guard of that
+    proof, with the run's state.
     """
-    em = _Emitter(inp.gamma1.n, (inp.gamma1.values, inp.gamma2.values))
-    take = em.take
-    take(1)
-    for _ in range(1, inp.n):
-        take(1 if em.dev2 > 0 else 2)
-    return Permutation._trusted(tuple(em.out))
+    blocks = _layout(inp.gamma1.n, (inp.gamma1.values, inp.gamma2.values))
+    low, high = map(iter, blocks)
+    step, out, dev2 = inp.n + 1, [], 0
+    append = out.append
+    try:
+        v = next(low)
+        append(v)
+        dev2 = 2 * v - step
+        for _ in range(1, inp.n):
+            v = next(low if dev2 > 0 else high)
+            append(v)
+            dev2 += 2 * v - step
+    except StopIteration:
+        raise _exhausted(blocks, out, dev2, (1 if dev2 > 0 or not out else 2,)) from None
+    return Permutation._trusted(tuple(out))
 
 
 class TranspositionStep(Record):
@@ -93,8 +104,8 @@ class TranspositionTrace(Record):
 def interleave(inp: D1Input) -> Permutation:
     """The streaming encoder's start state: the two blocks of ``encode_d1``
     merged alternately."""
-    queues = _Emitter(inp.gamma1.n, (inp.gamma1.values, inp.gamma2.values)).queues
-    return Permutation._trusted(tuple([v for pair in zip(queues[1], queues[2]) for v in pair]))
+    low, high = _layout(inp.gamma1.n, (inp.gamma1.values, inp.gamma2.values))
+    return Permutation._trusted(tuple([v for pair in zip(low, high) for v in pair]))
 
 
 def encode_d1_streaming(inp: D1Input) -> tuple[Permutation, TranspositionTrace]:
@@ -108,13 +119,14 @@ def encode_d1_streaming(inp: D1Input) -> tuple[Permutation, TranspositionTrace]:
     index 2*lows) exactly when lows <= highs, else the next high one (index
     2*highs + 1).  When the codeword's symbol v comes from the other half,
     v is reinserted at slot j (one trace entry), built without a Python call.
+    The half of v is read from the block layout (``_block_table``).
     """
     pi = encode_d1(inp)
-    half = inp.gamma1.n
+    block_of = _block_table(inp.n, inp.gamma1.n)[0]
     lows = highs = 0
     positions, moved = [], []
     for j, v in enumerate(pi.values, 1):
-        low = v <= half
+        low = block_of[v] == 1
         if low != (lows <= highs):
             positions.append(j)
             moved.append(v)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import _EXPORTS
 from ._util import Record, exact_int, scale_parameter
 from .errors import ParamInvalid
-from .perm_core import BalanceSpec, Permutation, _Emitter, _project
+from .perm_core import BalanceSpec, Permutation, _exhausted, _layout, _project
 
 __all__ = _EXPORTS["d2_codec"]
 
@@ -135,19 +135,29 @@ def encode_d2(inp: D2Input, *, tie_to_upper: bool = False) -> Permutation:
     now, which mandates the upper pair under either tie rule (cell 1's
     first visit is at an empty output, whose lower pair is full).
     Mirrored, an empty upper pair leaves D > 0, which mandates the lower
-    pair.  ``SourceExhausted`` from ``_Emitter.take`` stays the guard.
+    pair.  ``SourceExhausted`` stays the guard.
+
+    Each pair of blocks is read as one iterator of symbol pairs, so a visit
+    is one ``next``: the lower pair is mandated when D >= ``tie`` (0, or 1
+    under ``tie_to_upper``).
     """
     params = inp.params
     schedule = cell_schedule(params)
-    em = _Emitter(params.block_size, (s.values for s in inp.sigmas))
-    take = em.take
-    for cell in schedule.cells:
-        for _ in range(schedule.visits_per_cell):
-            lower = em.dev2 > 0 if tie_to_upper else em.dev2 >= 0
-            a, b = cell.lower if lower or not em.out else cell.upper
-            take(a)
-            take(b)
-    return Permutation._trusted(tuple(em.out))
+    blocks = _layout(params.block_size, (s.values for s in inp.sigmas))
+    tie, step2 = int(tie_to_upper), 2 * (params.n + 1)
+    out, dev2 = [], 0
+    try:
+        for cell in schedule.cells:
+            (a, b), (c, d) = cell.lower, cell.upper
+            lower, upper = zip(blocks[a - 1], blocks[b - 1]), zip(blocks[c - 1], blocks[d - 1])
+            for _ in range(schedule.visits_per_cell):
+                x, y = pair = next(lower if dev2 >= tie or not out else upper)
+                out += pair
+                dev2 += 2 * (x + y) - step2
+    except StopIteration:
+        raise _exhausted(blocks, out, dev2, cell.lower if dev2 >= tie or not out
+                         else cell.upper) from None
+    return Permutation._trusted(tuple(out))
 
 
 def decode_d2(pi: Permutation, params: D2Params) -> D2Input:

@@ -1,6 +1,11 @@
 """Permutation values, windowed-sum balance verifiers, discrepancy,
-lexicographic rank/unrank, and the symbol emitter and block projection that
-the three codecs share.
+lexicographic rank/unrank, and the block layout that the three codecs share.
+
+The layout is stated once in each direction: ``_layout`` builds the blocks
+an encoder walks (block i is its ordering of [1, size] shifted by
+(i-1)*size), and ``_block_table`` maps each symbol back to its block and its
+value within it, for ``_project`` and the tn pair check.  A table costs two
+tuples of n+1 pointers, 64 KiB at n = 4096; at most three are cached.
 
 Symbols are 1-based throughout: a permutation of length ``n`` holds each of
 ``{1, ..., n}`` exactly once, and window/position arguments follow the same
@@ -17,13 +22,23 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import accumulate, count, groupby
 from math import gcd, prod
 from operator import sub
 from typing import Iterable, Iterator, Mapping
 
 from . import _EXPORTS
-from ._util import Record, at_least, decimal_int, exact_int, exact_ints, int_text, token_text
+from ._util import (
+    Record,
+    at_least,
+    check_int_bits,
+    decimal_int,
+    exact_int,
+    exact_ints,
+    factorial_bits,
+    int_text,
+    token_text,
+)
 from .errors import (
     IndexOutOfRange,
     NotPermutation,
@@ -105,6 +120,14 @@ def _symbols(n: int) -> frozenset[int]:
     return frozenset(range(1, n + 1))
 
 
+@lru_cache(maxsize=4)  # 8n bytes plus 28 per symbol above 256: 66 KiB at n = 2048
+def _symbol_tuple(n: int) -> tuple[int, ...]:
+    """(1, ..., n), from which ``rank`` and ``unrank`` copy their sorted
+    working list: a pointer copy, where ``range`` would build every int above
+    256 anew on each call."""
+    return tuple(range(1, n + 1))
+
+
 def make_permutation(values: Iterable[int]) -> Permutation:
     """Validate ``values`` as a bijection of {1, ..., len(values)}."""
     return Permutation(tuple(values))
@@ -182,54 +205,61 @@ def _devs2_of(pi: Permutation) -> tuple[int, ...]:
     return devs2
 
 
-class _Emitter:
-    """Working state of one encoder run: a queue per block of symbols, the
-    emitted symbols, and their doubled prefix deviation ``dev2`` (the last
-    entry of ``prefix_deviations_doubled`` of the output so far).
+def _layout(size: int, orderings: Iterable[Iterable[int]]) -> list[list[int]]:
+    """The block layout every codec emits from: block i (1-based, in the
+    order given) is its ordering of [1, size] shifted by (i-1)*size, and n is
+    size times the number of blocks.  Each encoder walks these lists with its
+    own mandate rule; ``_block_table`` states the layout the other way round,
+    for ``_project``, the tn pair check and the d1 streaming trace."""
+    return [[v + offset for v in o] if offset else list(o)
+            for offset, o in zip(count(0, size), orderings)]
 
-    The block layout, which ``_project`` inverts: block i (1-based, in the
-    order given) queues its ordering of [1, size] shifted by (i-1)*size, and
-    n is size times the number of blocks.  Every codec draws from it; each
-    keeps only its own rule for which block the sign of ``dev2`` mandates.
-    """
 
-    __slots__ = ("queues", "out", "dev2", "_step")
+def _remaining(blocks: list[list[int]], out: list[int]) -> dict[int, int]:
+    """How many symbols of each block of ``blocks`` (a layout) ``out`` has not
+    emitted: the state an encoder error reports, rebuilt from its output."""
+    emitted = set(out)
+    return {i: sum(v not in emitted for v in block) for i, block in enumerate(blocks, 1)}
 
-    def __init__(self, size: int, orderings: Iterable[Iterable[int]]):
-        self.queues = {}
-        for i, o in enumerate(orderings, 1):
-            offset = (i - 1) * size
-            self.queues[i] = deque([v + offset for v in o] if offset else o)
-        self.out: list[int] = []
-        self.dev2 = 0
-        self._step = size * len(self.queues) + 1
 
-    def take(self, block: int) -> None:
-        """Emit the head of ``block``; an empty block is a defect witness."""
-        try:
-            v = self.queues[block].popleft()
-        except IndexError:
-            raise SourceExhausted(
-                f"mandated block(s) {block} empty after {len(self.out)} symbols "
-                "(encoder invariant broken)", emitted=len(self.out), dev_twice=self.dev2,
-                mandated=(block,), remaining=self.remaining()) from None
-        self.out.append(v)
-        self.dev2 += 2 * v - self._step
+def _exhausted(blocks: list[list[int]], out: list[int], dev2: int,
+               mandated: tuple[int, ...]) -> SourceExhausted:
+    """The defect witness of an encoder run over the layout ``blocks`` that
+    found a block of ``mandated`` empty after emitting ``out``, at doubled
+    prefix deviation ``dev2``."""
+    remaining = _remaining(blocks, out)
+    empty = tuple(i for i in mandated if not remaining[i])
+    return SourceExhausted(
+        f"mandated block(s) {', '.join(map(str, empty))} empty after {len(out)} symbols "
+        "(encoder invariant broken)", emitted=len(out), dev_twice=dev2, mandated=empty,
+        remaining=remaining)
 
-    def remaining(self) -> dict[int, int]:
-        return {i: len(q) for i, q in self.queues.items()}
+
+@lru_cache(maxsize=3)  # one shape per codec: 0.25 MB at n = 4096, at most 48 MB at n = 10**6
+def _block_table(n: int, size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``_layout`` read backwards: for each symbol v of [1, n], at index v, its
+    1-based block and its value in [1, size] within that block (index 0 is
+    unused).  Two tuples of n+1 pointers, 16(n+1) bytes, plus one int per
+    value above 256, shared by every block: 64 KiB for d2 and tn at n = 4096
+    and 114 KiB for d1 there, 0.25 MB for the three (by ``tracemalloc``).
+    Three shapes are kept, one per codec; two would be rebuilt on every call
+    of a round over the three codecs."""
+    blocks = [0]
+    for b in range(1, n // size + 1):
+        blocks += [b] * size
+    return tuple(blocks), (0,) + tuple(range(1, size + 1)) * (n // size)
 
 
 def _project(pi: Permutation, size: int) -> tuple[Permutation, ...]:
-    """Invert ``_Emitter``'s block layout: the orderings of [1, size] that
-    the n/size blocks of ``pi`` hold, each block's symbols in order of
-    appearance."""
-    blocks: list[list[int]] = [[] for _ in range(pi.n // size)]
+    """Invert ``_layout``: the orderings of [1, size] that the n/size blocks
+    of ``pi`` hold, each block's symbols in order of appearance.  One lookup
+    pair in ``_block_table`` and one ``append`` per symbol."""
+    block_of, value_in = _block_table(pi.n, size)
+    blocks: list[list[int]] = [[] for _ in range(pi.n // size + 1)]  # blocks[0] unused
     appends = [block.append for block in blocks]
     for v in pi.values:
-        appends[(v - 1) // size](v)
-    return tuple(Permutation._trusted(tuple([v - offset for v in block]))
-                 for offset, block in zip(range(0, pi.n, size), blocks))
+        appends[block_of[v]](value_in[v])
+    return tuple([Permutation._trusted(tuple(block)) for block in blocks[1:]])
 
 
 def _sliding_max(xs, width: int) -> list:
@@ -518,7 +548,9 @@ def check_two_neighbor(pi: Permutation, spec: NeighborSpec) -> ViolationReport:
 def _radix_groups(n: int) -> tuple[tuple[int, range], ...]:
     """The factoradic radices 1..n in runs of 32, as ``(product, radices)``,
     least significant run first: 64 tree leaves at n = 2048, where runs that
-    fit one int digit made 833 (runs of 16 to 64 timed alike, 128 slower)."""
+    fit one int digit made 833 (runs of 16 to 64 timed alike, 128 slower).
+    Their product is n!, so n must pass the size limit on exact integers."""
+    check_int_bits(factorial_bits(n), f"{int_text(n)}!")
     runs = [range(start, min(start + 32, n + 1)) for start in range(1, n + 1, 32)]
     return tuple((prod(radices), radices) for radices in runs)
 
@@ -549,7 +581,7 @@ def rank(pi: Permutation) -> int:
     5
     """
     n = pi.n
-    remaining = list(range(1, n + 1))
+    remaining = list(_symbol_tuple(n))
     digits = []  # digits[i] has radix n - i
     for v in pi.values:
         digits.append(d := bisect_left(remaining, v))
@@ -598,5 +630,5 @@ def unrank(index: int, n: int) -> Permutation:
         for radix in radices:
             low, d = divmod(low, radix)
             digits.append(d)
-    remaining = list(range(1, n + 1))
+    remaining = list(_symbol_tuple(n))
     return Permutation._trusted(tuple([remaining.pop(d) for d in reversed(digits)]))

@@ -18,7 +18,7 @@ from math import factorial
 from . import _EXPORTS
 from ._util import Record, exact_int, exact_ints
 from .errors import NotCodeword, ParamInvalid, SelectorViolation
-from .perm_core import Permutation, _Emitter, _project
+from .perm_core import Permutation, _block_table, _layout, _project, _remaining
 
 __all__ = _EXPORTS["tn_codec"]
 
@@ -108,48 +108,39 @@ class TnInput(Record):
         self._init(params, sigmas, selector)
 
 
-def _encode_pairs(params: TnParams, sigmas, pick) -> tuple[int, ...]:
-    """The encoder run shared by ``encode_tn`` and ``random_valid_input``.
-
-    Step t emits two symbols from the set ``pick(t, sets, em)`` names, where
-    ``sets`` is the range of the half mandated by the deviation after 2(t-1)
-    symbols (ties go low) and ``em`` is the run's emitter.  That half always
-    holds a non-empty set (the proof is in ``TnParams.code_size``), so
-    ``pick`` always has one to name; ``_Emitter.take`` still raises
-    ``SourceExhausted`` should an empty set ever be taken from.
-    """
-    half = params.m // 2
-    em = _Emitter(params.k, (s.values for s in sigmas))
-    lower, upper = range(1, half + 1), range(half + 1, params.m + 1)
-    take = em.take
-    for t in range(1, params.n // 2 + 1):
-        sel = pick(t, lower if em.dev2 >= 0 else upper, em)
-        take(sel)
-        take(sel)
-    return tuple(em.out)
-
-
 def encode_tn(inp: TnInput) -> Permutation:
     """Emit two symbols per step from the selector's set.
 
     At step t the mandated half comes from the deviation after 2(t-1)
     symbols (ties go low, so step 1 is always a low set).  A selector entry
     in the wrong half or naming an empty set raises ``SelectorViolation``;
-    the mandated half itself never runs dry (``TnParams.code_size``).
+    the mandated half itself never runs dry (``TnParams.code_size``).  Each
+    set is read as one iterator of its symbol pairs, so a step is one
+    ``next``.
     """
-    selector = inp.selector
+    p = inp.params
+    blocks = _layout(p.k, (s.values for s in inp.sigmas))
+    pairs = [zip(it, it) for it in map(iter, blocks)]
+    half, step2 = p.m // 2, 2 * (p.n + 1)
+    out, dev2 = [], 0
+    try:
+        for sel in inp.selector:
+            if (sel <= half) != (dev2 >= 0):
+                raise _violation(blocks, out, dev2, sel, "is not in the mandated {} half")
+            x, y = pair = next(pairs[sel - 1])
+            out += pair
+            dev2 += 2 * (x + y) - step2
+    except StopIteration:
+        raise _violation(blocks, out, dev2, sel, "is already exhausted") from None
+    return Permutation._trusted(tuple(out))
 
-    def check(t, sets, em):
-        sel = selector[t - 1]
-        if sel in sets and em.queues[sel]:
-            return sel
-        half = mandated_half(em.dev2).value
-        reason = ("is already exhausted" if sel in sets
-                  else f"is not in the mandated {half} half")
-        raise SelectorViolation(f"step {t}: set {sel} {reason}", step=t, selected=sel,
-                                mandated=half, remaining=em.remaining())
 
-    return Permutation._trusted(_encode_pairs(inp.params, inp.sigmas, check))
+def _violation(blocks, out, dev2: int, sel: int, reason: str) -> SelectorViolation:
+    """The ``SelectorViolation`` of the step after ``out``: the selector's
+    set ``sel`` broke ``reason`` (its ``{}`` names the mandated half)."""
+    t, half = len(out) // 2 + 1, mandated_half(dev2).value
+    return SelectorViolation(f"step {t}: set {sel} {reason.format(half)}", step=t,
+                             selected=sel, mandated=half, remaining=_remaining(blocks, out))
 
 
 def decode_tn(pi: Permutation, params: TnParams) -> TnInput:
@@ -160,37 +151,40 @@ def decode_tn(pi: Permutation, params: TnParams) -> TnInput:
     """
     if params.n != pi.n:
         raise ParamInvalid(f"params are for n={params.n}, permutation has n={pi.n}")
-    k, v = params.k, pi.values
-    sets = [(s - 1) // k + 1 for s in v]
+    v = pi.values
+    sets = list(map(_block_table(params.n, params.k)[0].__getitem__, v))
     selector, seconds = sets[0::2], sets[1::2]
     if selector != seconds:
         t, a, b = next((t, a, b) for t, (a, b) in enumerate(zip(selector, seconds)) if a != b)
         raise NotCodeword(
             f"pair ({v[2 * t]}, {v[2 * t + 1]}) at positions {2 * t + 1},{2 * t + 2} "
             f"straddles sets {a} and {b}")
-    return TnInput._trusted(params, _project(pi, k), tuple(selector))
+    return TnInput._trusted(params, _project(pi, params.k), tuple(selector))
 
 
 def random_valid_input(params: TnParams, rng: random.Random) -> TnInput:
     """Sample orderings uniformly and a selector consistent with the mandates.
 
-    The selector is built by running the encoder and picking uniformly
-    among the non-empty sets of each step's mandated half, so the result
-    always encodes without violations.
+    The selector is built by following the encoder's mandate over the block
+    layout and picking uniformly among the non-empty sets of each step's
+    mandated half, so the result always encodes without violations.
     """
     sigmas = []
     for _ in range(params.m):
         vals = list(range(1, params.k + 1))
         rng.shuffle(vals)
         sigmas.append(Permutation(tuple(vals)))
-    selector = []
-
-    def choose(t, sets, em):
-        sel = rng.choice([i for i in sets if em.queues[i]])
+    blocks = _layout(params.k, (s.values for s in sigmas))
+    half, step2 = params.m // 2, 2 * (params.n + 1)
+    lower, upper = range(1, half + 1), range(half + 1, params.m + 1)
+    drawn = [0] * (params.m + 1)  # symbols emitted per set, index 0 unused
+    selector, dev2 = [], 0
+    for _ in range(params.n // 2):
+        sel = rng.choice([i for i in (lower if dev2 >= 0 else upper) if drawn[i] < params.k])
+        block, t = blocks[sel - 1], drawn[sel]
+        dev2 += 2 * (block[t] + block[t + 1]) - step2
+        drawn[sel] = t + 2
         selector.append(sel)
-        return sel
-
-    _encode_pairs(params, sigmas, choose)
     return TnInput(params, tuple(sigmas), tuple(selector))
 
 

@@ -11,6 +11,7 @@ import itertools
 import random
 import sys
 from bisect import bisect_left
+from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
 from math import exp, factorial, log
@@ -39,6 +40,7 @@ from bpc import (
     TnInput,
     TnParams,
     ViolationReport,
+    cell_schedule,
     encode_tn,
     mandated_half,
 )
@@ -715,3 +717,95 @@ def reference_ceil_rational_power(n: int, exponent: Fraction) -> int:
     while m > 1 and (m - 1) ** q >= target:
         m -= 1
     return m
+
+
+class ReferenceEmitter:
+    """The shared emitter the three encoders drove before they walked the
+    block layout themselves: a queue per block, the emitted symbols and
+    their doubled prefix deviation ``dev2``, one ``take`` call per symbol.
+    Block i queues its ordering of [1, size] shifted by (i-1)*size."""
+
+    def __init__(self, size, orderings):
+        self.queues = {}
+        for i, o in enumerate(orderings, 1):
+            offset = (i - 1) * size
+            self.queues[i] = deque([v + offset for v in o] if offset else o)
+        self.out = []
+        self.dev2 = 0
+        self._step = size * len(self.queues) + 1
+
+    def take(self, block):
+        """Emit the head of ``block``; an empty block is a defect witness."""
+        try:
+            v = self.queues[block].popleft()
+        except IndexError:
+            raise SourceExhausted(
+                f"mandated block(s) {block} empty after {len(self.out)} symbols "
+                "(encoder invariant broken)", emitted=len(self.out), dev_twice=self.dev2,
+                mandated=(block,), remaining=self.remaining()) from None
+        self.out.append(v)
+        self.dev2 += 2 * v - self._step
+
+    def remaining(self):
+        return {i: len(q) for i, q in self.queues.items()}
+
+
+def emitter_encode_d1(inp: D1Input) -> Permutation:
+    """``encode_d1`` through ``ReferenceEmitter``: low first, then low while
+    the deviation is positive, else high."""
+    em = ReferenceEmitter(inp.gamma1.n, (inp.gamma1.values, inp.gamma2.values))
+    em.take(1)
+    for _ in range(1, inp.n):
+        em.take(1 if em.dev2 > 0 else 2)
+    return Permutation(tuple(em.out))
+
+
+def emitter_encode_d2(inp: D2Input, *, tie_to_upper: bool = False) -> Permutation:
+    """``encode_d2`` through ``ReferenceEmitter``, one ``take`` per symbol."""
+    params = inp.params
+    schedule = cell_schedule(params)
+    em = ReferenceEmitter(params.block_size, (s.values for s in inp.sigmas))
+    for cell in schedule.cells:
+        for _ in range(schedule.visits_per_cell):
+            lower = em.dev2 > 0 if tie_to_upper else em.dev2 >= 0
+            a, b = cell.lower if lower or not em.out else cell.upper
+            em.take(a)
+            em.take(b)
+    return Permutation(tuple(em.out))
+
+
+def emitter_encode_tn(inp: TnInput) -> Permutation:
+    """``encode_tn`` through ``ReferenceEmitter``: each step asks a check
+    callback for its set, which raises ``SelectorViolation`` on a set of the
+    wrong half or an empty one, with the emitter's counts as ``remaining``."""
+    params, selector = inp.params, inp.selector
+    half = params.m // 2
+    em = ReferenceEmitter(params.k, (s.values for s in inp.sigmas))
+    lower, upper = range(1, half + 1), range(half + 1, params.m + 1)
+
+    def check(t, sets):
+        sel = selector[t - 1]
+        if sel in sets and em.queues[sel]:
+            return sel
+        mandated = mandated_half(em.dev2).value
+        reason = ("is already exhausted" if sel in sets
+                  else f"is not in the mandated {mandated} half")
+        raise SelectorViolation(f"step {t}: set {sel} {reason}", step=t, selected=sel,
+                                mandated=mandated, remaining=em.remaining())
+
+    for t in range(1, params.n // 2 + 1):
+        sel = check(t, lower if em.dev2 >= 0 else upper)
+        em.take(sel)
+        em.take(sel)
+    return Permutation(tuple(em.out))
+
+
+def appends_project(pi: Permutation, size: int) -> tuple[Permutation, ...]:
+    """The block projection by arithmetic: block (v-1)//size per symbol, then
+    one offset pass per block."""
+    blocks = [[] for _ in range(pi.n // size)]
+    appends = [block.append for block in blocks]
+    for v in pi.values:
+        appends[(v - 1) // size](v)
+    return tuple(Permutation(tuple([v - offset for v in block]))
+                 for offset, block in zip(range(0, pi.n, size), blocks))

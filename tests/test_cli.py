@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from bpc import cli, d1_codec
+from bpc import D1Input, Permutation, cli, d1_codec
 from bpc.errors import SourceExhausted
 from support import (
     EX1_CODEWORD,
@@ -677,6 +677,33 @@ class TestSubprocessPipes:
         assert perm == " ".join(str(v) for v in EX3_CODEWORD)
 
 
+class TestSizeLimit:
+    """Inputs whose exact integers would pass ``MAX_INT_BITS`` exit 2 at once,
+    each with one line naming the limit; they hung, or exited 3."""
+
+    @pytest.mark.parametrize("argv, what", [
+        (("encode", "d1", "--n", "1" + "0" * 21, "--i1", "0", "--i2", "0"),
+         f"{5 * 10 ** 20}!"),
+        (("analyze", "rate", "--config", "d1", "--n", "1" + "0" * 21), f"{10 ** 21}!"),
+        (("analyze", "rate", "--config", "d1", "--n", "1" + "0" * 11), f"{10 ** 11}!"),
+        (("analyze", "rate", "--config", "d2", "--n", "1" + "0" * 4299,
+          "--epsilon", "9999/10000"), "n**9999"),
+    ], ids=["encode-d1-1e21", "rate-d1-1e21", "rate-d1-1e11", "rate-d2-4300-digits"])
+    def test_in_a_new_process(self, argv, what):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-m", "bpc.cli", *argv], capture_output=True,
+                              text=True, env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+                              timeout=30)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"error: {what} needs up to ")
+        assert proc.stderr.endswith(" bits, past the 4194304-bit limit on exact integers\n")
+        assert proc.stderr.count("\n") == 1
+
+
 def _probe(code: str, *args: str) -> list[str]:
     """Run ``code`` in a new interpreter with this checkout's bpc on its
     path (writing no bytecode caches); returns the stdout lines."""
@@ -889,6 +916,20 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(error)
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_an_empty_layout_block_exits_three_with_its_witness(self, capsys, monkeypatch):
+        # the encoder's own guard, reached through a layout the constructors
+        # refuse (halves of unequal length), prints its state and exits 3
+        real = d1_codec.encode_d1
+        broken = D1Input._trusted(Permutation._trusted((2, 1)), Permutation._trusted((1,)))
+        monkeypatch.setattr(d1_codec, "encode_d1", lambda inp: real(broken))
+        code, out, err = run(capsys, "encode", "d1", "--n", "4", "--gamma1", "1,2",
+                             "--gamma2", "1,2")
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [
+            "defect: mandated block(s) 2 empty after 2 symbols (encoder invariant broken)",
+            "defect state: {'emitted': 2, 'dev_twice': 0, 'mandated': (2,), "
+            "'remaining': {1: 1, 2: 0}}"]
 
     def test_unexpected_exception_is_a_defect(self, capsys, monkeypatch):
         def boom(args):

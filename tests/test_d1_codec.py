@@ -26,12 +26,13 @@ from bpc import (
     prefix_deviations_doubled,
     verify_balance,
 )
-from bpc.perm_core import _Emitter
+from bpc.perm_core import _layout, _remaining
 from support import (
     EX1_CODEWORD,
     EX1_INTERLEAVING,
     all_d1_inputs,
     default_digit_limit,
+    emitter_encode_d1,
     ex1_input,
     random_d1_input,
     reference_encode_d1,
@@ -75,46 +76,54 @@ class TestEncode:
 
 
 class TestSourceState:
-    """The shared emitter's per-block source state, driven by the d1 rule."""
+    """The d1 rule over the shared block layout (``_layout``): block 1 is the
+    low ordering, block 2 the high one, each emitted in order."""
 
     @staticmethod
-    def emitter(inp):
-        return _Emitter(inp.gamma1.n, (inp.gamma1.values, inp.gamma2.values))
+    def blocks(inp):
+        return _layout(inp.gamma1.n, (inp.gamma1.values, inp.gamma2.values))
 
     def test_tracks_counts_and_deviation(self):
-        em = self.emitter(ex1_input())
-        em.take(1)
-        assert len(em.out) == 1
-        assert Fraction(em.dev2, 2) == Fraction(-7, 2)
-        while len(em.out) < 12:
-            assert sum(em.remaining().values()) + len(em.out) == 12
-            em.take(1 if em.dev2 > 0 else 2)
-        assert tuple(em.out) == EX1_CODEWORD
-        assert em.dev2 == 0
+        inp = ex1_input()
+        blocks, out = self.blocks(inp), list(encode_d1(inp).values)
+        assert Fraction(2 * out[0] - 13, 2) == Fraction(-7, 2)
+        for j in range(1, 12):
+            assert sum(_remaining(blocks, out[:j]).values()) + j == 12
+        assert tuple(out) == EX1_CODEWORD
+        assert sum(2 * v - 13 for v in out) == 0
 
     def test_empty_source_is_a_defect_signal(self):
-        em = _Emitter(1, ((), (1,)))
-        with pytest.raises(SourceExhausted) as err:
-            em.take(1)
-        assert err.value.state == {"emitted": 0, "dev_twice": 0, "mandated": (1,),
-                                   "remaining": {1: 0, 2: 1}}
-        em.take(2)
-        with pytest.raises(SourceExhausted) as err:
-            em.take(2)
-        assert err.value.state == {"emitted": 1, "dev_twice": 1, "mandated": (2,),
-                                   "remaining": {1: 0, 2: 0}}
+        # only a layout the public constructors refuse (halves of unequal
+        # length) can leave a mandated block empty
+        for gammas, state in [
+            (((), (1,)), {"emitted": 0, "dev_twice": 0, "mandated": (1,),
+                          "remaining": {1: 0, 2: 1}}),
+            (((1,), ()), {"emitted": 1, "dev_twice": -1, "mandated": (2,),
+                          "remaining": {1: 0, 2: 0}}),
+        ]:
+            inp = D1Input._trusted(*map(Permutation._trusted, gammas))
+            with pytest.raises(SourceExhausted) as err:
+                encode_d1(inp)
+            assert err.value.state == state
+            with pytest.raises(SourceExhausted) as old:
+                emitter_encode_d1(inp)
+            assert (str(err.value), err.value.state) == (str(old.value), old.value.state)
 
     def test_mandated_source_never_empty(self):
-        # availability: over full runs the mandated queue always has a symbol
+        # availability: over full runs the mandated block always has a symbol,
+        # and the codeword takes that block's next one
         rng = random.Random(7)
         for _ in range(200):
             n = 2 * rng.randint(1, 40)
-            em = self.emitter(random_d1_input(rng, n))
-            em.take(1)
-            for _ in range(n - 1):
-                source = 1 if em.dev2 > 0 else 2
-                assert em.queues[source]
-                em.take(source)
+            inp = random_d1_input(rng, n)
+            blocks, out = self.blocks(inp), encode_d1(inp).values
+            dev2 = 0
+            for j, v in enumerate(out):
+                source = 1 if dev2 > 0 or j == 0 else 2
+                left = _remaining(blocks, out[:j])[source]
+                assert left
+                assert v == blocks[source - 1][-left]
+                dev2 += 2 * v - (n + 1)
 
 
 class TestStreaming:

@@ -31,7 +31,7 @@ from bpc import (
     verify_balance,
     window_sum,
 )
-from bpc.perm_core import _Emitter, _project
+from bpc.perm_core import _block_table, _layout, _project
 from support import (
     EX1_CODEWORD,
     EX1_INTERLEAVING,
@@ -426,26 +426,25 @@ class TestTwoNeighbor:
 
 
 def emit_and_project(size, orderings, order):
-    """Emit every symbol of the blocks, taking from block ``order[t]`` at
-    step t, and project the output back; also checks that the run's doubled
-    deviation ends at 0, as it does only when n = size * len(orderings)."""
-    em = _Emitter(size, orderings)
-    for block in order:
-        em.take(block)
-    assert em.dev2 == 0
-    return [p.values for p in _project(Permutation(tuple(em.out)), size)]
+    """Emit every symbol of the blocks of ``_layout``, taking from block
+    ``order[t]`` at step t, and project the output back; also checks that the
+    run's doubled deviation ends at 0, as it does only when
+    n = size * len(orderings)."""
+    heads = [iter(block) for block in _layout(size, orderings)]
+    out = [next(heads[block - 1]) for block in order]
+    assert sum(2 * v - (len(out) + 1) for v in out) == 0
+    return [p.values for p in _project(Permutation(tuple(out)), size)]
 
 
 class TestBlockLayout:
-    """``_project`` inverts ``_Emitter``'s block layout."""
+    """``_project`` inverts ``_layout``'s block layout."""
 
     @pytest.mark.parametrize("size, blocks", [(2048, 2), (64, 64), (16, 256)])
     def test_concatenated_queues_project_to_the_orderings(self, size, blocks):
         rng = random.Random(size + blocks)
         orderings = [tuple(rng.sample(range(1, size + 1), size)) for _ in range(blocks)]
-        em = _Emitter(size, orderings)
-        for i, queue in em.queues.items():
-            assert list(queue) == [v + (i - 1) * size for v in orderings[i - 1]]
+        for i, block in enumerate(_layout(size, orderings), 1):
+            assert block == [v + (i - 1) * size for v in orderings[i - 1]]
         order = [i for i in range(1, blocks + 1) for _ in range(size)]
         assert emit_and_project(size, orderings, order) == orderings
         rng.shuffle(order)  # any interleaving of the blocks projects back as well
@@ -460,6 +459,16 @@ class TestBlockLayout:
         for orderings in product(block_orders, repeat=blocks):
             for order in interleavings:
                 assert emit_and_project(size, orderings, order) == list(orderings)
+
+    @pytest.mark.parametrize("n, size", [(n, s) for n in range(1, 25) for s in range(1, n + 1)
+                                         if n % s == 0])
+    def test_block_table_reads_the_layout_backwards(self, n, size):
+        block_of, value_in = _block_table(n, size)
+        assert len(block_of) == len(value_in) == n + 1
+        identity_blocks = _layout(size, [range(1, size + 1)] * (n // size))
+        for i, block in enumerate(identity_blocks, 1):
+            for w, v in enumerate(block, 1):
+                assert (block_of[v], value_in[v]) == (i, w)
 
 
 class TestRankUnrank:

@@ -24,7 +24,7 @@ from bpc import (
     tn_input_from_json_dict,
     tn_input_to_json_dict,
 )
-from bpc.tn_codec import _encode_pairs
+from bpc.perm_core import _layout
 from support import (
     EX4_CODEWORD,
     EX4_SELECTOR,
@@ -164,34 +164,28 @@ class TestExhaustiveSmall:
         assert len(images) == 64  # injectivity
 
 
-class _Branch(Exception):
-    """Stops a replayed encoder run at the step where the walk branches."""
-
-
 def encoder_runs(params: TnParams, sigmas) -> int:
     """Count the encoder's runs over ``sigmas``, every selector choice walked.
 
-    Each selector prefix is replayed through ``_encode_pairs``; at the first
-    step past it the walk branches on every non-empty set of the mandated
-    half, and asserts that there is one."""
-    runs, todo = 0, [()]
+    The walk follows the mandate over the block layout (``_layout``): at each
+    step it branches on every non-empty set of the mandated half, and asserts
+    that there is one.  Every complete selector must encode."""
+    blocks = _layout(params.k, (s.values for s in sigmas))
+    half, step2 = params.m // 2, 2 * (params.n + 1)
+    runs, todo = 0, [((), 0, (0,) * params.m)]  # selector prefix, D, symbols drawn per set
     while todo:
-        prefix = todo.pop()
-        options = []
-
-        def pick(t, sets, em):
-            if t <= len(prefix):
-                return prefix[t - 1]
-            options.extend(i for i in sets if em.queues[i])
-            assert options, f"step {t}: every set of {tuple(sets)} is empty after {prefix}"
-            raise _Branch
-
-        try:
-            _encode_pairs(params, sigmas, pick)
-        except _Branch:
-            todo.extend(prefix + (i,) for i in options)
-        else:
+        prefix, dev2, drawn = todo.pop()
+        if len(prefix) == params.n // 2:
+            encode_tn(TnInput(params, sigmas, prefix))  # SelectorViolation would fail
             runs += 1
+            continue
+        sets = range(1, half + 1) if dev2 >= 0 else range(half + 1, params.m + 1)
+        options = [i for i in sets if drawn[i - 1] < params.k]
+        assert options, f"step {len(prefix) + 1}: every set of {tuple(sets)} is empty after {prefix}"
+        for i in options:
+            t, block = drawn[i - 1], blocks[i - 1]
+            todo.append((prefix + (i,), dev2 + 2 * (block[t] + block[t + 1]) - step2,
+                         drawn[:i - 1] + (t + 2,) + drawn[i:]))
     return runs
 
 

@@ -7,8 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpc import ParamInvalid
-from bpc._util import Record, ceil_rational_power, decimal_fraction, decimal_int, log2_int
+from bpc import ParamInvalid, rate_report_d1, rate_report_d2, rate_report_tn, unrank
+from bpc._util import (
+    MAX_INT_BITS,
+    Record,
+    ceil_rational_power,
+    check_int_bits,
+    decimal_fraction,
+    decimal_int,
+    factorial_bits,
+    log2_int,
+)
 from support import default_digit_limit, reference_ceil_rational_power
 
 
@@ -65,6 +74,51 @@ class TestCeilRationalPower:
                 continue  # n**eps >= 2**48: the reference's walk may not end
             assert ceil_rational_power(n, eps) == reference_ceil_rational_power(n, eps)
             checked += 1
+
+    def test_defining_inequality_on_seeded_inputs_to_1000_digits(self):
+        # integer Newton from a top-bits seed: exact where the bisection took
+        # 23 s at the first case below
+        rng = random.Random(24)
+        cases = [(10 ** 1000 - 1, Fraction(99, 100)), (10 ** 1000 - 1, Fraction(999, 1000))]
+        while len(cases) < 18:
+            q = rng.randint(2, 1000)
+            n = rng.randint(1, 10 ** rng.randint(1, 1000))
+            cases.append((n, Fraction(rng.randint(1, q - 1), q)))
+        for n, eps in cases:
+            p, q = eps.numerator, eps.denominator
+            m = ceil_rational_power(n, eps)
+            assert (m - 1) ** q < n ** p <= m ** q
+
+    def test_size_limit_refuses_a_huge_power_before_building_it(self):
+        n = 10 ** 4299  # 4300 digits: n**9999 would have about 1.4e8 bits
+        with pytest.raises(ParamInvalid) as info:
+            ceil_rational_power(n, Fraction(9999, 10000))
+        assert str(info.value) == (f"n**9999 needs up to {9999 * n.bit_length()} bits, "
+                                   f"past the {MAX_INT_BITS}-bit limit on exact integers")
+        # the bound is p * bit_length(n), checked before n**p is built
+        with pytest.raises(ParamInvalid):
+            ceil_rational_power(2 ** (MAX_INT_BITS // 1000), Fraction(1000, 1001))
+
+
+class TestSizeLimit:
+    def test_factorial_bits_bounds_the_bit_length(self):
+        for m in [*range(1, 300), 1000, 4096, 65536]:
+            assert math.factorial(m).bit_length() <= factorial_bits(m)
+
+    def test_check_names_the_limit(self):
+        check_int_bits(MAX_INT_BITS, "x")
+        with pytest.raises(ParamInvalid) as info:
+            check_int_bits(MAX_INT_BITS + 1, "x")
+        assert str(info.value) == (f"x needs up to {MAX_INT_BITS + 1} bits, "
+                                   f"past the {MAX_INT_BITS}-bit limit on exact integers")
+
+    def test_unrank_and_rate_reports_check_n_factorial_first(self):
+        big = 1 + max(m for m in range(230_000, 240_000) if factorial_bits(m) <= MAX_INT_BITS)
+        for call in (lambda: unrank(0, big), lambda: rate_report_d1(2 * big),
+                     lambda: rate_report_d2(4 * big, N=4), lambda: rate_report_tn(4 * big, k=2),
+                     lambda: unrank(0, 10 ** 21), lambda: rate_report_d1(10 ** 21)):
+            with pytest.raises(ParamInvalid, match="-bit limit on exact integers"):
+                call()
 
     def test_domain(self):
         with pytest.raises(ParamInvalid):
