@@ -51,7 +51,9 @@ from .perm_core import (
 from .tn_codec import TnParams
 
 __all__ = _EXPORTS["analysis"]
-_d2_spec = lru_cache(maxsize=4)(d2_preset)  # d2_claim_suite's spec, derived once per (n, N)
+# d2_claim_suite's spec, once per (n, N): up to 156 bytes for each of its n/N - 1 lengths,
+# 0.007 MB at (4096, 64) and 39.0 MB at (10**6, 4), where the four kept pin 156 MB
+_d2_spec = lru_cache(maxsize=4)(d2_preset)
 
 
 def _fan_out(scan, tasks, workers: int) -> list:

@@ -4,8 +4,9 @@ lexicographic rank/unrank, and the block layout that the three codecs share.
 The layout is stated once in each direction: ``_layout`` builds the blocks
 an encoder walks (block i is its ordering of [1, size] shifted by
 (i-1)*size), and ``_block_table`` maps each symbol back to its block and its
-value within it, for ``_project`` and the tn pair check.  A table costs two
-tuples of n+1 pointers, 64 KiB at n = 4096; at most three are cached.
+value within it, for ``_project`` and the tn pair check.  A table costs
+0.07-0.12 MB at n = 4096, at most about 32n bytes; three are cached, and
+four ``_factoradic`` tables for ``rank``/``unrank`` (0.23 MB at n = 4096).
 
 Symbols are 1-based throughout: a permutation of length ``n`` holds each of
 ``{1, ..., n}`` exactly once, and window/position arguments follow the same
@@ -114,18 +115,11 @@ class Permutation(Record):
         return format_permutation(self)
 
 
-@lru_cache(maxsize=4)  # read by public construction only; 59 MB per set at n = 10**6
+# public construction only; about 64 bytes per symbol: 65.5 MB at n = 10**6, 262 MB for four
+@lru_cache(maxsize=4)
 def _symbols(n: int) -> frozenset[int]:
     """{1, ..., n}: the symbol set of every permutation of length ``n``."""
     return frozenset(range(1, n + 1))
-
-
-@lru_cache(maxsize=4)  # 8n bytes plus 28 per symbol above 256: 66 KiB at n = 2048
-def _symbol_tuple(n: int) -> tuple[int, ...]:
-    """(1, ..., n), from which ``rank`` and ``unrank`` copy their sorted
-    working list: a pointer copy, where ``range`` would build every int above
-    256 anew on each call."""
-    return tuple(range(1, n + 1))
 
 
 def make_permutation(values: Iterable[int]) -> Permutation:
@@ -235,13 +229,14 @@ def _exhausted(blocks: list[list[int]], out: list[int], dev2: int,
         remaining=remaining)
 
 
-@lru_cache(maxsize=3)  # one shape per codec: 0.25 MB at n = 4096, at most 48 MB at n = 10**6
+@lru_cache(maxsize=3)  # one shape per codec: 0.25 MB at n = 4096, at most 96 MB at n = 10**6
 def _block_table(n: int, size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``_layout`` read backwards: for each symbol v of [1, n], at index v, its
     1-based block and its value in [1, size] within that block (index 0 is
-    unused).  Two tuples of n+1 pointers, 16(n+1) bytes, plus one int per
-    value above 256, shared by every block: 64 KiB for d2 and tn at n = 4096
-    and 114 KiB for d1 there, 0.25 MB for the three (by ``tracemalloc``).
+    unused).  Two tuples of n+1 pointers plus a 32-byte int per block number
+    and in-block value above 256, at most about 32n bytes (by tracemalloc):
+    0.066 MB for d2 and tn and 0.123 MB for d1 at n = 4096, 18.0 MB at size
+    16 and 32.0 MB for d1 at n = 10**6, where the three kept pin up to 96 MB.
     Three shapes are kept, one per codec; two would be rebuilt on every call
     of a round over the three codecs."""
     blocks = [0]
@@ -544,28 +539,26 @@ def check_two_neighbor(pi: Permutation, spec: NeighborSpec) -> ViolationReport:
         [abs(v[t + 2] - v[t + 1]) for t in at], [k] * len(at)))
 
 
-@lru_cache(maxsize=64)
-def _radix_groups(n: int) -> tuple[tuple[int, range], ...]:
-    """The factoradic radices 1..n in runs of 32, as ``(product, radices)``,
-    least significant run first: 64 tree leaves at n = 2048, where runs that
-    fit one int digit made 833 (runs of 16 to 64 timed alike, 128 slower).
-    Their product is n!, so n must pass the size limit on exact integers."""
+@lru_cache(maxsize=4)
+def _factoradic(n: int) -> tuple[tuple[int, ...], tuple[range, ...], tuple[tuple[int, ...], ...]]:
+    """``(symbols, runs, tree)`` for ``rank`` and ``unrank`` at length n:
+    (1, ..., n), copied into each call's sorted working list (``range``
+    would build every int above 256 anew); the radices 1..n in ranges of 32,
+    least significant first (64 leaves at n = 2048; one-digit runs made 833,
+    runs of 16 to 64 timed alike, 128 slower); and the balanced product tree
+    over the runs' products, leaves first, each level pairing the one below
+    (an odd last node carried up), up to ``(n!,)``.  n! must pass the size
+    limit, checked before anything is built.  One length costs 0.10 MB at
+    n = 2048 and 17.8 MB at n = 233,016, the largest n allowed (by
+    ``tracemalloc``), so the four kept pin at most about 71 MB."""
     check_int_bits(factorial_bits(n), f"{int_text(n)}!")
-    runs = [range(start, min(start + 32, n + 1)) for start in range(1, n + 1, 32)]
-    return tuple((prod(radices), radices) for radices in runs)
-
-
-@lru_cache(maxsize=16)
-def _product_tree(n: int) -> tuple[tuple[int, ...], ...]:
-    """A balanced product tree over ``_radix_groups(n)``, leaves first: each
-    level holds the products of adjacent pairs of the level below (an odd
-    last node is carried up alone), up to the root level ``(n!,)``."""
-    level = tuple(p for p, _ in _radix_groups(n))
+    runs = tuple(range(start, min(start + 32, n + 1)) for start in range(1, n + 1, 32))
+    level = tuple(map(prod, runs))
     levels = [level]
     while len(level) > 1:
         level = tuple(prod(level[i:i + 2]) for i in range(0, len(level), 2))
         levels.append(level)
-    return tuple(levels)
+    return tuple(range(1, n + 1)), runs, tuple(levels)
 
 
 def rank(pi: Permutation) -> int:
@@ -581,18 +574,19 @@ def rank(pi: Permutation) -> int:
     5
     """
     n = pi.n
-    remaining = list(_symbol_tuple(n))
+    symbols, runs, tree = _factoradic(n)
+    remaining = list(symbols)
     digits = []  # digits[i] has radix n - i
     for v in pi.values:
         digits.append(d := bisect_left(remaining, v))
         del remaining[d]
     parts = []  # one value per radix group, least significant first
-    for _, radices in _radix_groups(n):
+    for radices in runs:
         low = 0
         for radix in reversed(radices):
             low = low * radix + digits[n - radix]
         parts.append(low)
-    for level in _product_tree(n)[:-1]:
+    for level in tree[:-1]:
         parts = [parts[j + 1] * level[j] + parts[j] if j + 1 < len(parts) else parts[j]
                  for j in range(0, len(parts), 2)]
     return parts[0]
@@ -612,7 +606,7 @@ def unrank(index: int, n: int) -> Permutation:
     (3, 2, 1)
     """
     index, n = exact_int(index), at_least(n, 1, "length")
-    tree = _product_tree(n)
+    symbols, runs, tree = _factoradic(n)
     q, x = divmod(index, tree[-1][0])
     if q:
         raise IndexOutOfRange(f"rank {int_text(index)} outside [0, {n}!)")
@@ -626,9 +620,9 @@ def unrank(index: int, n: int) -> Permutation:
             split.append(x)
         parts = split
     digits = []  # digits[k] has radix k + 1
-    for low, (_, radices) in zip(parts, _radix_groups(n)):
+    for low, radices in zip(parts, runs):
         for radix in radices:
             low, d = divmod(low, radix)
             digits.append(d)
-    remaining = list(_symbol_tuple(n))
+    remaining = list(symbols)
     return Permutation._trusted(tuple([remaining.pop(d) for d in reversed(digits)]))

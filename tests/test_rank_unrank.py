@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import pytest
 
 from bpc import IndexOutOfRange, ParamInvalid, Permutation, rank, unrank
-from bpc.perm_core import _product_tree, _radix_groups
+from bpc.perm_core import _factoradic
 from support import default_digit_limit, reference_rank, reference_unrank
 
 
@@ -71,11 +71,11 @@ LEAF_COUNTS = (1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 128, 129)
 
 LENGTHS_BY_LEAVES = {}
 for _n in range(1, 4200):
-    LENGTHS_BY_LEAVES.setdefault(len(_radix_groups(_n)), []).append(_n)
+    LENGTHS_BY_LEAVES.setdefault(-(-_n // 32), []).append(_n)  # runs of 32 radices
 
 
 def lengths_with_leaves(leaves):
-    """The least and the greatest n whose radix groups number ``leaves``."""
+    """The least and the greatest n whose radix runs number ``leaves``."""
     ns = LENGTHS_BY_LEAVES[leaves]
     return ns[0], ns[-1]
 
@@ -83,7 +83,7 @@ def lengths_with_leaves(leaves):
 @pytest.mark.parametrize("leaves", LEAF_COUNTS)
 def test_every_tree_shape_at_edge_indices(leaves):
     for n in lengths_with_leaves(leaves):
-        assert len(_product_tree(n)[0]) == leaves
+        assert len(_factoradic(n)[2][0]) == leaves
         for index in edge_and_seeded_indices(n, 7105, 2):
             assert_agrees(index, n)
 
@@ -91,8 +91,8 @@ def test_every_tree_shape_at_edge_indices(leaves):
 @pytest.mark.parametrize("leaves", LEAF_COUNTS)
 def test_product_tree_levels(leaves):
     for n in lengths_with_leaves(leaves):
-        tree = _product_tree(n)
-        assert tree[0] == tuple(prod for prod, _ in _radix_groups(n))
+        _, runs, tree = _factoradic(n)
+        assert tree[0] == tuple(map(math.prod, runs))
         for below, level in zip(tree, tree[1:]):
             assert level == tuple(math.prod(below[i:i + 2]) for i in range(0, len(below), 2))
         assert tree[-1] == (math.factorial(n),)
@@ -172,9 +172,9 @@ def test_non_int_index_or_length_is_rejected(index, n):
 
 @pytest.mark.parametrize("n", (1, 2, 13, 14, 31, 32, 33, 64, 65, 1024, 2048, 4096))
 def test_radix_groups_cover_every_radix_once_in_runs_of_32(n):
-    groups = _radix_groups(n)
-    assert [r for _, radices in groups for r in radices] == list(range(1, n + 1))
-    for prod, radices in groups:
-        assert prod == math.prod(radices)
-    assert [len(radices) for _, radices in groups[:-1]] == [32] * (len(groups) - 1)
-    assert 1 <= len(groups[-1][1]) <= 32
+    symbols, runs, tree = _factoradic(n)
+    assert symbols == tuple(range(1, n + 1))
+    assert [r for radices in runs for r in radices] == list(range(1, n + 1))
+    assert tree[0] == tuple(map(math.prod, runs))
+    assert [len(radices) for radices in runs[:-1]] == [32] * (len(runs) - 1)
+    assert 1 <= len(runs[-1]) <= 32
