@@ -334,26 +334,33 @@ class ClaimReport(Record):
 
 
 def _claims(config: str, perms, n: int, checks) -> ClaimReport:
-    """Tally each ``(name, detail)`` check over the batch.  ``detail(pi,
-    devs2)`` gets a permutation and its doubled prefix deviations (its memo,
-    shared with the verifiers and ``disc``), tests them against a doubled
-    allowance and returns None on a pass, else the failure's detail in
-    undoubled units; each check's first failure is its counterexample."""
+    """Tally each ``(name, detail, implied)`` check over the batch.
+    ``detail(pi, devs2)`` gets a permutation and its doubled prefix deviations
+    (its memo, shared with the verifiers and ``disc``), tests them against a
+    doubled allowance and returns None on a pass, else the failure's detail
+    in undoubled units; each check's first failure is its counterexample.  A
+    check is ``implied`` when passing every check before it proves it passes
+    (the suite's docstring holds the proof): it then runs only on a word that
+    failed one of those, and passes on every other word."""
     total, failures, first = 0, [0] * len(checks), [None] * len(checks)
     for pi in perms:
         if pi.n != n:
             raise ParamInvalid(f"expected permutations of length {n}, got {pi.n}")
         total += 1
         devs2 = _devs2_of(pi)
-        for i, (name, detail) in enumerate(checks):
+        failed = False
+        for i, (name, detail, implied) in enumerate(checks):
+            if implied and not failed:
+                continue
             found = detail(pi, devs2)
             if found is not None:
+                failed = True
                 failures[i] += 1
                 if first[i] is None:
                     first[i] = CounterExample(pi, name, found)
     return ClaimReport(config=config, total=total, bounds=tuple(
         BoundResult(name, total, fails, example)
-        for (name, _), fails, example in zip(checks, failures, first)))
+        for (name, _, _), fails, example in zip(checks, failures, first)))
 
 
 def _prefix_bound_detail(devs2: tuple[int, ...], allowed2: int,
@@ -379,18 +386,36 @@ def _window_spread_detail(devs2: tuple[int, ...], allowed2: int) -> dict[str, st
 
 def d1_claim_suite(perms, n: int) -> ClaimReport:
     """Check the two-source codeword bounds: every prefix deviation within
-    n+1 and every window deviation (any length) within 2*(n+1); O(n) each."""
+    n+1 and every window deviation (any length) within 2*(n+1); O(n) each.
+
+    The prefix bound implies the window bound, so the window is checked only
+    on a word that fails the prefix bound.  On the doubled prefix deviations
+    D, the prefix bound is |D[j]| <= 2(n+1) for every j (D[0] = 0), and a
+    window's doubled deviation is a difference of two entries of D, at most
+    max D - min D <= 4(n+1), the window bound's doubled allowance."""
     n = exact_int(n)
     return _claims(f"d1(n={n})", perms, n, (
-        ("prefix_bound", lambda pi, devs2: _prefix_bound_detail(devs2, 2 * (n + 1))),
-        ("window_bound", lambda pi, devs2: _window_spread_detail(devs2, 4 * (n + 1)))))
+        ("prefix_bound", lambda pi, devs2: _prefix_bound_detail(devs2, 2 * (n + 1)), False),
+        ("window_bound", lambda pi, devs2: _window_spread_detail(devs2, 4 * (n + 1)), True)))
 
 
 def d2_claim_suite(perms, params: D2Params) -> ClaimReport:
     """Check the block codeword bounds: even-prefix deviation within 2n/N,
     pair locality within 4n/N, and every window of the ``d2_preset`` lengths
     within its allowance 8*(n+1)/N.  Costs O(n) per permutation, plus the
-    lengths at each start failing the last two."""
+    lengths at each start failing the last two.
+
+    The first two bounds imply the third, so the windows are checked only on
+    a word that fails one of them.  With D the doubled prefix deviations, v
+    the symbols (0-based) and span = 4n/N, the even-prefix bound is
+    |D[j]| <= span at every even j, and locality is |v[s+b] - v[s]| <= span
+    at every start s and preset length b, all of them even.  A window of
+    length b after an even start s deviates, doubled, by
+    |D[s+b] - D[s]| <= 2*span = 8n/N.  After an odd start s,
+    D[s+b] - D[s] = (D[s+b-1] - D[s-1]) + 2(v[s+b-1] - v[s-1]), a window
+    after an even start plus twice a locality gap, so
+    |D[s+b] - D[s]| <= 8n/N + 8n/N = 16n/N <= floor(16(n+1)/N), the
+    doubled allowance."""
     n, N = params.n, params.N
     span = 4 * n // N
     spec = _d2_spec(n, N)
@@ -412,9 +437,10 @@ def d2_claim_suite(perms, params: D2Params) -> ClaimReport:
         return None
 
     return _claims(f"d2(n={n},N={N})", perms, n, (
-        ("even_prefix_bound", lambda pi, devs2: _prefix_bound_detail(devs2, span, step=2)),
-        ("pair_locality", locality),
-        ("window_bound", window)))
+        ("even_prefix_bound", lambda pi, devs2: _prefix_bound_detail(devs2, span, step=2),
+         False),
+        ("pair_locality", locality, False),
+        ("window_bound", window, True)))
 
 
 def tn_claim_suite(perms, params: TnParams) -> ClaimReport:
@@ -430,8 +456,8 @@ def tn_claim_suite(perms, params: TnParams) -> ClaimReport:
         return None
 
     return _claims(f"tn(n={n},k={k})", perms, n, (
-        ("two_neighbor", neighbor),
-        ("window_bound", lambda pi, devs2: _window_spread_detail(devs2, 4 * (n + 1)))))
+        ("two_neighbor", neighbor, False),
+        ("window_bound", lambda pi, devs2: _window_spread_detail(devs2, 4 * (n + 1)), False)))
 
 
 def claim_suite(perms, config) -> ClaimReport:

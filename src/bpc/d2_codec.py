@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _EXPORTS
-from ._util import Record, exact_int, scale_parameter
+from ._util import Record, exact_int
 from .errors import ParamInvalid
 from .perm_core import BalanceSpec, Permutation, _exhausted, _layout, _project
 
@@ -35,11 +35,6 @@ class D2Params(Record):
         if n < 1 or n % N != 0:
             raise ParamInvalid(f"block count {N} must divide n={n}")
         self._init(n, N)
-
-    @classmethod
-    def from_epsilon(cls, n: int, epsilon: Fraction) -> "D2Params":
-        """Derive N = ceil(n**epsilon) exactly, then validate it unchanged."""
-        return cls(n, scale_parameter("d2", n, None, epsilon))
 
     @property
     def block_size(self) -> int:

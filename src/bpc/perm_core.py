@@ -278,10 +278,11 @@ def _window_violations(xs, steps: tuple[int, ...], limits: Mapping[int, int]):
     Starts are sieved per residue class mod g = gcd(steps), in chunks of
     q >= steps[-1]/g + 1 entries, so a start's partners lie in its own chunk
     or the next.  Where that chunk pair spreads (max minus min, by C
-    ``max``/``min`` over slices) no further than the least limit, no start in
-    the chunk can fail.  Over each run of failing chunks, plus one chunk of
-    lookahead, sliding extremes pick the starts that can fail; only those are
-    enumerated.  The sieve is O(len(xs)) even when every chunk fails."""
+    ``max``/``min`` mapped over the chunks, each sliced once) no further than
+    the least limit, no start in the chunk can fail.  Over each run of
+    failing chunks, plus one chunk of lookahead, sliding extremes pick the
+    starts that can fail; only those are enumerated.  The sieve is
+    O(len(xs)) even when every chunk fails."""
     if not steps:
         return
     floor = min(map(limits.__getitem__, steps))
@@ -290,10 +291,9 @@ def _window_violations(xs, steps: tuple[int, ...], limits: Mapping[int, int]):
     q = max(ahead + width, 64)
     starts = []
     for r in range(g):
-        ys = xs[r::g]
-        cuts = range(0, len(ys), q)
-        tops = [max(ys[t:t + q]) for t in cuts]
-        bottoms = [min(ys[t:t + q]) for t in cuts]
+        ys = xs[r::g] if g > 1 else xs
+        chunks = [ys[t:t + q] for t in range(0, len(ys), q)]
+        tops, bottoms = list(map(max, chunks)), list(map(min, chunks))
         # each chunk with its successor (the last one alone)
         spreads = map(sub, map(max, tops, tops[1:] + tops[-1:]),
                       map(min, bottoms, bottoms[1:] + bottoms[-1:]))

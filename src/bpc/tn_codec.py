@@ -167,7 +167,10 @@ def random_valid_input(params: TnParams, rng: random.Random) -> TnInput:
 
     The selector is built by following the encoder's mandate over the block
     layout and picking uniformly among the non-empty sets of each step's
-    mandated half, so the result always encodes without violations.
+    mandated half, so the result always encodes without violations.  The
+    draws are uniform per step, not per codeword: a selector whose steps
+    offer fewer sets is likelier.  At (16, 4) the 36 selectors have
+    probabilities from 1/64 to 1/16, whatever the orderings.
     """
     sigmas = []
     for _ in range(params.m):

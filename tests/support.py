@@ -79,6 +79,15 @@ EX3_CODEWORD = (
     11, 17, 16, 22, 10, 20, 13, 23, 12, 19, 14, 21, 9, 18, 15, 24,
 )
 
+# A block-codec codeword at n=64, N=16 (the encoding of random_d2_input with
+# seed 0); its emitted pairs are the position pairs (2t-1, 2t).
+CODEWORD_64_16 = (
+    3, 60, 5, 64, 1, 58, 6, 62, 8, 61, 2, 59, 7, 63, 4, 57,
+    9, 50, 14, 56, 13, 54, 11, 52, 16, 55, 10, 51, 12, 49, 15, 53,
+    19, 41, 24, 45, 22, 46, 17, 44, 23, 47, 20, 43, 18, 42, 21, 48,
+    27, 34, 32, 37, 25, 33, 30, 40, 31, 38, 28, 35, 26, 36, 29, 39,
+)
+
 # The eight length-4 permutations keeping every 2-window within 1 of its mean.
 MIN_DISC_SET_N4 = (
     (1, 3, 2, 4), (1, 4, 2, 3), (2, 3, 1, 4), (2, 4, 1, 3),

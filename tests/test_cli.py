@@ -7,6 +7,7 @@ import pytest
 from bpc import D1Input, Permutation, cli, d1_codec
 from bpc.errors import SourceExhausted
 from support import (
+    CODEWORD_64_16,
     EX1_CODEWORD,
     EX3_CODEWORD,
     EX4_CODEWORD,
@@ -344,6 +345,51 @@ CLAIM_WITNESSES = [
 ]
 
 
+# mixed batches for `analyze claims`: codewords and words failing some bounds
+# (d1 at n = 20: the prefix bound alone, and both; d2 at (64, 16): the first
+# emitted pair swapped in place, a later one swapped, the identity and a
+# shuffle), and their stdout byte for byte: checking a window bound only
+# where the bounds that imply it fail must not change a count or a witness
+SHUFFLE64 = (22, 53, 23, 28, 30, 19, 48, 11, 21, 63, 4, 64, 58, 31, 9, 16, 20, 24, 34, 37, 56,
+             55, 38, 47, 36, 32, 33, 25, 39, 51, 59, 43, 15, 17, 3, 7, 12, 5, 1, 60, 54, 57,
+             50, 29, 27, 6, 10, 42, 45, 13, 49, 62, 52, 46, 18, 14, 2, 44, 35, 26, 40, 41, 8,
+             61)
+CLAIM_BATCHES = [
+    (("--config", "d1"), [
+        "9 12 13 4 15 2 17 16 5 20 8 1 18 10 7 11 14 3 19 6",
+        "1 3 6 2 14 5 12 8 19 7 9 13 10 16 15 20 18 17 11 4",
+        "9 18 3 13 10 5 12 15 1 20 8 11 16 2 17 7 14 6 19 4",
+        "2 3 4 7 9 11 13 14 16 17 18 19 20 8 6 12 1 10 5 15",
+        "2 3 8 9 12 13 17 18 20 14 5 7 19 6 11 16 1 15 4 10",
+        ID20],
+     ('{"config": "d1(n=20)", "total": 6, "bounds": [{"name": "prefix_bound", "checked": 6, '
+      '"passed": 3, "failures": 3, "first_counterexample": {"perm": "1 3 6 2 14 5 12 8 19 7 9 '
+      '13 10 16 15 20 18 17 11 4", "bound": "prefix_bound", "detail": {"j": "3", "dev": '
+      '"-43/2", "allowed": "21"}}}, {"name": "window_bound", "checked": 6, "passed": 4, '
+      '"failures": 2, "first_counterexample": {"perm": "2 3 4 7 9 11 13 14 16 17 18 19 20 8 6 '
+      '12 1 10 5 15", "bound": "window_bound", "detail": {"b": "8", "j": "6", "dev": "44", '
+      '"allowed": "42"}}}]}\n')),
+    (("--config", "d2", "--N", "16"), [" ".join(map(str, w)) for w in (
+        CODEWORD_64_16, (60, 3) + CODEWORD_64_16[2:],
+        CODEWORD_64_16[:48] + (34, 27) + CODEWORD_64_16[50:],
+        tuple(range(1, 65)), SHUFFLE64, CODEWORD_64_16)],
+     ('{"config": "d2(n=64,N=16)", "total": 6, "bounds": [{"name": "even_prefix_bound", '
+      '"checked": 6, "passed": 4, "failures": 2, "first_counterexample": {"perm": "1 2 3 4 5 6 '
+      '7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 '
+      '37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63 64", '
+      '"bound": "even_prefix_bound", "detail": {"j": "2", "dev": "-62", "allowed": "8"}}}, '
+      '{"name": "pair_locality", "checked": 6, "passed": 3, "failures": 3, '
+      '"first_counterexample": {"perm": "60 3 5 64 1 58 6 62 8 61 2 59 7 63 4 57 9 50 14 56 13 '
+      '54 11 52 16 55 10 51 12 49 15 53 19 41 24 45 22 46 17 44 23 47 20 43 18 42 21 48 27 34 '
+      '32 37 25 33 30 40 31 38 28 35 26 36 29 39", "bound": "pair_locality", "detail": {"i": '
+      '"1", "j+1": "3", "gap": "55", "allowed": "16"}}}, {"name": "window_bound", "checked": '
+      '6, "passed": 3, "failures": 3, "first_counterexample": {"perm": "60 3 5 64 1 58 6 62 8 '
+      '61 2 59 7 63 4 57 9 50 14 56 13 54 11 52 16 55 10 51 12 49 15 53 19 41 24 45 22 46 17 '
+      '44 23 47 20 43 18 42 21 48 27 34 32 37 25 33 30 40 31 38 28 35 26 36 29 39", "bound": '
+      '"window_bound", "detail": {"b": "2", "j": "2", "dev": "57", "allowed": "65/2"}}}]}\n')),
+]
+
+
 class TestAnalyze:
     def test_census_json(self, capsys):
         code, out, _ = run(capsys, "analyze", "census", "--n", "4",
@@ -577,6 +623,12 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "claims", "--config", "d1",
                              "--perms", str(path))
         assert (code, out, err) == (2, "", "error: no permutations supplied\n")
+
+    @pytest.mark.parametrize("options,batch,expected", CLAIM_BATCHES, ids=["d1", "d2"])
+    def test_claims_stdout_on_mixed_batches(self, capsys, monkeypatch, options, batch, expected):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(batch) + "\n"))
+        code, out, err = run(capsys, "analyze", "claims", *options, "--perms", "-")
+        assert (code, out, err) == (0, expected, "")
 
     @pytest.mark.parametrize("options,perm,expected", CLAIM_WITNESSES,
                              ids=["d1", "d2", "tn", "tn-identity"])

@@ -24,6 +24,7 @@ from bpc import (
     prefix_deviations_doubled,
     verify_balance,
 )
+from bpc._util import scale_parameter
 from support import (
     EX3_CODEWORD,
     all_d2_inputs,
@@ -50,15 +51,15 @@ class TestParams:
 
     def test_from_epsilon_exact(self):
         # 32**(3/5) = 8 exactly
-        p = D2Params.from_epsilon(32, Fraction(3, 5))
+        p = D2Params(32, scale_parameter("d2", 32, None, Fraction(3, 5)))
         assert p.N == 8
-        assert D2Params.from_epsilon(64, Fraction(1, 2)).N == 8
-        assert D2Params.from_epsilon(256, Fraction(1, 2)).N == 16
+        assert D2Params(64, scale_parameter("d2", 64, None, Fraction(1, 2))).N == 8
+        assert D2Params(256, scale_parameter("d2", 256, None, Fraction(1, 2))).N == 16
 
     def test_from_epsilon_no_silent_rounding(self):
         # ceil(30**0.5) = 6, which is not a multiple of 4
         with pytest.raises(ParamInvalid):
-            D2Params.from_epsilon(30, Fraction(1, 2))
+            D2Params(30, scale_parameter("d2", 30, None, Fraction(1, 2)))
 
     @pytest.mark.parametrize("n,epsilon,error", [
         (0, Fraction(1, 2), "base must be >= 1"),
@@ -69,11 +70,11 @@ class TestParams:
     def test_from_epsilon_refusals(self, n, epsilon, error):
         # the exponent takes the one path to N that rate_report_d2 takes
         with pytest.raises(ParamInvalid, match=f"^{error}"):
-            D2Params.from_epsilon(n, epsilon)
+            D2Params(n, scale_parameter("d2", n, None, epsilon))
 
     def test_from_epsilon_reads_text_and_floats_exactly(self):
-        assert D2Params.from_epsilon(64, "1/2") == D2Params(64, 8)
-        assert D2Params.from_epsilon(64, 0.5) == D2Params(64, 8)
+        assert D2Params(64, scale_parameter("d2", 64, None, "1/2")) == D2Params(64, 8)
+        assert D2Params(64, scale_parameter("d2", 64, None, 0.5)) == D2Params(64, 8)
 
 
 class TestSchedule:

@@ -1,6 +1,7 @@
 """The examples in the documentation run: every ``>>>`` example in the
 ``bpc`` modules, the README's ``python`` quick start, and the ``bpc``
-command lines of the README's ``sh`` blocks."""
+command lines of the README's ``sh`` blocks.  The README's claims table
+names the bounds that the claim suites report."""
 
 import doctest
 import importlib
@@ -13,7 +14,7 @@ import pytest
 
 import bpc
 import bpc.perm_core
-from bpc import cli
+from bpc import D2Params, TnParams, cli, d1_claim_suite, d2_claim_suite, identity, tn_claim_suite
 
 MODULES = [info.name for info in pkgutil.iter_modules(bpc.__path__, "bpc.")]
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -66,3 +67,13 @@ def test_readme_command_line_parses(line, capsys):
     if "..." in line or any(option in argv for option in FILE_OPTIONS):
         return  # a placeholder or a file argument: parsed, not run
     assert cli.run(argv) == 0, capsys.readouterr().err
+
+
+def test_readme_claims_table_names_every_bound_in_order():
+    rows = re.findall(r"^\| (d1|d2|tn) \| `(\w+)` \|", README.read_text(), re.MULTILINE)
+    listed = {codec: [name for c, name in rows if c == codec] for codec in ("d1", "d2", "tn")}
+    reports = {"d1": d1_claim_suite([identity(24)], 24),
+               "d2": d2_claim_suite([identity(24)], D2Params(24, 4)),
+               "tn": tn_claim_suite([identity(24)], TnParams(24, 4))}
+    assert listed == {codec: [b.name for b in report.bounds]
+                      for codec, report in reports.items()}

@@ -308,6 +308,34 @@ class TestRandomEnvelope:
             assert (random_valid_input(params, random.Random(seed))
                     == reference_random_valid_input(params, random.Random(seed)))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_draws_are_uniform_per_step_not_per_codeword(self, seed):
+        # walk the sampler's draw tree over the orderings it drew, exactly:
+        # each step splits its probability evenly over the mandated half's
+        # non-empty sets
+        params = TnParams(16, 4)
+        inp = random_valid_input(params, random.Random(seed))
+        blocks = _layout(params.k, (s.values for s in inp.sigmas))
+        half = params.m // 2
+        odds = {}
+        stack = [((), (0,) * (params.m + 1), 0, Fraction(1))]
+        while stack:
+            selector, drawn, dev2, p = stack.pop()
+            if len(selector) == params.n // 2:
+                odds[selector] = p
+                continue
+            sets = range(1, half + 1) if dev2 >= 0 else range(half + 1, params.m + 1)
+            choices = [i for i in sets if drawn[i] < params.k]
+            for i in choices:
+                t = drawn[i]
+                pair = blocks[i - 1][t] + blocks[i - 1][t + 1]
+                stack.append((selector + (i,), drawn[:i] + (t + 2,) + drawn[i + 1:],
+                              dev2 + 2 * pair - 2 * (params.n + 1), p / len(choices)))
+        assert sum(odds.values()) == 1
+        assert inp.selector in odds
+        assert (len(odds), min(odds.values()), max(odds.values())) == (
+            36, Fraction(1, 64), Fraction(1, 16))
+
     def test_even_prefix_deviations_bounded(self):
         # the half rule contracts the deviation: even prefixes stay within n-2
         rng = random.Random(992)
