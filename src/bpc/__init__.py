@@ -30,9 +30,8 @@ _EXPORTS = {
         "encode_d1_streaming", "interleave",
     ),
     "d2_codec": (
-        "Cell", "CellSchedule", "D2Input", "D2Params", "cell_schedule",
-        "d2_input_from_json_dict", "d2_input_to_json_dict", "d2_preset", "decode_d2",
-        "encode_d2",
+        "D2Input", "D2Params", "d2_input_from_json_dict", "d2_input_to_json_dict",
+        "d2_preset", "decode_d2", "encode_d2",
     ),
     "errors": (
         "BpcError", "IndexOutOfRange", "LimitExceeded", "NotCodeword", "NotPermutation",
@@ -46,8 +45,8 @@ _EXPORTS = {
         "verify_balance", "window_sum",
     ),
     "tn_codec": (
-        "Half", "TnInput", "TnParams", "decode_tn", "encode_tn", "mandated_half",
-        "random_valid_input", "tn_input_from_json_dict", "tn_input_to_json_dict",
+        "TnInput", "TnParams", "decode_tn", "encode_tn", "random_valid_input",
+        "tn_input_from_json_dict", "tn_input_to_json_dict",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

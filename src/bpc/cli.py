@@ -76,12 +76,12 @@ def _read_file_or_stdin(path: str) -> str:
 
 def _read_json(path: str):
     """The JSON document in the file at ``path`` ('-' for stdin); text that
-    is not JSON, or holds an int past the interpreter's digit limit, is a
-    usage error."""
+    is not JSON, holds an int past the interpreter's digit limit, or nests
+    deeper than the parser's recursion limit, is a usage error."""
     text = _read_file_or_stdin(path)
     try:
         return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or the digit limit
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, digit limit, depth
         raise ParamInvalid(str(exc)) from exc
 
 

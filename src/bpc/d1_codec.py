@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import _EXPORTS
 from ._util import Record, at_least, exact_int, int_text
 from .errors import IndexOutOfRange, OddLength, ParamInvalid
-from .perm_core import Permutation, _block_table, _exhausted, _layout, _project, rank, unrank
+from .perm_core import Permutation, _exhausted, _layout, _project, rank, unrank
 
 __all__ = _EXPORTS["d1_codec"]
 
@@ -119,14 +119,14 @@ def encode_d1_streaming(inp: D1Input) -> tuple[Permutation, TranspositionTrace]:
     index 2*lows) exactly when lows <= highs, else the next high one (index
     2*highs + 1).  When the codeword's symbol v comes from the other half,
     v is reinserted at slot j (one trace entry), built without a Python call.
-    The half of v is read from the block layout (``_block_table``).
+    v is a low symbol when v <= n/2.
     """
     pi = encode_d1(inp)
-    block_of = _block_table(inp.n, inp.gamma1.n)[0]
+    half = inp.gamma1.n
     lows = highs = 0
     positions, moved = [], []
     for j, v in enumerate(pi.values, 1):
-        low = block_of[v] == 1
+        low = v <= half
         if low != (lows <= highs):
             positions.append(j)
             moved.append(v)

@@ -41,14 +41,9 @@ class D2Params(Record):
         return self.n // self.N
 
     @property
-    def s(self) -> int:
-        """Largest half window length constrained by this split."""
-        return self.block_size - 1
-
-    @property
     def window_lengths(self) -> tuple[int, ...]:
         """The even window lengths 2, 4, ..., 2*(n/N - 1)."""
-        return tuple(range(2, 2 * self.s + 1, 2))
+        return tuple(range(2, 2 * self.block_size - 1, 2))
 
 
 def d2_preset(n: int, num_blocks: int) -> BalanceSpec:
@@ -58,37 +53,6 @@ def d2_preset(n: int, num_blocks: int) -> BalanceSpec:
     """
     blocks = D2Params(n, num_blocks).window_lengths
     return BalanceSpec(n, blocks, dict.fromkeys(blocks, Fraction(8 * (n + 1), num_blocks)))
-
-
-class Cell(Record):
-    """One schedule stage: two source pairs feeding 2n/N paired appends.
-
-    ``lower`` names the ordering indices whose block midpoints sum below
-    n+1, ``upper`` the indices summing above.
-    """
-
-    __slots__ = ("index", "lower", "upper")
-
-    def __init__(self, index: int, lower: tuple[int, int], upper: tuple[int, int]):
-        self._init(index, lower, upper)
-
-
-class CellSchedule(Record):
-    __slots__ = ("cells", "visits_per_cell")
-
-    def __init__(self, cells: tuple[Cell, ...], visits_per_cell: int):
-        self._init(cells, visits_per_cell)
-
-
-def cell_schedule(params: D2Params) -> CellSchedule:
-    """The deterministic visiting order: cell c pairs sources
-    (2c-1, N-2c+1) below the mean and (2c, N-2c+2) above it."""
-    N = params.N
-    cells = tuple(
-        Cell(index=c, lower=(2 * c - 1, N - 2 * c + 1), upper=(2 * c, N - 2 * c + 2))
-        for c in range(1, N // 4 + 1)
-    )
-    return CellSchedule(cells=cells, visits_per_cell=2 * params.block_size)
 
 
 class D2Input(Record):
@@ -111,9 +75,9 @@ def encode_d2(inp: D2Input, *, tie_to_upper: bool = False) -> Permutation:
 
     A non-negative deviation mandates the cell's lower pair, a negative one
     the upper pair (``tie_to_upper`` flips only the zero case); within a
-    pair the smaller source index is emitted first.  Cell 1's first visit
-    is the lower pair by construction.  A cell is left only once all four
-    of its sources are empty.
+    pair the smaller source index is emitted first.  The first visit of
+    cell 1 is the lower pair by construction.  A cell is left only once all
+    four of its sources are empty.
 
     The mandated pair is never empty, and the doubled prefix deviation D
     (2*sum - j*(n+1) after j symbols) is 0 at every cell boundary.  With
@@ -132,26 +96,27 @@ def encode_d2(inp: D2Input, *, tie_to_upper: bool = False) -> Permutation:
     Mirrored, an empty upper pair leaves D > 0, which mandates the lower
     pair.  ``SourceExhausted`` stays the guard.
 
-    Each pair of blocks is read as one iterator of symbol pairs, so a visit
-    is one ``next``: the lower pair is mandated when D >= ``tie`` (0, or 1
-    under ``tie_to_upper``).
+    Each cell c = 1..N/4 is 2s visits to its lower pair (a, b) =
+    (2c-1, N-2c+1) and upper pair (a+1, b+1).  Each pair of blocks is read
+    as one iterator of symbol pairs, so a visit is one ``next``: the lower
+    pair is mandated when D >= ``tie`` (0, or 1 under ``tie_to_upper``).
     """
     params = inp.params
-    schedule = cell_schedule(params)
+    N, visits = params.N, 2 * params.block_size
     blocks = _layout(params.block_size, (s.values for s in inp.sigmas))
     tie, step2 = int(tie_to_upper), 2 * (params.n + 1)
     out, dev2 = [], 0
     try:
-        for cell in schedule.cells:
-            (a, b), (c, d) = cell.lower, cell.upper
-            lower, upper = zip(blocks[a - 1], blocks[b - 1]), zip(blocks[c - 1], blocks[d - 1])
-            for _ in range(schedule.visits_per_cell):
+        for c in range(1, N // 4 + 1):
+            a, b = 2 * c - 1, N - 2 * c + 1
+            lower, upper = zip(blocks[a - 1], blocks[b - 1]), zip(blocks[a], blocks[b])
+            for _ in range(visits):
                 x, y = pair = next(lower if dev2 >= tie or not out else upper)
                 out += pair
                 dev2 += 2 * (x + y) - step2
     except StopIteration:
-        raise _exhausted(blocks, out, dev2, cell.lower if dev2 >= tie or not out
-                         else cell.upper) from None
+        raise _exhausted(blocks, out, dev2, (a, b) if dev2 >= tie or not out
+                         else (a + 1, b + 1)) from None
     return Permutation._trusted(tuple(out))
 
 

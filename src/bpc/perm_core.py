@@ -204,7 +204,7 @@ def _layout(size: int, orderings: Iterable[Iterable[int]]) -> list[list[int]]:
     order given) is its ordering of [1, size] shifted by (i-1)*size, and n is
     size times the number of blocks.  Each encoder walks these lists with its
     own mandate rule; ``_block_table`` states the layout the other way round,
-    for ``_project``, the tn pair check and the d1 streaming trace."""
+    for ``_project`` and the tn pair check."""
     return [[v + offset for v in o] if offset else list(o)
             for offset, o in zip(count(0, size), orderings)]
 

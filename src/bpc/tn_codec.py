@@ -10,9 +10,7 @@ selector carries information: it is part of the input, not a derived value.
 
 from __future__ import annotations
 
-import enum
 import random
-from fractions import Fraction
 from math import factorial
 
 from . import _EXPORTS
@@ -21,16 +19,6 @@ from .errors import NotCodeword, ParamInvalid, SelectorViolation
 from .perm_core import Permutation, _block_table, _layout, _project, _remaining
 
 __all__ = _EXPORTS["tn_codec"]
-
-
-class Half(enum.Enum):
-    LOWER = "lower"
-    UPPER = "upper"
-
-
-def mandated_half(dev: Fraction | int) -> Half:
-    """Low sets when the running deviation is >= 0, high sets otherwise."""
-    return Half.LOWER if dev >= 0 else Half.UPPER
 
 
 class TnParams(Record):
@@ -76,10 +64,6 @@ class TnParams(Record):
         """
         n, k = self.n, self.k
         return (factorial(n // 4) * (factorial(k) // factorial(k // 2)) ** (n // (2 * k))) ** 2
-
-    def set_of(self, symbol: int) -> int:
-        """1-based index of the set containing ``symbol``."""
-        return (symbol - 1) // self.k + 1
 
 
 class TnInput(Record):
@@ -138,7 +122,7 @@ def encode_tn(inp: TnInput) -> Permutation:
 def _violation(blocks, out, dev2: int, sel: int, reason: str) -> SelectorViolation:
     """The ``SelectorViolation`` of the step after ``out``: the selector's
     set ``sel`` broke ``reason`` (its ``{}`` names the mandated half)."""
-    t, half = len(out) // 2 + 1, mandated_half(dev2).value
+    t, half = len(out) // 2 + 1, "lower" if dev2 >= 0 else "upper"
     return SelectorViolation(f"step {t}: set {sel} {reason.format(half)}", step=t,
                              selected=sel, mandated=half, remaining=_remaining(blocks, out))
 

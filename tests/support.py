@@ -26,7 +26,6 @@ from bpc import (
     D1Input,
     D2Input,
     D2Params,
-    Half,
     IndexOutOfRange,
     NeighborSpec,
     NeighborViolation,
@@ -40,9 +39,7 @@ from bpc import (
     TnInput,
     TnParams,
     ViolationReport,
-    cell_schedule,
     encode_tn,
-    mandated_half,
 )
 
 
@@ -145,10 +142,11 @@ def reference_encode_d1(gamma1, gamma2):
     return tuple(out)
 
 
-def reference_encode_d2(inp: D2Input):
+def reference_encode_d2(inp: D2Input, tie_to_upper: bool = False):
     """Re-summation oracle for the block rule: cells pair sources
     (2c-1, N-2c+1) and (2c, N-2c+2); an average >= the mean takes the lower
-    pair, below the mean the upper pair; the very first visit is lower."""
+    pair, below the mean the upper pair (``tie_to_upper``: above the mean
+    the lower pair, otherwise the upper); the very first visit is lower."""
     params = inp.params
     n, N, size = params.n, params.N, params.block_size
     mean = Fraction(n + 1, 2)
@@ -162,7 +160,8 @@ def reference_encode_d2(inp: D2Input):
             if not out:
                 pair = lower
             else:
-                pair = lower if Fraction(sum(out), len(out)) >= mean else upper
+                average = Fraction(sum(out), len(out))
+                pair = lower if average > mean or average == mean and not tie_to_upper else upper
             for i in pair:
                 out.append(sources[i].pop(0))
     return tuple(out)
@@ -576,13 +575,13 @@ def memo_tn_code_size(params: TnParams) -> int:
             return memo[emitted]
         rests = [[v for v in range(s * k + 1, s * k + k + 1) if not emitted >> v & 1]
                  for s in range(m)]
-        half = mandated_half(dev2)
-        mandated = rests[:m // 2] if half is Half.LOWER else rests[m // 2:]
+        half = "lower" if dev2 >= 0 else "upper"
+        mandated = rests[:m // 2] if dev2 >= 0 else rests[m // 2:]
         if not any(mandated):
             step = emitted.bit_count() // 2 + 1
             raise SourceExhausted(
-                f"every {half.value} set empty at step {step}"
-                " (encoder invariant broken)", step=step, mandated=half.value,
+                f"every {half} set empty at step {step}"
+                " (encoder invariant broken)", step=step, mandated=half,
                 remaining={s + 1: len(rest) for s, rest in enumerate(rests)})
         memo[emitted] = total = sum(
             completions(emitted | 1 << a | 1 << b, dev2 + 2 * (a + b - n - 1))
@@ -702,7 +701,7 @@ def reference_decode_tn(pi: Permutation, params: TnParams) -> TnInput:
     v, k = pi.values, params.k
     selector = []
     for t in range(0, pi.n, 2):
-        a, b = params.set_of(v[t]), params.set_of(v[t + 1])
+        a, b = (v[t] - 1) // k + 1, (v[t + 1] - 1) // k + 1
         if a != b:
             raise NotCodeword(
                 f"pair ({v[t]}, {v[t + 1]}) at positions {t + 1},{t + 2} "
@@ -770,16 +769,21 @@ def emitter_encode_d1(inp: D1Input) -> Permutation:
 
 
 def emitter_encode_d2(inp: D2Input, *, tie_to_upper: bool = False) -> Permutation:
-    """``encode_d2`` through ``ReferenceEmitter``, one ``take`` per symbol."""
+    """``encode_d2`` through ``ReferenceEmitter``, one ``take`` per symbol:
+    cell c pairs blocks (2c-1, N-2c+1) below the mean and (2c, N-2c+2)
+    above it, for 2n/N visits."""
     params = inp.params
-    schedule = cell_schedule(params)
+    N = params.N
     em = ReferenceEmitter(params.block_size, (s.values for s in inp.sigmas))
-    for cell in schedule.cells:
-        for _ in range(schedule.visits_per_cell):
+    for c in range(1, N // 4 + 1):
+        for _ in range(2 * params.block_size):
             lower = em.dev2 > 0 if tie_to_upper else em.dev2 >= 0
-            a, b = cell.lower if lower or not em.out else cell.upper
-            em.take(a)
-            em.take(b)
+            if lower or not em.out:
+                em.take(2 * c - 1)
+                em.take(N - 2 * c + 1)
+            else:
+                em.take(2 * c)
+                em.take(N - 2 * c + 2)
     return Permutation(tuple(em.out))
 
 
@@ -796,7 +800,7 @@ def emitter_encode_tn(inp: TnInput) -> Permutation:
         sel = selector[t - 1]
         if sel in sets and em.queues[sel]:
             return sel
-        mandated = mandated_half(em.dev2).value
+        mandated = "lower" if em.dev2 >= 0 else "upper"
         reason = ("is already exhausted" if sel in sets
                   else f"is not in the mandated {mandated} half")
         raise SelectorViolation(f"step {t}: set {sel} {reason}", step=t, selected=sel,

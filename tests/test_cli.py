@@ -804,9 +804,8 @@ class TestImportCost:
             "d1_codec": "D1Input TranspositionStep TranspositionTrace d1_message_decode "
                         "d1_message_encode d1_message_input decode_d1 encode_d1 "
                         "encode_d1_streaming interleave",
-            "d2_codec": "Cell CellSchedule D2Input D2Params cell_schedule "
-                        "d2_input_from_json_dict d2_input_to_json_dict d2_preset decode_d2 "
-                        "encode_d2",
+            "d2_codec": "D2Input D2Params d2_input_from_json_dict d2_input_to_json_dict "
+                        "d2_preset decode_d2 encode_d2",
             "errors": "BpcError IndexOutOfRange LimitExceeded NotCodeword NotPermutation "
                       "OddLength ParamInvalid SelectorViolation SourceExhausted SpecMismatch",
             "perm_core": "BalanceSpec BalanceViolation NeighborSpec NeighborViolation "
@@ -814,8 +813,8 @@ class TestImportCost:
                          "format_permutation identity make_permutation parse_permutation "
                          "prefix_deviation prefix_deviations_doubled rank unrank "
                          "verify_balance window_sum",
-            "tn_codec": "Half TnInput TnParams decode_tn encode_tn mandated_half "
-                        "random_valid_input tn_input_from_json_dict tn_input_to_json_dict",
+            "tn_codec": "TnInput TnParams decode_tn encode_tn random_valid_input "
+                        "tn_input_from_json_dict tn_input_to_json_dict",
         }
         names = {name: module for module, text in homes.items() for name in text.split()}
         assert sorted(bpc.__all__) == sorted([*homes, *names])
@@ -874,6 +873,14 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "not UTF-8" in err
+
+    @pytest.mark.parametrize("codec", ["d2", "tn"])
+    def test_json_nested_past_the_parser_limit_is_usage_error(self, capsys, tmp_path, codec):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "encode", codec, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: maximum recursion depth exceeded") and "defect" not in err
 
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "encode", "d1", "--n", "12")

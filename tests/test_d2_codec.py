@@ -14,7 +14,6 @@ from bpc import (
     ParamInvalid,
     Permutation,
     SourceExhausted,
-    cell_schedule,
     d2_input_from_json_dict,
     d2_input_to_json_dict,
     d2_preset,
@@ -38,7 +37,6 @@ class TestParams:
     def test_derived_fields(self):
         p = D2Params(32, 8)
         assert p.block_size == 4
-        assert p.s == 3
         assert p.window_lengths == (2, 4, 6)
 
     def test_divisibility(self):
@@ -77,30 +75,34 @@ class TestParams:
         assert D2Params(64, scale_parameter("d2", 64, None, 0.5)) == D2Params(64, 8)
 
 
-class TestSchedule:
-    def test_two_cells_at_n32(self):
-        sched = cell_schedule(D2Params(32, 8))
-        assert sched.visits_per_cell == 8
-        assert [(c.lower, c.upper) for c in sched.cells] == [
-            ((1, 7), (2, 8)), ((3, 5), (4, 6))]
+# every valid (n, N) with n <= 64: N a multiple of 4 that divides n
+SHAPES_TO_64 = [(n, N) for n in range(4, 65) for N in range(4, n + 1, 4) if n % N == 0]
 
-    def test_single_cell_minimum_shape(self):
-        sched = cell_schedule(D2Params(8, 4))
-        assert sched.visits_per_cell == 4
-        assert [(c.lower, c.upper) for c in sched.cells] == [((1, 3), (2, 4))]
 
-    @pytest.mark.parametrize("n,N", [(8, 4), (32, 8), (48, 12), (64, 16)])
-    def test_partition_and_midpoints(self, n, N):
+class TestCells:
+    """The cell facts ``encode_d2``'s docstring proof rests on, read off its
+    codewords rather than off the encoder's own pairing."""
+
+    @pytest.mark.parametrize("tie_to_upper", (False, True))
+    @pytest.mark.parametrize("n, N", SHAPES_TO_64)
+    def test_cells_hold_their_blocks_and_pairs_straddle_the_mean(self, n, N, tie_to_upper):
         params = D2Params(n, N)
-        sched = cell_schedule(params)
-        used = [i for c in sched.cells for i in (*c.lower, *c.upper)]
-        assert sorted(used) == list(range(1, N + 1))
         size = params.block_size
-        mid = lambda i: Fraction((2 * i - 1) * size + 1, 2)  # block midpoint
-        for c in sched.cells:
-            assert mid(c.lower[0]) + mid(c.lower[1]) < n + 1
-            assert mid(c.upper[0]) + mid(c.upper[1]) > n + 1
-        assert sched.visits_per_cell * len(sched.cells) * 2 == n
+        span = 4 * size
+        rng = random.Random(1000 * n + N)
+        for _ in range(30):
+            pi = encode_d2(random_d2_input(rng, params), tie_to_upper=tie_to_upper)
+            devs2 = prefix_deviations_doubled(pi)
+            for c in range(1, N // 4 + 1):
+                lower, upper = (2 * c - 1, N - 2 * c + 1), (2 * c, N - 2 * c + 2)
+                cell = pi.values[(c - 1) * span:c * span]
+                assert sorted((v - 1) // size + 1 for v in cell) == sorted(
+                    [*lower, *upper] * size)
+                for x, y in zip(cell[0::2], cell[1::2]):
+                    pair = ((x - 1) // size + 1, (y - 1) // size + 1)
+                    assert (pair == lower and x + y <= n
+                            or pair == upper and x + y >= n + 2), (c, x, y)
+                assert devs2[c * span] == 0
 
 
 class TestEncode:
@@ -127,6 +129,15 @@ class TestEncode:
             for _ in range(40):
                 inp = random_d2_input(rng, D2Params(n, N))
                 assert encode_d2(inp).values == reference_encode_d2(inp)
+
+    @pytest.mark.parametrize("tie_to_upper", (False, True))
+    @pytest.mark.parametrize("n, N", SHAPES_TO_64)
+    def test_matches_reference_at_every_shape_to_64(self, n, N, tie_to_upper):
+        rng = random.Random(2000 * n + N)
+        for _ in range(10):
+            inp = random_d2_input(rng, D2Params(n, N))
+            assert (encode_d2(inp, tie_to_upper=tie_to_upper).values
+                    == reference_encode_d2(inp, tie_to_upper=tie_to_upper))
 
     def test_schedule_conservation(self):
         rng = random.Random(12)

@@ -182,13 +182,12 @@ def test_every_public_int_argument_refuses_bool_and_float(call, bad):
 
 
 # Public callables with int-annotated parameters that the matrix leaves out:
-# result records (built by the library from values it computed), the
-# permutation constructors (which raise NotPermutation on a bad symbol), and
-# mandated_half (which takes a deviation, a Fraction or an int).
+# result records (built by the library from values it computed) and the
+# permutation constructors (which raise NotPermutation on a bad symbol).
 EXEMPT = {
     "BoundResult", "CensusResult", "ClaimReport", "RateReport", "TranspositionStep",
-    "Cell", "CellSchedule", "BalanceViolation", "NeighborViolation", "SelectorViolation",
-    "Permutation", "make_permutation", "mandated_half",
+    "BalanceViolation", "NeighborViolation", "SelectorViolation",
+    "Permutation", "make_permutation",
 }
 
 

@@ -30,7 +30,6 @@ from bpc import (
 )
 from bpc._util import Record
 from bpc.d1_codec import TranspositionTrace
-from bpc.d2_codec import Cell, CellSchedule
 
 P = Permutation
 
@@ -57,11 +56,6 @@ CASES = [
      "TranspositionTrace(steps=(TranspositionStep(position=3, moved_symbol=4),))", True),
     (lambda: TranspositionTrace(), "TranspositionTrace(steps=())", True),
     (lambda: D2Params(8, 4), "D2Params(n=8, N=4)", True),
-    (lambda: Cell(index=1, lower=(1, 3), upper=(2, 4)),
-     "Cell(index=1, lower=(1, 3), upper=(2, 4))", True),
-    (lambda: CellSchedule(cells=(Cell(1, (1, 3), (2, 4)),), visits_per_cell=4),
-     "CellSchedule(cells=(Cell(index=1, lower=(1, 3), upper=(2, 4)),), visits_per_cell=4)",
-     True),
     (lambda: D2Input(D2Params(8, 4), (P((1, 2)), P((2, 1)), P((1, 2)), P((2, 1)))),
      "D2Input(params=D2Params(n=8, N=4), sigmas=(Permutation(values=(1, 2)), "
      "Permutation(values=(2, 1)), Permutation(values=(1, 2)), Permutation(values=(2, 1))))",
@@ -91,7 +85,7 @@ IDS = [text.split("(", 1)[0] for _, text, _ in CASES]
 def test_every_record_class_is_covered():
     records = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("bpc.")}
     assert {type(make()) for make, _, _ in CASES} == records
-    assert len(records) == 20
+    assert len(records) == 18
 
 
 @pytest.mark.parametrize("make, text, hashable", CASES, ids=IDS)

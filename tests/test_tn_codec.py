@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from bpc import (
-    Half,
     NeighborSpec,
     NotCodeword,
     NotPermutation,
@@ -18,7 +17,6 @@ from bpc import (
     check_two_neighbor,
     decode_tn,
     encode_tn,
-    mandated_half,
     prefix_deviation,
     random_valid_input,
     tn_input_from_json_dict,
@@ -41,32 +39,13 @@ VALID_SHAPES = [(24, 4), (32, 4), (48, 4), (64, 4), (96, 4),
 
 class TestParams:
     def test_shape_rules(self):
-        TnParams(24, 4)
+        assert TnParams(24, 4).m == 6
         with pytest.raises(ParamInvalid):
             TnParams(24, 3)  # odd set size
         with pytest.raises(ParamInvalid):
             TnParams(24, 8)  # odd number of sets
         with pytest.raises(ParamInvalid):
             TnParams(26, 4)  # not a divisor
-
-    def test_set_of(self):
-        p = TnParams(24, 4)
-        assert p.m == 6
-        assert p.set_of(1) == 1
-        assert p.set_of(4) == 1
-        assert p.set_of(5) == 2
-        assert p.set_of(24) == 6
-
-
-class TestMandatedHalf:
-    def test_deficit_goes_high(self):
-        assert mandated_half(Fraction(-9)) is Half.UPPER
-
-    def test_tie_goes_low(self):
-        assert mandated_half(0) is Half.LOWER
-
-    def test_surplus_goes_low(self):
-        assert mandated_half(Fraction(1, 2)) is Half.LOWER
 
 
 class TestEncode:
