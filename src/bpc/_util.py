@@ -8,6 +8,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import ParamInvalid
 
@@ -55,35 +56,41 @@ class Record:
     The base adds the rest of a value type: equality and hash by class and
     field values, a ``Name(field=value, ...)`` repr, ``AttributeError`` on
     assignment, and pickling through the constructor (so an unpickled value
-    is validated, and its derived state rebuilt, like a new one).
+    is validated, and its derived state rebuilt, like a new one).  What the
+    library assembles from valid parts, ``_trusted_rows`` builds unchecked,
+    with each ``_`` slot None (an empty memo); so a type whose constructor
+    derives a ``_`` slot, ``BalanceSpec``, is built only by that constructor.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._names = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # the slots' setters, fields first; the unchecked builders set each ``_`` slot None
+        memos = tuple(name for name in cls.__slots__ if name.startswith("_"))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._names + memos)
+        cls._empty_memos = (None,) * len(memos)
 
     def _init(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _trusted(cls, *values):
-        """The value of these fields, unchecked: only for fields the library
-        built itself and knows valid, of a type that derives no ``_`` slot."""
-        self = object.__new__(cls)
-        self._init(*values)
-        return self
+    def _trusted_rows(cls, *columns) -> tuple:
+        """One unchecked value per row of the field ``columns`` (of one length,
+        in field order), with no Python call per value; ``_`` slots are None."""
+        rows = tuple(map(object.__new__, [cls] * len(columns[0])))
+        for set_, column in zip(cls._setters, columns + tuple(map(repeat, cls._empty_memos))):
+            any(map(set_, rows, column))  # each returns None
+        return rows
 
     @classmethod
-    def _trusted_rows(cls, *columns) -> tuple:
-        """One ``_trusted`` value per row of the field ``columns`` (sequences
-        of one length, in field order), built with no Python call per value:
-        ``object.__new__`` and each field's slot ``__set__`` mapped in C."""
-        rows = tuple(map(object.__new__, [cls] * len(columns[0])))
-        for name, column in zip(cls._names, columns):
-            any(map(getattr(cls, name).__set__, rows, column))  # each returns None
-        return rows
+    def _trusted(cls, *values):
+        """The one-row ``_trusted_rows``, by the same setters with no columns."""
+        self = object.__new__(cls)
+        for set_, value in zip(cls._setters, values + cls._empty_memos):
+            set_(self, value)
+        return self
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self._names])

@@ -160,9 +160,9 @@ def census(n: int, spec: BalanceSpec, neighbor: NeighborSpec | None = None,
         tasks = [(n, first, limits, neighbor_k, cap) for first in range(1, n + 1)]
         parts = _fan_out(_search, tasks, workers)
         count, achievers = sum(c for c, _ in parts), [a for _, ach in parts for a in ach]
-    listed = itertools.islice(achievers, min(cap, sys.maxsize))  # islice takes no stop past it
+    listed = list(itertools.islice(achievers, min(cap, sys.maxsize)))  # islice: stop <= maxsize
     return CensusResult(n=n, spec=spec, neighbor=neighbor, count=count,
-                        achievers=tuple(map(Permutation._trusted, listed)))
+                        achievers=Permutation._trusted_rows(listed))
 
 
 def min_disc(n: int, b: int, limit: int = DEFAULT_ENUM_LIMIT,

@@ -13,7 +13,7 @@ Symbols are 1-based throughout: a permutation of length ``n`` holds each of
 convention.  All deviation arithmetic is exact (`fractions.Fraction` with
 denominator at most 2); the verifiers never touch floating point, so their
 verdicts are bit-identical across platforms.  Values are checked once, by
-the public constructors; what the library assembles itself is ``_trusted``.
+the public constructors; what the library assembles skips them.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class Permutation(Record):
     ``{1, ..., n}``); anything else, such as an ``IntEnum`` member or a
     rejected input, goes through a per-symbol loop that accepts int
     subclasses but not ``bool`` and raises ``NotPermutation`` naming the
-    first bad symbol.  What the library builds from valid parts (``unrank``,
-    the encoders, ``_project``, the census) skips it by ``_trusted``.
+    first bad symbol.  What the library builds from valid parts skips it
+    (``Record._trusted``, or ``_trusted_rows`` for ``_project`` and census).
 
     ``_devs2`` is a memo, not a field: ``None`` until a verifier, ``disc`` or
     a claim suite first reads the doubled prefix deviations (``_devs2_of``),
@@ -93,13 +93,6 @@ class Permutation(Record):
                 seen[v - 1] = True
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_devs2", None)
-
-    @classmethod
-    def _trusted(cls, values: tuple[int, ...]) -> "Permutation":  # Record's, minus its loop
-        self = object.__new__(cls)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_devs2", None)
-        return self
 
     @property
     def n(self) -> int:
@@ -248,13 +241,12 @@ def _block_table(n: int, size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _project(pi: Permutation, size: int) -> tuple[Permutation, ...]:
     """Invert ``_layout``: the orderings of [1, size] that the n/size blocks
     of ``pi`` hold, each block's symbols in order of appearance.  One lookup
-    pair in ``_block_table`` and one ``append`` per symbol."""
+    pair in ``_block_table`` and one ``list.append`` per symbol."""
     block_of, value_in = _block_table(pi.n, size)
     blocks: list[list[int]] = [[] for _ in range(pi.n // size + 1)]  # blocks[0] unused
-    appends = [block.append for block in blocks]
     for v in pi.values:
-        appends[block_of[v]](value_in[v])
-    return tuple([Permutation._trusted(tuple(block)) for block in blocks[1:]])
+        blocks[block_of[v]].append(value_in[v])
+    return Permutation._trusted_rows(list(map(tuple, blocks[1:])))
 
 
 def _sliding_max(xs, width: int) -> list:

@@ -1,14 +1,17 @@
 """The unchecked construction of values the library assembles itself.
 
-``unrank``, the encoders, ``interleave``, ``_project`` and the census build
-their permutations with ``Permutation._trusted``, and the decoders build
-their ``D1Input``/``D2Input``/``TnInput`` with ``Record._trusted``; neither
-runs the public constructor's checks.  The round trips here run with both
-routed back through the checking constructors, so every value those paths
-build at these sizes is shown to pass the checks it skips.  The verifiers
-and the streaming encoder build their records in bulk, by
-``Record._trusted_rows``; those must be the values the keyword constructors
-build.
+``Record._trusted_rows`` builds values unchecked, and ``Record._trusted`` is
+its one-row case, through the same per-class slot setters.  ``unrank``, the
+encoders and ``interleave`` build their permutation, and the decoders their
+``D1Input``/``D2Input``/``TnInput``, by ``_trusted``;
+``_project`` builds its blocks, and the census its achievers, in one call
+each; the verifiers and the streaming encoder build their records in bulk.
+Neither runs the public constructor's checks.  The round trips here run
+with both routed back, row by row, through the checking constructors, so every
+value those paths build at these sizes is shown to pass the checks it skips.
+Values built unchecked must equal, hash, print and pickle like the ones the
+keyword constructors build, and a permutation starts with an empty
+``_devs2`` memo.
 """
 
 import itertools
@@ -42,6 +45,7 @@ from bpc import (
     decode_d1,
     decode_d2,
     decode_tn,
+    disc,
     encode_d1,
     encode_d1_streaming,
     encode_d2,
@@ -53,6 +57,7 @@ from bpc import (
     verify_balance,
 )
 from bpc._util import Record
+from bpc.perm_core import _project
 from support import (
     all_d1_inputs,
     all_d2_inputs,
@@ -60,6 +65,7 @@ from support import (
     random_d2_input,
     random_permutation,
     reference_check_two_neighbor,
+    reference_devs2,
     reference_encode_d1_streaming,
     reference_verify_balance,
 )
@@ -71,16 +77,19 @@ TN_SHAPES = [(n, k) for n in range(1, 17) for k in range(2, n + 1, 2)
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Route every trusted build through the checking public constructor;
-    the counter shows which types the test under it built that way."""
+    """Build every unchecked row, and every one-row build, with the checking
+    public constructor; the counter shows how many values of each type the
+    test under it built."""
     built = Counter()
 
-    def build(cls, *values):
-        built[cls.__name__] += 1
-        return cls(*values)
+    def build_rows(cls, *columns):
+        rows = tuple(cls(*row) for row in zip(*columns))
+        built[cls.__name__] += len(rows)
+        return rows
 
-    for owner in (Record, Permutation):
-        monkeypatch.setattr(owner, "_trusted", classmethod(build))
+    monkeypatch.setattr(Record, "_trusted_rows", classmethod(build_rows))
+    monkeypatch.setattr(Record, "_trusted", classmethod(
+        lambda cls, *values: build_rows(cls, *zip(values))[0]))
     return built
 
 
@@ -120,6 +129,7 @@ def test_d2_round_trips_over_every_valid_shape(checked, n, N):
         assert decode_d2(encode_d2(inp), params) == inp
         assert decode_d2(encode_d2(inp, tie_to_upper=True), params) == inp
     assert checked["D2Input"] == 2 * len(inputs)
+    assert checked["Permutation"] == 2 * len(inputs) * (1 + N)  # a codeword, N blocks
 
 
 @pytest.mark.parametrize("n, N", D2_SHAPES)
@@ -140,6 +150,7 @@ def test_tn_round_trips_over_every_valid_shape(checked, n, k):
         inp = random_valid_input(params, rng)
         assert decode_tn(encode_tn(inp), params) == inp
     assert checked["TnInput"] == 200
+    assert checked["Permutation"] == 200 * (1 + params.m)  # a codeword, n/k blocks
 
 
 @pytest.mark.parametrize("n, k", [shape for shape in TN_SHAPES if shape[0] <= 8])
@@ -194,6 +205,37 @@ def test_unpickling_a_trusted_value_runs_the_checks():
         pickle.loads(pickle.dumps(Permutation._trusted((1, 1))))
 
 
+# every path that builds permutations unchecked, at n = 16 for the codecs:
+# d1 blocks of 8, d2 (16, 8) blocks of 2, tn (16, 4) sets of 4
+TRUSTED = {
+    "unrank": lambda rng: (unrank(0, 1), unrank(5, 3), unrank(rng.randrange(factorial(9)), 9)),
+    "encode_d1": lambda rng: (encode_d1(random_d1_input(rng, 16)),),
+    "interleave": lambda rng: (interleave(random_d1_input(rng, 16)),),
+    "encode_d2": lambda rng: (encode_d2(random_d2_input(rng, D2Params(16, 8))),),
+    "encode_tn": lambda rng: (encode_tn(random_valid_input(TnParams(16, 4), rng)),),
+    "_project/d1": lambda rng: _project(random_permutation(rng, 16), 8),
+    "_project/d2": lambda rng: _project(random_permutation(rng, 16), 2),
+    "_project/tn": lambda rng: _project(random_permutation(rng, 16), 4),
+    "census/unsearched": lambda rng: census(5, d1_preset(5), cap=4).achievers,
+    "census/searched": lambda rng: census(
+        7, BalanceSpec(7, (2,), {2: Fraction(3, 2)}), cap=5).achievers,
+}
+
+
+@pytest.mark.parametrize("source", TRUSTED)
+def test_trusted_permutations_are_checked_ones_with_an_empty_memo(source):
+    built = TRUSTED[source](random.Random(source))
+    assert built
+    assert_same_values(built, tuple(Permutation(pi.values) for pi in built))
+    for pi in built:
+        assert type(pi) is Permutation and pi._devs2 is None
+        assert verify_balance(pi, d1_preset(pi.n)).is_valid  # the first read fills it
+        devs2 = pi._devs2
+        assert type(devs2) is tuple and list(devs2) == reference_devs2(pi)
+        disc(pi, 1)
+        assert pi._devs2 is devs2
+
+
 def assert_same_values(built, keyword_built):
     assert built == keyword_built  # by class and fields
     assert list(map(hash, built)) == list(map(hash, keyword_built))
@@ -207,11 +249,13 @@ def assert_same_values(built, keyword_built):
                         [Fraction(5, 2), Fraction(17, 2), Fraction(0)])),
     (NeighborViolation, ([2, 7], [5, 6], [9, 4], [3, 3])),
     (TranspositionStep, ([1, 4, 6], [8, 2, 5])),
+    (Permutation, ([(3, 1, 4, 2), (1,), (2, 1)],)),
 ])
 def test_bulk_built_records_equal_keyword_built_ones(cls, columns):
     built = cls._trusted_rows(*columns)
     keyword_built = tuple(cls(**dict(zip(cls._names, row))) for row in zip(*columns))
     assert_same_values(built, keyword_built)
+    assert_same_values(tuple(cls._trusted(*row) for row in zip(*columns)), keyword_built)
     assert cls._trusted_rows(*([] for _ in columns)) == ()
 
 
