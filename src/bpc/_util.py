@@ -117,8 +117,9 @@ class Record:
         return type(self), self._fields()
 
 
-# The largest exact integer the library builds, in bits (512 KiB): n**p for a
-# scale parameter, a rate report's factorials and the n! of rank/unrank.
+# The largest exact integer the library builds, in bits (512 KiB): a rate
+# report's factorials and the n! of rank/unrank (a scale parameter's n**p
+# checks its n! too, so it is at most 18 * 9999 bits).
 MAX_INT_BITS = 1 << 22
 
 
@@ -139,8 +140,12 @@ def factorial_bits(m: int) -> int:
 def ceil_rational_power(n: int, exponent: Fraction) -> int:
     """Smallest integer m with m >= n**exponent, computed exactly.
 
-    For exponent p/q this is the rounded-up integer q-th root of n**p, from
-    ``_floor_root``.
+    The domain is what the scale parameters take: an int n >= 1 whose n!
+    passes ``MAX_INT_BITS`` (so n <= 233016 < 2**18, as for every rate
+    report), and an exponent p/q in (0, 1) with q <= 10,000.  The answer is
+    the least m with m**q >= n**p, at most n, so a bisection on exact powers
+    between 2**((b-1)//q) and 2**ceil(b/q), b = bit_length(n**p), finds it
+    in at most 18 steps.
     """
     at_least(n, 1, "base")
     if not 0 < exponent < 1:
@@ -152,42 +157,14 @@ def ceil_rational_power(n: int, exponent: Fraction) -> int:
         raise ParamInvalid(
             f"exponent denominator {int_text(q)} is too large; pass an exact rational "
             "such as Fraction(3, 5) or the string '0.6'")
-    check_int_bits(p * n.bit_length(), f"n**{p}")
+    check_int_bits(factorial_bits(n), f"{int_text(n)}!")
     target = n ** p
-    root, power = _floor_root(target, q)
-    return root if power == target else root + 1
-
-
-def _floor_root(x: int, q: int) -> tuple[int, int]:
-    """r = floor(x ** (1/q)) for x >= 1 and q >= 2, with r**q.
-
-    A root of at most 64 bits is bisected between 2**((b-1)//q) and
-    2**ceil(b/q), b = bit_length(x).  A longer one is seeded from the top
-    bits: (the root of x >> q*j, plus one) shifted left by j is at least r,
-    and with j a little under half of r's bits, it is within a factor
-    1 + 2**-(bits/2 + log2 q) of it.  Integer Newton steps
-    y = ((q-1)t + x // t**(q-1)) // q then fall monotonically to r, each
-    squaring the relative error, so a step or two and the step that stops
-    at r suffice, and the seeds' powers halve in size down the recursion: a
-    1000-digit n**p takes a few exact powers where a bisection on all of
-    r's bits took log2 r of them.
-    """
-    b = x.bit_length()
-    bits = -(-b // q)  # r < 2**bits
-    if bits <= 64:
-        lo, hi = 1 << (b - 1) // q, 1 << bits
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            lo, hi = (mid, hi) if mid ** q <= x else (lo, mid - 1)
-        return lo, lo ** q
-    j = bits // 2 - q.bit_length()
-    t = (_floor_root(x >> q * j, q)[0] + 1) << j
-    while True:
-        power = t ** (q - 1)
-        y = ((q - 1) * t + x // power) // q
-        if y >= t:
-            return t, power * t
-        t = y
+    b = target.bit_length()
+    lo, hi = 1 << (b - 1) // q, 1 << -(-b // q)  # lo**q <= target < hi**q
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid ** q <= target else (lo, mid - 1)
+    return lo if lo ** q == target else lo + 1
 
 
 def log2_int(x: int) -> float:

@@ -235,9 +235,10 @@ def rate_report_d2(n: int, N: int | None = None,
                    epsilon: Fraction | None = None) -> RateReport:
     """Rate of the block codec: code size ((n/N)!)**N, with N given or
     derived as ceil(n**epsilon)."""
+    epsilon = None if epsilon is None else Fraction(epsilon)
     N = scale_parameter("d2", n, N, epsilon)
     params = D2Params(n, N)
-    target = float(1 - Fraction(epsilon)) if epsilon is not None else None
+    target = float(1 - epsilon) if epsilon is not None else None
     label = f"d2(N={N}" + (f", eps={epsilon}" if epsilon is not None else "") + ")"
     return _rate_report(label, n, lambda: N * _log2_factorial(params.block_size), target)
 
@@ -256,9 +257,10 @@ def rate_report_tn(n: int, k: int | None = None,
                    epsilon_k: Fraction | None = None) -> RateReport:
     """Rate of the neighbor-constrained codec: code size ``TnParams.code_size``,
     exact at every n, with k given or derived as ceil(n**epsilon_k)."""
+    epsilon_k = None if epsilon_k is None else Fraction(epsilon_k)
     k = scale_parameter("tn", n, k, epsilon_k)
     params = TnParams(n, k)
-    target = float((1 + Fraction(epsilon_k)) / 2) if epsilon_k is not None else None
+    target = float((1 + epsilon_k) / 2) if epsilon_k is not None else None
     label = f"tn(k={k}" + (f", eps_k={epsilon_k}" if epsilon_k is not None else "") + ")"
     return _rate_report(label, n, lambda: log2_int(params.code_size), target)
 

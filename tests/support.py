@@ -41,6 +41,11 @@ from bpc import (
     ViolationReport,
     encode_tn,
 )
+from bpc._util import MAX_INT_BITS, factorial_bits
+
+# the largest n whose n! passes the size limit: the largest a rate report,
+# rank, unrank or a scale parameter takes
+LARGEST_N = next(m for m in itertools.count(1) if factorial_bits(m + 1) > MAX_INT_BITS)
 
 
 @contextmanager

@@ -242,6 +242,13 @@ class TestRates:
         assert rates[0] == pytest.approx(0.531, abs=1e-3)
         assert rates[-1] == pytest.approx(0.691, abs=1e-3)
 
+    def test_the_label_shows_the_exponent_in_lowest_terms(self):
+        # a float or a decimal string names the same code as its Fraction
+        d2 = {rate_report_d2(64, epsilon=e) for e in (0.5, "0.50", "2/4", Fraction(1, 2))}
+        assert [report.config for report in d2] == ["d2(N=8, eps=1/2)"]
+        tn = {rate_report_tn(64, epsilon_k=e) for e in (0.5, "0.50", "2/4", Fraction(1, 2))}
+        assert [report.config for report in tn] == ["tn(k=8, eps_k=1/2)"]
+
     def test_neighbor_codec_scaling_consistency(self):
         with pytest.raises(ParamInvalid):
             rate_report_tn(24, k=4, epsilon_k=Fraction(1, 2))

@@ -739,7 +739,7 @@ class TestSizeLimit:
         (("analyze", "rate", "--config", "d1", "--n", "1" + "0" * 21), f"{10 ** 21}!"),
         (("analyze", "rate", "--config", "d1", "--n", "1" + "0" * 11), f"{10 ** 11}!"),
         (("analyze", "rate", "--config", "d2", "--n", "1" + "0" * 4299,
-          "--epsilon", "9999/10000"), "n**9999"),
+          "--epsilon", "9999/10000"), f"{10 ** 4299}!"),
     ], ids=["encode-d1-1e21", "rate-d1-1e21", "rate-d1-1e11", "rate-d2-4300-digits"])
     def test_in_a_new_process(self, argv, what):
         import subprocess
@@ -951,11 +951,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, error", [
         (("analyze", "rate", "--config", "d2", "--n", "2" + "0" * 60, "--epsilon", "1/2"),
-         "error: block count 1414213562373095048801688724210 must be a multiple of 4\n"),
+         f"error: {2 * 10 ** 60}! needs up to "),
         (("analyze", "rate", "--config", "tn", "--n", "2" + "0" * 60, "--epsilon-k", "1/2"),
-         f"error: set size 1414213562373095048801688724210 must divide n={2 * 10 ** 60}\n"),
+         f"error: {2 * 10 ** 60}! needs up to "),
         (("analyze", "rate", "--config", "d2", "--n", "3" + "0" * 400, "--epsilon", "9/10"),
-         "error: block count 2687875379522286583581921073726943045"),
+         f"error: {3 * 10 ** 400}! needs up to "),
         (("analyze", "census", "--n", "4", "--blocks", "2", "--dev-max", "1e99999999"),
          "error: bad rational '1e99999999' at position 1\n"),
         (("analyze", "rate", "--config", "d2", "--n", "16", "--epsilon", "1e-99999999"),

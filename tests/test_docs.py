@@ -1,7 +1,8 @@
 """The examples in the documentation run: every ``>>>`` example in the
 ``bpc`` modules, the README's ``python`` quick start, and the ``bpc``
 command lines of the README's ``sh`` blocks.  The README's claims table
-names the bounds that the claim suites report."""
+names the bounds that the claim suites report, and the largest n the size
+limit admits is stated as it is computed."""
 
 import doctest
 import importlib
@@ -15,6 +16,8 @@ import pytest
 import bpc
 import bpc.perm_core
 from bpc import D2Params, TnParams, cli, d1_claim_suite, d2_claim_suite, identity, tn_claim_suite
+from bpc._util import ceil_rational_power
+from support import LARGEST_N
 
 MODULES = [info.name for info in pkgutil.iter_modules(bpc.__path__, "bpc.")]
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -77,3 +80,16 @@ def test_readme_claims_table_names_every_bound_in_order():
                "tn": tn_claim_suite([identity(24)], TnParams(24, 4))}
     assert listed == {codec: [b.name for b in report.bounds]
                       for codec, report in reports.items()}
+
+
+def test_the_largest_n_under_the_size_limit_is_stated_as_computed():
+    readme = " ".join(README.read_text().split())
+    factoradic = " ".join(bpc.perm_core._factoradic.__doc__.split())
+    root = " ".join(ceil_rational_power.__doc__.split())
+    assert re.findall(r"largest n whose n! passes is (\d+)\.", readme) == [str(LARGEST_N)]
+    for text in (readme, factoradic):
+        assert re.findall(r"n = ([\d,]+), the largest n", text) == [f"{LARGEST_N:,}"]
+    # the root's domain, and the bound on its bisection's steps
+    for text, pattern in ((root, r"n <= (\d+) < 2\*\*(\d+)"), (readme, r"n ≤ (\d+) < 2\^(\d+)")):
+        assert re.findall(pattern, text) == [(str(LARGEST_N), "18")]
+    assert LARGEST_N < 2 ** 18

@@ -16,9 +16,15 @@ from bpc._util import (
     decimal_fraction,
     decimal_int,
     factorial_bits,
+    int_text,
     log2_int,
 )
-from support import default_digit_limit, reference_ceil_rational_power
+from support import LARGEST_N, default_digit_limit, reference_ceil_rational_power
+
+
+def factorial_limit_message(n: int) -> str:
+    return (f"{int_text(n)}! needs up to {int_text(factorial_bits(n))} bits, "
+            f"past the {MAX_INT_BITS}-bit limit on exact integers")
 
 
 class TestCeilRationalPower:
@@ -46,16 +52,20 @@ class TestCeilRationalPower:
         assert m ** q >= n ** p
         assert m == 1 or (m - 1) ** q < n ** p
 
-    @pytest.mark.parametrize("n,eps,expected", [
-        (10 ** 60, Fraction(1, 2), 10 ** 30),  # a float seed is off by more than any walk
-        (10 ** 400, Fraction(9, 10), 10 ** 360),  # n is past float range
-        (2 * 10 ** 60, Fraction(1, 2), 1414213562373095048801688724210),
-        (10 ** 60 + 1, Fraction(1, 2), 10 ** 30 + 1),
-        (2 ** 300, Fraction(1, 3), 2 ** 100),
-        (2 ** 300 + 1, Fraction(1, 3), 2 ** 100 + 1),
+    @pytest.mark.parametrize("n,eps", [
+        (10 ** 60, Fraction(1, 2)),
+        (10 ** 400, Fraction(9, 10)),
+        (2 * 10 ** 60, Fraction(1, 2)),
+        (10 ** 60 + 1, Fraction(1, 2)),
+        (2 ** 300, Fraction(1, 3)),
+        (2 ** 300 + 1, Fraction(1, 3)),
     ], ids=["1e60", "1e400", "2e60", "1e60+1", "2^300", "2^300+1"])
-    def test_exact_past_float_range(self, n, eps, expected):
-        assert ceil_rational_power(n, eps) == expected
+    def test_past_float_range_is_past_the_factorial_limit(self, n, eps):
+        # every n that serves a rate report is below 2**18; past float range
+        # its n! is refused before the root is taken
+        with pytest.raises(ParamInvalid) as info:
+            ceil_rational_power(n, eps)
+        assert str(info.value) == factorial_limit_message(n)
 
     def test_matches_the_float_seeded_reference_exhaustively(self):
         exponents = sorted({Fraction(p, q) for q in range(2, 9) for p in range(1, q)})
@@ -64,39 +74,41 @@ class TestCeilRationalPower:
                 assert ceil_rational_power(n, eps) == reference_ceil_rational_power(n, eps)
 
     def test_matches_the_float_seeded_reference_on_seeded_cases(self):
+        # n**eps < n < 2**18 here, so the reference's walk is short
         rng = random.Random(22)
-        checked = 0
-        while checked < 5000:
+        for _ in range(5000):
             q = rng.randint(2, 400)
             eps = Fraction(rng.randint(1, q - 1), q)
-            n = rng.randint(1, 2 ** rng.randint(1, 64))
-            if n ** eps.numerator >= 2 ** (48 * eps.denominator):
-                continue  # n**eps >= 2**48: the reference's walk may not end
+            n = rng.randint(1, min(2 ** rng.randint(1, 18), LARGEST_N))
             assert ceil_rational_power(n, eps) == reference_ceil_rational_power(n, eps)
-            checked += 1
 
-    def test_defining_inequality_on_seeded_inputs_to_1000_digits(self):
-        # integer Newton from a top-bits seed: exact where the bisection took
-        # 23 s at the first case below
+    @pytest.mark.parametrize("n", [LARGEST_N, LARGEST_N - 1])
+    def test_defining_inequality_at_the_largest_n(self, n):
+        for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 10000),
+                    Fraction(9999, 10000), Fraction(5000, 9999)):
+            p, q = eps.numerator, eps.denominator
+            m = ceil_rational_power(n, eps)
+            assert (m - 1) ** q < n ** p <= m ** q
+
+    def test_seeded_inputs_to_1000_digits_are_past_the_factorial_limit(self):
         rng = random.Random(24)
         cases = [(10 ** 1000 - 1, Fraction(99, 100)), (10 ** 1000 - 1, Fraction(999, 1000))]
         while len(cases) < 18:
             q = rng.randint(2, 1000)
             n = rng.randint(1, 10 ** rng.randint(1, 1000))
             cases.append((n, Fraction(rng.randint(1, q - 1), q)))
-        for n, eps in cases:
-            p, q = eps.numerator, eps.denominator
-            m = ceil_rational_power(n, eps)
-            assert (m - 1) ** q < n ** p <= m ** q
+        for n, eps in cases:  # from 25 to 1000 digits
+            with pytest.raises(ParamInvalid) as info:
+                ceil_rational_power(n, eps)
+            assert str(info.value) == factorial_limit_message(n)
 
-    def test_size_limit_refuses_a_huge_power_before_building_it(self):
+    def test_size_limit_refuses_a_huge_n_before_building_its_power(self):
         n = 10 ** 4299  # 4300 digits: n**9999 would have about 1.4e8 bits
         with pytest.raises(ParamInvalid) as info:
             ceil_rational_power(n, Fraction(9999, 10000))
-        assert str(info.value) == (f"n**9999 needs up to {9999 * n.bit_length()} bits, "
-                                   f"past the {MAX_INT_BITS}-bit limit on exact integers")
-        # the bound is p * bit_length(n), checked before n**p is built
-        with pytest.raises(ParamInvalid):
+        assert str(info.value) == factorial_limit_message(n)
+        # the bound is n * bit_length(n), checked before n**p is built
+        with pytest.raises(ParamInvalid, match="-bit limit on exact integers$"):
             ceil_rational_power(2 ** (MAX_INT_BITS // 1000), Fraction(1000, 1001))
 
 
@@ -113,12 +125,22 @@ class TestSizeLimit:
                                    f"past the {MAX_INT_BITS}-bit limit on exact integers")
 
     def test_unrank_and_rate_reports_check_n_factorial_first(self):
-        big = 1 + max(m for m in range(230_000, 240_000) if factorial_bits(m) <= MAX_INT_BITS)
+        big = LARGEST_N + 1
         for call in (lambda: unrank(0, big), lambda: rate_report_d1(2 * big),
                      lambda: rate_report_d2(4 * big, N=4), lambda: rate_report_tn(4 * big, k=2),
                      lambda: unrank(0, 10 ** 21), lambda: rate_report_d1(10 ** 21)):
             with pytest.raises(ParamInvalid, match="-bit limit on exact integers"):
                 call()
+
+    @pytest.mark.parametrize("n", [2 * 10 ** 60, 4 * (LARGEST_N + 1)], ids=["2e60", "4(max+1)"])
+    def test_an_exponent_refuses_n_as_an_explicit_parameter_does(self, n):
+        # the root is not taken, so no derived N or k is named instead of n!
+        for call in (lambda: rate_report_d2(n, epsilon=Fraction(1, 2)),
+                     lambda: rate_report_tn(n, epsilon_k=Fraction(1, 2)),
+                     lambda: rate_report_d2(n, N=4), lambda: rate_report_tn(n, k=2)):
+            with pytest.raises(ParamInvalid) as info:
+                call()
+            assert str(info.value) == factorial_limit_message(n)
 
     def test_domain(self):
         with pytest.raises(ParamInvalid):
