@@ -7,8 +7,11 @@ from __future__ import annotations
 import math
 import re
 import sys
+from contextlib import suppress
+from decimal import Decimal
 from fractions import Fraction
 from itertools import repeat
+from numbers import Rational
 
 from .errors import ParamInvalid
 
@@ -29,20 +32,23 @@ def codec_parameters(codec: str | None, given: dict) -> dict:
     return {name: given[name] for name in takes if name in given}
 
 
-def scale_parameter(codec: str, n: int, value: int | None, exponent) -> int:
-    """The scale parameter ``value`` of ``codec``, or ceil(n**exponent) when
-    the exponent is supplied; an explicit value must then agree with it, no
-    silent rounding to a legal value."""
+def scale_parameter(codec: str, n: int, value: int | None,
+                    exponent) -> tuple[int, Fraction | None]:
+    """``(value, exponent)``: the scale parameter ``value`` of ``codec``, or
+    ceil(n**exponent) when the exponent is supplied, with the exponent read by
+    ``exact_fraction`` (None when not supplied); an explicit value must then
+    agree with it, no silent rounding to a legal value."""
     name, exponent_name = CODEC_PARAMETERS[codec]
     if exponent is not None:
-        derived = ceil_rational_power(n, Fraction(exponent))
+        exponent = exact_fraction(exponent)
+        derived = ceil_rational_power(n, exponent)
         if value is not None and value != derived:
             raise ParamInvalid(
                 f"{name}={value} contradicts ceil(n**{exponent_name})={derived}")
-        return derived
+        return derived, exponent
     if value is None:
         raise ParamInvalid(f"either {name} or {exponent_name} is required")
-    return value
+    return value, None
 
 
 class Record:
@@ -118,23 +124,20 @@ class Record:
 
 
 # The largest exact integer the library builds, in bits (512 KiB): a rate
-# report's factorials and the n! of rank/unrank (a scale parameter's n**p
-# checks its n! too, so it is at most 18 * 9999 bits).
+# report's factorials and the n! of rank/unrank, each checked by
+# ``check_factorial`` (a scale parameter's n**p checks its n! too, so it is
+# at most 18 * 9999 bits).
 MAX_INT_BITS = 1 << 22
 
 
-def check_int_bits(bits: int, what: str) -> None:
-    """``ParamInvalid`` naming ``MAX_INT_BITS`` when ``bits``, an upper bound
-    on the bit length of the integer ``what`` that is about to be built,
-    exceeds it: checked before the arithmetic starts, so no size hangs."""
+def check_factorial(m: int) -> None:
+    """``ParamInvalid`` naming ``MAX_INT_BITS`` when m!, of at most
+    m * bit_length(m) bits (as m! <= m**m), may exceed it: checked before m!
+    is built, so no size hangs."""
+    bits = m * m.bit_length()
     if bits > MAX_INT_BITS:
-        raise ParamInvalid(f"{what} needs up to {int_text(bits)} bits, "
+        raise ParamInvalid(f"{int_text(m)}! needs up to {int_text(bits)} bits, "
                            f"past the {MAX_INT_BITS}-bit limit on exact integers")
-
-
-def factorial_bits(m: int) -> int:
-    """An upper bound on the bit length of m!, m * bit_length(m), as m! <= m**m."""
-    return m * m.bit_length()
 
 
 def ceil_rational_power(n: int, exponent: Fraction) -> int:
@@ -157,7 +160,7 @@ def ceil_rational_power(n: int, exponent: Fraction) -> int:
         raise ParamInvalid(
             f"exponent denominator {int_text(q)} is too large; pass an exact rational "
             "such as Fraction(3, 5) or the string '0.6'")
-    check_int_bits(factorial_bits(n), f"{int_text(n)}!")
+    check_factorial(n)
     target = n ** p
     b = target.bit_length()
     lo, hi = 1 << (b - 1) // q, 1 << -(-b // q)  # lo**q <= target < hi**q
@@ -209,6 +212,41 @@ def exact_ints(values) -> tuple:
     return values if set(map(type, values)) <= {int} else tuple(map(exact_int, values))
 
 
+_RATIONAL = re.compile(
+    r"[+-]?(?=\.?[0-9])(?:([0-9]+)/([0-9]+)|([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?)")
+
+
+def exact_fraction(value: object, position: int | None = None) -> Fraction:
+    """``value`` as an exact ``Fraction``: the one reader of the rationals
+    the library and the CLI take.  Text, and a finite ``Decimal`` as its text,
+    is read in ASCII digits: an integer, ``p/q`` or a decimal with an optional
+    exponent (``2``, ``3/2``, ``0.6``, ``1e3``).  Another spelling (``1_0``,
+    Arabic-Indic digits, blanks), a zero denominator, or a numerator or
+    denominator of more digits as written than ``int`` reads (counted before
+    any power of ten is built) raises ``ParamInvalid`` "bad rational <text>",
+    cut short, at its 1-based ``position`` in a list when given.  A rational
+    (an int, a ``Fraction``) or a finite float is read exactly; any other
+    value, a bool, NaN or infinity, raises "expected an exact rational, got ..."."""
+    if isinstance(value, Decimal) and value.is_finite():
+        value = str(value)
+    if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        with suppress(ValueError, ZeroDivisionError):  # int(exp) past the digit limit; 1/0
+            if match is not None:
+                num, den, whole, point, exp = match.groups()
+                shift = int(exp or 0) - len(point or "")  # value = int(whole point) * 10**shift
+                digits = ((len(num), len(den)) if num is not None else
+                          (len(whole + (point or "")) + max(shift, 0), 1 + max(-shift, 0)))
+                if not limit or max(digits) <= limit:
+                    return Fraction(value)
+        raise ParamInvalid(f"bad rational {token_text(value, position)}")
+    if (isinstance(value, Rational) and not isinstance(value, bool)
+            or isinstance(value, float) and math.isfinite(value)):
+        return Fraction(value)
+    raise ParamInvalid(f"expected an exact rational, got {value!r}")
+
+
 def decimal_int(text: str) -> int:
     """The integer written in ``text`` as ASCII ``[+-]?[0-9]+``; the other
     spellings ``int`` takes (``1_0``, Arabic-Indic digits, padding blanks)
@@ -216,35 +254,6 @@ def decimal_int(text: str) -> int:
     if re.fullmatch(r"[+-]?[0-9]+", text) is None:
         raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
-
-
-_RATIONAL = re.compile(
-    r"[+-]?(?=\.?[0-9])(?:([0-9]+)/([0-9]+)|([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?)")
-
-
-def decimal_fraction(text: str) -> Fraction:
-    """The rational written in ``text`` in ASCII digits: an integer, a ratio
-    ``p/q`` or a decimal with an optional exponent (``2``, ``3/2``, ``0.6``,
-    ``1e3``).  The other spellings ``Fraction`` takes (``1_0``, Arabic-Indic
-    digits, padding blanks) raise ``ValueError``, as text ``Fraction`` cannot
-    read does; a zero denominator raises ``ZeroDivisionError``.  So does a
-    numerator or denominator that, as written and before reduction, needs
-    more digits than ``int`` reads (``sys.get_int_max_str_digits()``): it is
-    refused before its power of ten is built."""
-    match = _RATIONAL.fullmatch(text)
-    if match is None:
-        raise ValueError(f"not a decimal rational: {text!r}")
-    num, den, whole, point, exp = match.groups()
-    if num is None:  # whole.point * 10**exp is the integer (whole point) * 10**shift
-        point = point or ""
-        shift = int(exp or 0) - len(point)
-        digits = (len(whole) + len(point) + max(shift, 0), 1 + max(-shift, 0))
-    else:
-        digits = (len(num), len(den))
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and max(digits) > limit:
-        raise ValueError(f"a rational of more than {limit} digits")
-    return Fraction(text)
 
 
 def token_text(token: str, position: int | None = None) -> str:

@@ -27,11 +27,9 @@ from . import DEFAULT_ENUM_LIMIT, _EXPORTS
 from ._util import (
     Record,
     at_least,
-    check_int_bits,
+    check_factorial,
     codec_parameters,
     exact_int,
-    factorial_bits,
-    int_text,
     log2_int,
     scale_parameter,
 )
@@ -211,7 +209,7 @@ class RateReport(Record):
 
 
 def _log2_factorial(m: int) -> float:
-    check_int_bits(factorial_bits(m), f"{int_text(m)}!")
+    check_factorial(m)
     return log2_int(factorial(m))
 
 
@@ -234,9 +232,8 @@ def rate_report_d1(n: int) -> RateReport:
 def rate_report_d2(n: int, N: int | None = None,
                    epsilon: Fraction | None = None) -> RateReport:
     """Rate of the block codec: code size ((n/N)!)**N, with N given or
-    derived as ceil(n**epsilon)."""
-    epsilon = None if epsilon is None else Fraction(epsilon)
-    N = scale_parameter("d2", n, N, epsilon)
+    derived as ceil(n**epsilon), epsilon read by ``exact_fraction``."""
+    N, epsilon = scale_parameter("d2", n, N, epsilon)
     params = D2Params(n, N)
     target = float(1 - epsilon) if epsilon is not None else None
     label = f"d2(N={N}" + (f", eps={epsilon}" if epsilon is not None else "") + ")"
@@ -256,9 +253,9 @@ def tn_code_size(params: TnParams, limit: int = DEFAULT_ENUM_LIMIT) -> int:
 def rate_report_tn(n: int, k: int | None = None,
                    epsilon_k: Fraction | None = None) -> RateReport:
     """Rate of the neighbor-constrained codec: code size ``TnParams.code_size``,
-    exact at every n, with k given or derived as ceil(n**epsilon_k)."""
-    epsilon_k = None if epsilon_k is None else Fraction(epsilon_k)
-    k = scale_parameter("tn", n, k, epsilon_k)
+    exact at every n, with k given or derived as ceil(n**epsilon_k),
+    epsilon_k read by ``exact_fraction``."""
+    k, epsilon_k = scale_parameter("tn", n, k, epsilon_k)
     params = TnParams(n, k)
     target = float((1 + epsilon_k) / 2) if epsilon_k is not None else None
     label = f"tn(k={k}" + (f", eps_k={epsilon_k}" if epsilon_k is not None else "") + ")"

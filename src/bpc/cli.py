@@ -17,10 +17,9 @@ import argparse
 import contextlib
 import json
 import sys
-from fractions import Fraction
 
 from . import DEFAULT_ENUM_LIMIT
-from ._util import codec_parameters, decimal_fraction, decimal_int, token_text
+from ._util import codec_parameters, decimal_int, exact_fraction, token_text
 from .errors import (
     BpcError,
     NotCodeword,
@@ -88,15 +87,6 @@ def _read_json(path: str):
 def _perm_arg(value: str) -> Permutation:
     """A permutation given inline, or read from stdin when ``value`` is '-'."""
     return parse_permutation(_read_file_or_stdin(value) if value == "-" else value)
-
-
-def _fraction(text: str, position: int | None = None) -> Fraction:
-    """The rational ``text``, the ``position``-th entry of a list when given;
-    a bad one is a usage error naming it, cut short."""
-    try:
-        return decimal_fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParamInvalid(f"bad rational {token_text(text, position)}") from exc
 
 
 def _int_list(text: str) -> list[int]:
@@ -376,7 +366,8 @@ def _census_spec(args):
     blocks = _int_list(args.blocks)
     if args.dev_max is None:
         raise ParamInvalid("--dev-max is required with --blocks")
-    devs = [_fraction(t, pos) for pos, t in enumerate(args.dev_max.replace(",", " ").split(), 1)]
+    texts = args.dev_max.replace(",", " ").split()
+    devs = [exact_fraction(t, pos) for pos, t in enumerate(texts, 1)]
     if len(devs) == 1 and blocks:
         devs = devs * len(blocks)
     if len(devs) != len(blocks):
@@ -410,7 +401,7 @@ def _cmd_min_disc(args) -> int:
 def _cmd_rate(args) -> int:
     from .analysis import rate_report
 
-    epsilon, epsilon_k = (None if text is None else _fraction(text)
+    epsilon, epsilon_k = (None if text is None else exact_fraction(text)
                           for text in (args.epsilon, args.epsilon_k))
     lengths = _int_list(args.n)
     if not lengths:

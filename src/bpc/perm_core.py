@@ -21,22 +21,22 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, count, groupby
 from math import gcd, prod
 from operator import sub
-from typing import Iterable, Iterator, Mapping
 
 from . import _EXPORTS
 from ._util import (
     Record,
     at_least,
-    check_int_bits,
+    check_factorial,
     decimal_int,
+    exact_fraction,
     exact_int,
     exact_ints,
-    factorial_bits,
     int_text,
     token_text,
 )
@@ -326,9 +326,10 @@ class BalanceSpec(Record):
     """A set of window lengths plus the allowed deviation for each.
 
     ``dev_max[b]`` bounds ``|window_sum - b*(n+1)/2|`` for every length-``b``
-    window.  ``n`` and the lengths are exact ints, deviations non-negative
-    exact rationals.  Construction derives, once, the limit per length that
-    the verifiers and the census read, the largest doubled deviation allowed:
+    window.  ``n`` and the lengths are exact ints; ``dev_max`` is a mapping
+    whose values, non-negative, are read by ``exact_fraction``.  Construction
+    derives, once, the limit per length that the verifiers and the census
+    read, the largest doubled deviation allowed:
     |w - b*(n+1)/2| > p/q  <=>  |2w - b*(n+1)| * q > 2p  <=>  dev2 > 2p // q.
     ``dev_max`` is read only then, so it must not be mutated afterwards.
     """
@@ -341,10 +342,11 @@ class BalanceSpec(Record):
             raise ParamInvalid("block lengths must be strictly increasing")
         if blocks and not (1 <= blocks[0] and blocks[-1] <= n):
             raise ParamInvalid(f"block lengths must lie in [1, {n}]")
+        if not isinstance(dev_max, Mapping):
+            raise ParamInvalid(f"dev_max must be a mapping, got {type(dev_max).__name__}")
         if set(dev_max) != set(blocks):
             raise ParamInvalid("dev_max keys must match the block set")
-        dev = {b: dev_max[b] for b in blocks}
-        dev = {b: v if type(v) is Fraction else Fraction(v) for b, v in dev.items()}
+        dev = {b: v if type(v := dev_max[b]) is Fraction else exact_fraction(v) for b in blocks}
         limits = {b: 2 * a.numerator // a.denominator for b, a in dev.items()}
         if min(limits.values(), default=0) < 0:  # 2p // q < 0 exactly when p < 0
             raise ParamInvalid("allowed deviations must be non-negative")
@@ -543,7 +545,7 @@ def _factoradic(n: int) -> tuple[tuple[int, ...], tuple[range, ...], tuple[tuple
     limit, checked before anything is built.  One length costs 0.10 MB at
     n = 2048 and 17.8 MB at n = 233,016, the largest n allowed (by
     ``tracemalloc``), so the four kept pin at most about 71 MB."""
-    check_int_bits(factorial_bits(n), f"{int_text(n)}!")
+    check_factorial(n)
     runs = tuple(range(start, min(start + 32, n + 1)) for start in range(1, n + 1, 32))
     level = tuple(map(prod, runs))
     levels = [level]

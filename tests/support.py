@@ -41,11 +41,20 @@ from bpc import (
     ViolationReport,
     encode_tn,
 )
-from bpc._util import MAX_INT_BITS, factorial_bits
+from bpc._util import check_factorial
+
+
+def _factorial_passes(m: int) -> bool:
+    try:
+        check_factorial(m)
+    except ParamInvalid:
+        return False
+    return True
+
 
 # the largest n whose n! passes the size limit: the largest a rate report,
 # rank, unrank or a scale parameter takes
-LARGEST_N = next(m for m in itertools.count(1) if factorial_bits(m + 1) > MAX_INT_BITS)
+LARGEST_N = next(m for m in itertools.count(1) if not _factorial_passes(m + 1))
 
 
 @contextmanager

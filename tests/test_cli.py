@@ -755,6 +755,19 @@ class TestSizeLimit:
         assert proc.stderr.endswith(" bits, past the 4194304-bit limit on exact integers\n")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("call, text", [
+        ("rate_report_d2(64, epsilon='1e-99999999')", "1e-99999999"),
+        ("BalanceSpec(4, (2,), {2: '1e99999999'})", "1e99999999"),
+    ], ids=["rate-d2-epsilon", "balance-spec-allowance"])
+    def test_long_rational_text_in_a_new_process(self, call, text):
+        # the library reads it as the CLI does: refused by its digit count,
+        # before its power of ten is built (it took seconds, or hung)
+        probe = ("import time\nfrom bpc import BalanceSpec, ParamInvalid, rate_report_d2\n"
+                 f"start = time.perf_counter()\ntry:\n    {call}\n"
+                 "except ParamInvalid as exc:\n    print(exc)\n"
+                 "print(time.perf_counter() - start < 1)")
+        assert _probe(probe) == [f"bad rational {text!r}", "True"]
+
 
 def _probe(code: str, *args: str) -> list[str]:
     """Run ``code`` in a new interpreter with this checkout's bpc on its

@@ -49,30 +49,30 @@ class TestParams:
 
     def test_from_epsilon_exact(self):
         # 32**(3/5) = 8 exactly
-        p = D2Params(32, scale_parameter("d2", 32, None, Fraction(3, 5)))
+        p = D2Params(32, scale_parameter("d2", 32, None, Fraction(3, 5))[0])
         assert p.N == 8
-        assert D2Params(64, scale_parameter("d2", 64, None, Fraction(1, 2))).N == 8
-        assert D2Params(256, scale_parameter("d2", 256, None, Fraction(1, 2))).N == 16
+        assert D2Params(64, scale_parameter("d2", 64, None, Fraction(1, 2))[0]).N == 8
+        assert D2Params(256, scale_parameter("d2", 256, None, Fraction(1, 2))[0]).N == 16
 
     def test_from_epsilon_no_silent_rounding(self):
         # ceil(30**0.5) = 6, which is not a multiple of 4
         with pytest.raises(ParamInvalid):
-            D2Params(30, scale_parameter("d2", 30, None, Fraction(1, 2)))
+            D2Params(30, scale_parameter("d2", 30, None, Fraction(1, 2))[0])
 
     @pytest.mark.parametrize("n,epsilon,error", [
         (0, Fraction(1, 2), "base must be >= 1"),
-        (64, True, r"exponent must lie in \(0, 1\)"),
+        (64, True, "expected an exact rational, got True"),
         (64, Fraction(1, 10001), "exponent denominator 10001 is too large"),
         (64, None, "either N or epsilon is required"),
     ], ids=["n-zero", "bool", "huge-denominator", "none"])
     def test_from_epsilon_refusals(self, n, epsilon, error):
         # the exponent takes the one path to N that rate_report_d2 takes
         with pytest.raises(ParamInvalid, match=f"^{error}"):
-            D2Params(n, scale_parameter("d2", n, None, epsilon))
+            D2Params(n, scale_parameter("d2", n, None, epsilon)[0])
 
     def test_from_epsilon_reads_text_and_floats_exactly(self):
-        assert D2Params(64, scale_parameter("d2", 64, None, "1/2")) == D2Params(64, 8)
-        assert D2Params(64, scale_parameter("d2", 64, None, 0.5)) == D2Params(64, 8)
+        assert D2Params(64, scale_parameter("d2", 64, None, "1/2")[0]) == D2Params(64, 8)
+        assert D2Params(64, scale_parameter("d2", 64, None, 0.5)[0]) == D2Params(64, 8)
 
 
 # every valid (n, N) with n <= 64: N a multiple of 4 that divides n

@@ -3,12 +3,18 @@ that takes them: an int or an int subclass passes, and a bool, a float or a
 str raises ``ParamInvalid`` ("expected an integer, got ...") before any range
 check, never a bare ``TypeError`` and never a silent coercion.  Each rule
 built on it is stated once: a floored int (``_util.at_least``), a tuple of
-ints (``_util.exact_ints``) and d1's even length (``d1_codec._half``)."""
+ints (``_util.exact_ints``) and d1's even length (``d1_codec._half``).
+Rational parameters (allowances and exponents) follow one rule too, read by
+``_util.exact_fraction``, and the n! size limit is checked in one place,
+``_util.check_factorial``."""
 
+import ast
 import enum
 import inspect
 import re
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +49,7 @@ from bpc import (
     verify_balance,
     window_sum,
 )
-from bpc._util import exact_ints
+from bpc._util import exact_ints, scale_parameter
 
 P = Permutation
 SPEC = BalanceSpec(4, (2,), {2: Fraction(1)})
@@ -285,3 +291,104 @@ def test_exact_ints_names_the_first_bad_entry_and_keeps_int_subclasses():
     assert exact_ints(()) == ()
     with pytest.raises(ParamInvalid, match=r"^expected an integer, got 2\.0$"):
         exact_ints([1, 2.0, True])
+
+
+# Every entry point that takes a rational, with one value swapped in, and
+# what it says when the value is None (an exponent of None is not given).
+RATIONAL_CALLS = [
+    ("BalanceSpec", lambda v: BalanceSpec(4, (2,), {2: v}), None),
+    ("rate_report_d2", lambda v: rate_report_d2(64, epsilon=v), "either N or epsilon is required"),
+    ("rate_report_tn", lambda v: rate_report_tn(16, epsilon_k=v),
+     "either k or epsilon_k is required"),
+    ("rate_report-d2", lambda v: rate_report("d2", 64, epsilon=v),
+     "either N or epsilon is required"),
+    ("rate_report-tn", lambda v: rate_report("tn", 16, epsilon_k=v),
+     "either k or epsilon_k is required"),
+    ("scale_parameter", lambda v: scale_parameter("d2", 64, None, v),
+     "either N or epsilon is required"),
+]
+REFUSED_RATIONALS = ["abc", float("nan"), float("inf"), [1], None, True, "1_0", " 1/2 ", "1/0"]
+HALVES = [Fraction(1, 2), 0.5, "0.50", "2/4", Decimal("0.5")]
+# what each call gives for one half, as read with the value Fraction(1, 2)
+HALF_RESULTS = {
+    "BalanceSpec": BalanceSpec(4, (2,), {2: Fraction(1, 2)}),
+    "rate_report_d2": rate_report_d2(64, epsilon=Fraction(1, 2)),
+    "rate_report_tn": rate_report_tn(16, epsilon_k=Fraction(1, 2)),
+    "rate_report-d2": rate_report_d2(64, epsilon=Fraction(1, 2)),
+    "rate_report-tn": rate_report_tn(16, epsilon_k=Fraction(1, 2)),
+    "scale_parameter": (8, Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("call, none_message", [case[1:] for case in RATIONAL_CALLS],
+                         ids=[case[0] for case in RATIONAL_CALLS])
+@pytest.mark.parametrize("bad", REFUSED_RATIONALS, ids=repr)
+def test_a_bad_rational_is_refused_by_name(call, none_message, bad):
+    with pytest.raises(ParamInvalid) as info:
+        call(bad)
+    if bad is None and none_message is not None:
+        expected = none_message
+    elif isinstance(bad, str):
+        expected = f"bad rational {bad!r}"
+    else:
+        expected = f"expected an exact rational, got {bad!r}"
+    assert type(info.value) is ParamInvalid and str(info.value) == expected
+
+
+@pytest.mark.parametrize("label, call", [case[:2] for case in RATIONAL_CALLS],
+                         ids=[case[0] for case in RATIONAL_CALLS])
+@pytest.mark.parametrize("half", HALVES, ids=repr)
+def test_every_spelling_of_a_half_reads_as_one_half(label, call, half):
+    assert call(half) == HALF_RESULTS[label]
+
+
+def test_a_half_gives_the_labels_and_values_of_the_exact_half():
+    d2, tn = HALF_RESULTS["rate_report_d2"], HALF_RESULTS["rate_report_tn"]
+    assert (d2.config, d2.target) == ("d2(N=8, eps=1/2)", 0.5)
+    assert (tn.config, tn.target) == ("tn(k=4, eps_k=1/2)", 0.75)
+    assert type(HALF_RESULTS["BalanceSpec"].dev_max[2]) is Fraction
+
+
+class _RuleBreaks(ast.NodeVisitor):
+    """Lines that read an outside value into a ``Fraction`` (a one-argument
+    call on a name, attribute or subscript) outside ``exact_fraction``, and
+    comparisons with ``MAX_INT_BITS`` outside ``check_factorial``; ``where``
+    collects the functions that hold each of the two."""
+
+    def __init__(self, module: str):
+        self.module, self.function, self.found = module, None, []
+        self.where = {"Fraction": set(), "MAX_INT_BITS": set()}
+
+    def visit_FunctionDef(self, node):
+        outer, self.function = self.function, node.name
+        self.generic_visit(node)
+        self.function = outer
+
+    def note(self, node, rule: str, home: str):
+        self.where[rule].add(self.function)
+        if self.function != home:
+            self.found.append(f"{self.module}:{node.lineno} {ast.unparse(node)}")
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if (name == "Fraction" and len(node.args) == 1 and not node.keywords
+                and isinstance(node.args[0], (ast.Name, ast.Attribute, ast.Subscript))):
+            self.note(node, "Fraction", "exact_fraction")
+        self.generic_visit(node)
+
+    def visit_Compare(self, node):
+        if any(getattr(x, "id", None) == "MAX_INT_BITS" for x in (node.left, *node.comparators)):
+            self.note(node, "MAX_INT_BITS", "check_factorial")
+        self.generic_visit(node)
+
+
+def test_each_rational_read_and_size_check_is_in_one_place():
+    found, where = [], {"Fraction": set(), "MAX_INT_BITS": set()}
+    for path in sorted(Path(bpc.__file__).resolve().parent.glob("*.py")):
+        breaks = _RuleBreaks(path.name)
+        breaks.visit(ast.parse(path.read_text(), str(path)))
+        found += breaks.found
+        for rule, functions in breaks.where.items():
+            where[rule] |= functions
+    assert found == []
+    assert where == {"Fraction": {"exact_fraction"}, "MAX_INT_BITS": {"check_factorial"}}

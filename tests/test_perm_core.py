@@ -368,7 +368,7 @@ class TestBalanceSpecValidation:
 
     @pytest.mark.parametrize("given, stored", [
         (Fraction(3, 2), Fraction(3, 2)), (2, Fraction(2)), ("3/2", Fraction(3, 2)),
-        (0.5, Fraction(1, 2)), (0, Fraction(0)), (True, Fraction(1))])
+        (0.5, Fraction(1, 2)), (0, Fraction(0))])
     def test_deviations_stored_as_fractions(self, given, stored):
         dev = BalanceSpec(4, (2,), {2: given}).dev_max[2]
         assert type(dev) is Fraction and dev == stored
@@ -380,9 +380,18 @@ class TestBalanceSpecValidation:
         dev = BalanceSpec(4, (2,), {2: Half(1, 2)}).dev_max[2]
         assert type(dev) is Fraction and dev == Fraction(1, 2)
 
-    def test_non_numeric_deviation_raises_as_fraction_does(self):
-        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+    def test_non_numeric_deviation_raises_param_invalid(self):
+        with pytest.raises(ParamInvalid, match=r"^bad rational 'wide'$"):
             BalanceSpec(4, (2,), {2: "wide"})
+
+    @pytest.mark.parametrize("blocks, dev_max, kind", [
+        ((1,), [1, 1], "list"), ((2,), [2], "list"), ((2,), {2}, "set"),
+        ((2,), None, "NoneType"), ((2,), (2, 1), "tuple")])
+    def test_dev_max_must_be_a_mapping(self, blocks, dev_max, kind):
+        # a list was read by index: [1, 1] with lengths (1,) stored {1: 1}
+        with pytest.raises(ParamInvalid) as info:
+            BalanceSpec(4, blocks, dev_max)
+        assert str(info.value) == f"dev_max must be a mapping, got {kind}"
 
 
 class TestTwoNeighbor:

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,9 @@ from bpc._util import (
     MAX_INT_BITS,
     Record,
     ceil_rational_power,
-    check_int_bits,
-    decimal_fraction,
+    check_factorial,
     decimal_int,
-    factorial_bits,
+    exact_fraction,
     int_text,
     log2_int,
 )
@@ -23,7 +23,8 @@ from support import LARGEST_N, default_digit_limit, reference_ceil_rational_powe
 
 
 def factorial_limit_message(n: int) -> str:
-    return (f"{int_text(n)}! needs up to {int_text(factorial_bits(n))} bits, "
+    # n! <= n**n, so it has at most n * bit_length(n) bits
+    return (f"{int_text(n)}! needs up to {int_text(n * n.bit_length())} bits, "
             f"past the {MAX_INT_BITS}-bit limit on exact integers")
 
 
@@ -113,16 +114,16 @@ class TestCeilRationalPower:
 
 
 class TestSizeLimit:
-    def test_factorial_bits_bounds_the_bit_length(self):
+    def test_the_stated_factorial_bound_holds(self):
         for m in [*range(1, 300), 1000, 4096, 65536]:
-            assert math.factorial(m).bit_length() <= factorial_bits(m)
+            assert math.factorial(m).bit_length() <= m * m.bit_length()
 
     def test_check_names_the_limit(self):
-        check_int_bits(MAX_INT_BITS, "x")
+        check_factorial(LARGEST_N)
         with pytest.raises(ParamInvalid) as info:
-            check_int_bits(MAX_INT_BITS + 1, "x")
-        assert str(info.value) == (f"x needs up to {MAX_INT_BITS + 1} bits, "
-                                   f"past the {MAX_INT_BITS}-bit limit on exact integers")
+            check_factorial(LARGEST_N + 1)
+        assert str(info.value) == factorial_limit_message(LARGEST_N + 1)
+        assert str(info.value).endswith(f"past the {MAX_INT_BITS}-bit limit on exact integers")
 
     def test_unrank_and_rate_reports_check_n_factorial_first(self):
         big = LARGEST_N + 1
@@ -197,24 +198,30 @@ class TestDecimalInt:
 
 
 
-class TestDecimalFraction:
+class TestExactFraction:
     @pytest.mark.parametrize("text", [
         "2", "3/2", "0.6", "1.5", "1e3", "-7", "+3/4", ".5", "1.", "2E-3", "007/010",
     ])
     def test_ascii_text_reads_as_fraction_reads_it(self, text):
-        assert decimal_fraction(text) == Fraction(text)
+        assert exact_fraction(text) == Fraction(text)
 
     @pytest.mark.parametrize("text", [
         "", "+", ".", "e3", "1_0", "1/1_0", "1.0_0", "\u0661", "\u0661/\u0662", "\uff17",
         " 1/2", "1/2 ", "1 / 2", "1/2\n", "nan", "inf", "1/2e3", "0x7", "1/-2",
     ])
-    def test_every_other_spelling_is_a_value_error(self, text):
-        with pytest.raises(ValueError):
-            decimal_fraction(text)
+    def test_every_other_spelling_is_refused_by_name(self, text):
+        with pytest.raises(ParamInvalid) as info:
+            exact_fraction(text)
+        assert str(info.value) == f"bad rational {text!r}"
 
-    def test_zero_denominator_raises_as_fraction_does(self):
-        with pytest.raises(ZeroDivisionError):
-            decimal_fraction("1/0")
+    def test_zero_denominator_is_refused(self):
+        with pytest.raises(ParamInvalid, match=r"^bad rational '1/0'$"):
+            exact_fraction("1/0")
+
+    def test_a_position_is_named_and_a_long_token_cut(self):
+        with pytest.raises(ParamInvalid) as info:
+            exact_fraction("x" * 20, 3)
+        assert str(info.value) == "bad rational 'xxxxxxxxxxxx'... at position 3"
 
     @pytest.mark.parametrize("text", [
         "1e4299", "1e-4299", "9" * 4300, "1/" + "9" * 4300, "9" * 4300 + "/7",
@@ -223,7 +230,7 @@ class TestDecimalFraction:
             "0.0x4298-1", "12e4298", "1.5e4299"])
     def test_text_within_the_digit_limit_reads_as_fraction_reads_it(self, text):
         with default_digit_limit():
-            assert decimal_fraction(text) == Fraction(text)
+            assert exact_fraction(text) == Fraction(text)
 
     @pytest.mark.parametrize("text", [
         "1e4300", "1e-4300", "9" * 4301, "1/" + "9" * 4301, "9" * 4301 + "/7",
@@ -231,11 +238,33 @@ class TestDecimalFraction:
         "1e99999999", "-1e-99999999", "1e" + "9" * 5000,
     ], ids=["1e4300", "1e-4300", "9x4301", "1/9x4301", "9x4301/7", "1x2000.1x2301",
             "0.0x4299-1", "12e4299", "1.5e4300", "1e99999999", "-1e-99999999", "1e9x5000"])
-    def test_text_past_the_digit_limit_is_a_value_error(self, text):
+    def test_text_past_the_digit_limit_is_refused(self, text):
         # the count is of the numerator and the denominator as written, before
         # reduction: 1e4300 is 10**4300, 4301 digits, as int("1" + "0" * 4300)
-        with default_digit_limit(), pytest.raises(ValueError):
-            decimal_fraction(text)
+        with default_digit_limit(), pytest.raises(ParamInvalid, match="^bad rational "):
+            exact_fraction(text)
+
+    @pytest.mark.parametrize("value", [
+        7, Fraction(3, 2), 0.375, -2.5, Decimal("0.6"), Decimal("-1.5E+3"), Decimal("0E-7"),
+    ])
+    def test_a_number_reads_as_its_exact_value(self, value):
+        result = exact_fraction(value)
+        assert type(result) is Fraction and result == Fraction(value)
+
+    def test_a_decimal_is_held_to_the_digit_limit_as_its_text_is(self):
+        with default_digit_limit():
+            assert exact_fraction(Decimal("1e4299")) == 10 ** 4299
+            with pytest.raises(ParamInvalid, match=r"^bad rational '1E\+4300'$"):
+                exact_fraction(Decimal("1e4300"))
+
+    @pytest.mark.parametrize("value", [
+        True, False, None, [1], (1, 2), {1: 2}, 1j, float("nan"), float("inf"),
+        float("-inf"), Decimal("nan"), Decimal("-inf"), b"1/2",
+    ], ids=repr)
+    def test_any_other_value_is_refused_by_name(self, value):
+        with pytest.raises(ParamInvalid) as info:
+            exact_fraction(value)
+        assert str(info.value) == f"expected an exact rational, got {value!r}"
 
 
 class Scaled(Record):
