@@ -24,6 +24,11 @@ _EXPORTS = {
         "d2_claim_suite", "min_disc", "rate_report", "rate_report_d1", "rate_report_d2",
         "rate_report_tn", "tn_claim_suite", "tn_code_size",
     ),
+    "balance": (
+        "BalanceSpec", "BalanceViolation", "NeighborSpec", "NeighborViolation",
+        "ViolationReport", "check_two_neighbor", "d1_preset", "disc", "prefix_deviation",
+        "prefix_deviations_doubled", "verify_balance", "window_sum",
+    ),
     "d1_codec": (
         "D1Input", "TranspositionStep", "TranspositionTrace", "d1_message_decode",
         "d1_message_encode", "d1_message_input", "decode_d1", "encode_d1",
@@ -38,11 +43,8 @@ _EXPORTS = {
         "OddLength", "ParamInvalid", "SelectorViolation", "SourceExhausted", "SpecMismatch",
     ),
     "perm_core": (
-        "BalanceSpec", "BalanceViolation", "NeighborSpec", "NeighborViolation",
-        "Permutation", "ViolationReport", "check_two_neighbor", "d1_preset", "disc",
-        "format_permutation", "identity", "make_permutation", "parse_permutation",
-        "prefix_deviation", "prefix_deviations_doubled", "rank", "unrank",
-        "verify_balance", "window_sum",
+        "Permutation", "format_permutation", "identity", "make_permutation",
+        "parse_permutation", "rank", "unrank",
     ),
     "tn_codec": (
         "TnInput", "TnParams", "decode_tn", "encode_tn", "random_valid_input",

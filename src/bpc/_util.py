@@ -6,12 +6,10 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
 import sys
 from contextlib import suppress
-from decimal import Decimal
-from fractions import Fraction
 from itertools import repeat
-from numbers import Rational
 
 from .errors import ParamInvalid
 
@@ -190,11 +188,27 @@ def int_text(value: int) -> str:
         return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
 
 
+class _ShortRepr(reprlib.Repr):
+    """``repr`` within ``reprlib``'s caps (30 characters of text or of an
+    object, six items of a list), for a refusal that names a value: short for
+    any input, and an int past the interpreter's int-to-str digit limit shown
+    by ``int_text``, not raising the ``ValueError`` of ``repr``."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return int_text(x)
+
+
+value_text = _ShortRepr().repr
+
+
 def exact_int(value: object) -> int:
     """``value`` itself if it is an int, else ``ParamInvalid``: a 2.7 or a
     ``True`` (JSON true) is rejected, never coerced to 2 or 1."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ParamInvalid(f"expected an integer, got {value!r}")
+        raise ParamInvalid(f"expected an integer, got {value_text(value)}")
     return value
 
 
@@ -212,8 +226,8 @@ def exact_ints(values) -> tuple:
     return values if set(map(type, values)) <= {int} else tuple(map(exact_int, values))
 
 
-_RATIONAL = re.compile(
-    r"[+-]?(?=\.?[0-9])(?:([0-9]+)/([0-9]+)|([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?)")
+# compiled on first use, by ``re``'s cache: a command that reads no rational compiles none
+_RATIONAL = r"[+-]?(?=\.?[0-9])(?:([0-9]+)/([0-9]+)|([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?)"
 
 
 def exact_fraction(value: object, position: int | None = None) -> Fraction:
@@ -227,10 +241,14 @@ def exact_fraction(value: object, position: int | None = None) -> Fraction:
     cut short, at its 1-based ``position`` in a list when given.  A rational
     (an int, a ``Fraction``) or a finite float is read exactly; any other
     value, a bool, NaN or infinity, raises "expected an exact rational, got ..."."""
+    from decimal import Decimal  # here, so that a command that reads no rational loads none
+    from fractions import Fraction
+    from numbers import Rational
+
     if isinstance(value, Decimal) and value.is_finite():
         value = str(value)
     if isinstance(value, str):
-        match = _RATIONAL.fullmatch(value)
+        match = re.fullmatch(_RATIONAL, value)
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         with suppress(ValueError, ZeroDivisionError):  # int(exp) past the digit limit; 1/0
             if match is not None:
@@ -244,7 +262,7 @@ def exact_fraction(value: object, position: int | None = None) -> Fraction:
     if (isinstance(value, Rational) and not isinstance(value, bool)
             or isinstance(value, float) and math.isfinite(value)):
         return Fraction(value)
-    raise ParamInvalid(f"expected an exact rational, got {value!r}")
+    raise ParamInvalid(f"expected an exact rational, got {value_text(value)}")
 
 
 def decimal_int(text: str) -> int:

@@ -33,19 +33,18 @@ from ._util import (
     log2_int,
     scale_parameter,
 )
-from .d1_codec import _half
-from .d2_codec import D2Params, d2_preset
-from .errors import IndexOutOfRange, LimitExceeded, ParamInvalid, SpecMismatch
-from .perm_core import (
+from .balance import (
     BalanceSpec,
     NeighborSpec,
-    Permutation,
     _check_neighbor_range,
     _devs2_of,
     _far_neighbors,
     _window_violations,
-    format_permutation,
 )
+from .d1_codec import _half
+from .d2_codec import D2Params, d2_preset
+from .errors import IndexOutOfRange, LimitExceeded, ParamInvalid, SpecMismatch
+from .perm_core import Permutation, format_permutation
 from .tn_codec import TnParams
 
 __all__ = _EXPORTS["analysis"]

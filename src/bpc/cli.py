@@ -7,8 +7,9 @@ stderr, payloads to stdout; JSON payloads have a fixed key order and end
 with a newline.
 
 Only the permutation core is imported with this module; each command
-handler imports the codec or the analysis module it runs, so a process loads
-no more of the package than its command uses.
+handler imports the codec, the verifiers (``balance``) or the analysis module
+it runs, and the parser is given the options of that one command, so a
+process loads and builds no more of the package than its command uses.
 """
 
 from __future__ import annotations
@@ -27,17 +28,7 @@ from .errors import (
     SelectorViolation,
     SourceExhausted,
 )
-from .perm_core import (
-    BalanceSpec,
-    NeighborSpec,
-    Permutation,
-    check_two_neighbor,
-    d1_preset,
-    disc,
-    format_permutation,
-    parse_permutation,
-    verify_balance,
-)
+from .perm_core import Permutation, format_permutation, parse_permutation
 
 USAGE_ERROR = 2
 VIOLATION = 1
@@ -101,115 +92,117 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The command tree.  A group is the first word of its leaves' paths: its help
+# line and the dest that names its leaf.  A leaf: its help line (None: listed
+# without one), the name of its handler (looked up when the parser is built),
+# and its options in the order --help lists them.
+_GROUPS = {
+    "encode": ("encode inputs into a balanced permutation", "codec"),
+    "decode": ("decode a permutation back to its inputs", "codec"),
+    "analyze": ("pruned-search censuses and rate reports", "what"),
+}
+_INT = {"type": decimal_int}
+_REQUIRED_INT = {"type": decimal_int, "required": True}
+_REQUIRED = {"required": True}
+_LEAVES = {
+    ("encode", "d1"): ("two-source codec", "_cmd_encode_d1", (
+        ("--n", _REQUIRED_INT),
+        ("--gamma1", {}),
+        ("--gamma2", {}),
+        ("--i1", {"help": "decimal rank of the low ordering"}),
+        ("--i2", {"help": "decimal rank of the high ordering"}),
+        ("--streaming", {"action": "store_true",
+                         "help": "use the transposition encoder (same output)"}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}),
+    )),
+    ("encode", "d2"): ("block codec", "_cmd_encode_d2", (
+        ("--input", {"required": True, "help": "JSON file with n, N, sigmas ('-' for stdin)"}),
+        ("--tie-upper", {"action": "store_true",
+                         "help": "route exact balance ties to the upper pair"}),
+    )),
+    ("encode", "tn"): ("neighbor-constrained codec", "_cmd_encode_tn", (
+        ("--input", {"required": True,
+                     "help": "JSON file with n, k, sigmas, selector ('-' for stdin)"}),
+    )),
+    ("decode", "d1"): (None, "_cmd_decode_d1", (
+        ("--perm", {"required": True, "help": "permutation text ('-' for stdin)"}),
+        ("--message", {"action": "store_true",
+                       "help": "emit the two decimal ranks instead of orderings"}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}),
+    )),
+    ("decode", "d2"): (None, "_cmd_decode_d2", (
+        ("--perm", _REQUIRED), ("--n", _REQUIRED_INT), ("--N", _REQUIRED_INT),
+    )),
+    ("decode", "tn"): (None, "_cmd_decode_tn", (
+        ("--perm", _REQUIRED), ("--n", _REQUIRED_INT), ("--k", _REQUIRED_INT),
+    )),
+    ("verify",): ("check a permutation against a preset", "_cmd_verify", (
+        ("--preset", {"choices": ("d1", "d2", "tn-neighbor"), "required": True}),
+        ("--N", _INT), ("--k", _INT), ("--perm", _REQUIRED),
+    )),
+    ("disc",): ("discrepancy of a permutation at one length", "_cmd_disc", (
+        ("--perm", _REQUIRED), ("--b", _REQUIRED_INT),
+    )),
+    ("analyze", "census"): ("count permutations passing checks", "_cmd_census", (
+        ("--n", _REQUIRED_INT),
+        ("--preset", {"choices": ("d1", "d2")}),
+        ("--N", _INT),
+        ("--blocks", {"help": "comma-separated window lengths"}),
+        ("--dev-max", {"help": "allowed deviations (one per block, or one for all)"}),
+        ("--neighbor-k", _INT),
+        ("--cap", {"type": decimal_int, "default": 0, "help": "how many achievers to list"}),
+        ("--limit", {"type": decimal_int, "default": DEFAULT_ENUM_LIMIT}),
+        ("--threads", {"type": decimal_int, "default": 0}),
+    )),
+    ("analyze", "min-disc"): ("minimum discrepancy over S_n", "_cmd_min_disc", (
+        ("--n", _REQUIRED_INT), ("--b", _REQUIRED_INT),
+        ("--limit", {"type": decimal_int, "default": DEFAULT_ENUM_LIMIT}),
+        ("--threads", {"type": decimal_int, "default": 0}),
+    )),
+    ("analyze", "rate"): ("code-size and rate report", "_cmd_rate", (
+        ("--config", {"choices": ("d1", "d2", "tn"), "required": True}),
+        ("--n", {"required": True, "help": "length, or comma-separated list for a table"}),
+        ("--N", _INT),
+        ("--epsilon", {}),
+        ("--k", _INT),
+        ("--epsilon-k", {}),
+        ("--format", {"choices": ("json", "csv"), "default": "json"}),
+    )),
+    ("analyze", "claims"): ("batch-check codeword bounds", "_cmd_claims", (
+        ("--config", {"choices": ("d1", "d2", "tn"), "required": True}),
+        ("--N", _INT), ("--k", _INT),
+        ("--perms", {"required": True,
+                     "help": "file of permutations, one per line ('-' for stdin)"}),
+    )),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  Every command is registered with its help
+    line, so --help, a missing or unknown command and a bad codec read as
+    always; only the leaf that ``argv`` names gets its options and handler.
+    That leaf is named by the first one or two arguments not starting with
+    '-', as argparse picks it: no group or the top level takes an option with
+    a value."""
     parser = argparse.ArgumentParser(
         prog="bpc",
         description="Balanced permutation codes: encode, decode, verify, analyze.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    enc = sub.add_parser("encode", help="encode inputs into a balanced permutation")
-    enc_sub = enc.add_subparsers(dest="codec", required=True)
-
-    e1 = enc_sub.add_parser("d1", help="two-source codec")
-    e1.add_argument("--n", type=decimal_int, required=True)
-    e1.add_argument("--gamma1")
-    e1.add_argument("--gamma2")
-    e1.add_argument("--i1", help="decimal rank of the low ordering")
-    e1.add_argument("--i2", help="decimal rank of the high ordering")
-    e1.add_argument("--streaming", action="store_true",
-                    help="use the transposition encoder (same output)")
-    e1.add_argument("--format", choices=("text", "json"), default="text")
-    e1.set_defaults(handler=_cmd_encode_d1)
-
-    e2 = enc_sub.add_parser("d2", help="block codec")
-    e2.add_argument("--input", required=True,
-                    help="JSON file with n, N, sigmas ('-' for stdin)")
-    e2.add_argument("--tie-upper", action="store_true",
-                    help="route exact balance ties to the upper pair")
-    e2.set_defaults(handler=_cmd_encode_d2)
-
-    et = enc_sub.add_parser("tn", help="neighbor-constrained codec")
-    et.add_argument("--input", required=True,
-                    help="JSON file with n, k, sigmas, selector ('-' for stdin)")
-    et.set_defaults(handler=_cmd_encode_tn)
-
-    dec = sub.add_parser("decode", help="decode a permutation back to its inputs")
-    dec_sub = dec.add_subparsers(dest="codec", required=True)
-
-    d1p = dec_sub.add_parser("d1")
-    d1p.add_argument("--perm", required=True, help="permutation text ('-' for stdin)")
-    d1p.add_argument("--message", action="store_true",
-                     help="emit the two decimal ranks instead of orderings")
-    d1p.add_argument("--format", choices=("text", "json"), default="text")
-    d1p.set_defaults(handler=_cmd_decode_d1)
-
-    d2p = dec_sub.add_parser("d2")
-    d2p.add_argument("--perm", required=True)
-    d2p.add_argument("--n", type=decimal_int, required=True)
-    d2p.add_argument("--N", type=decimal_int, required=True)
-    d2p.set_defaults(handler=_cmd_decode_d2)
-
-    dtp = dec_sub.add_parser("tn")
-    dtp.add_argument("--perm", required=True)
-    dtp.add_argument("--n", type=decimal_int, required=True)
-    dtp.add_argument("--k", type=decimal_int, required=True)
-    dtp.set_defaults(handler=_cmd_decode_tn)
-
-    ver = sub.add_parser("verify", help="check a permutation against a preset")
-    ver.add_argument("--preset", choices=("d1", "d2", "tn-neighbor"), required=True)
-    ver.add_argument("--N", type=decimal_int)
-    ver.add_argument("--k", type=decimal_int)
-    ver.add_argument("--perm", required=True)
-    ver.set_defaults(handler=_cmd_verify)
-
-    dsc = sub.add_parser("disc", help="discrepancy of a permutation at one length")
-    dsc.add_argument("--perm", required=True)
-    dsc.add_argument("--b", type=decimal_int, required=True)
-    dsc.set_defaults(handler=_cmd_disc)
-
-    ana = sub.add_parser("analyze", help="pruned-search censuses and rate reports")
-    ana_sub = ana.add_subparsers(dest="what", required=True)
-
-    cen = ana_sub.add_parser("census", help="count permutations passing checks")
-    cen.add_argument("--n", type=decimal_int, required=True)
-    cen.add_argument("--preset", choices=("d1", "d2"))
-    cen.add_argument("--N", type=decimal_int)
-    cen.add_argument("--blocks", help="comma-separated window lengths")
-    cen.add_argument("--dev-max", dest="dev_max",
-                     help="allowed deviations (one per block, or one for all)")
-    cen.add_argument("--neighbor-k", dest="neighbor_k", type=decimal_int)
-    cen.add_argument("--cap", type=decimal_int, default=0,
-                     help="how many achievers to list")
-    cen.add_argument("--limit", type=decimal_int, default=DEFAULT_ENUM_LIMIT)
-    cen.add_argument("--threads", type=decimal_int, default=0)
-    cen.set_defaults(handler=_cmd_census)
-
-    mnd = ana_sub.add_parser("min-disc", help="minimum discrepancy over S_n")
-    mnd.add_argument("--n", type=decimal_int, required=True)
-    mnd.add_argument("--b", type=decimal_int, required=True)
-    mnd.add_argument("--limit", type=decimal_int, default=DEFAULT_ENUM_LIMIT)
-    mnd.add_argument("--threads", type=decimal_int, default=0)
-    mnd.set_defaults(handler=_cmd_min_disc)
-
-    rat = ana_sub.add_parser("rate", help="code-size and rate report")
-    rat.add_argument("--config", choices=("d1", "d2", "tn"), required=True)
-    rat.add_argument("--n", required=True,
-                     help="length, or comma-separated list for a table")
-    rat.add_argument("--N", type=decimal_int)
-    rat.add_argument("--epsilon")
-    rat.add_argument("--k", type=decimal_int)
-    rat.add_argument("--epsilon-k", dest="epsilon_k")
-    rat.add_argument("--format", choices=("json", "csv"), default="json")
-    rat.set_defaults(handler=_cmd_rate)
-
-    clm = ana_sub.add_parser("claims", help="batch-check codeword bounds")
-    clm.add_argument("--config", choices=("d1", "d2", "tn"), required=True)
-    clm.add_argument("--N", type=decimal_int)
-    clm.add_argument("--k", type=decimal_int)
-    clm.add_argument("--perms", required=True,
-                     help="file of permutations, one per line ('-' for stdin)")
-    clm.set_defaults(handler=_cmd_claims)
-
+    top = parser.add_subparsers(dest="command", required=True)
+    words = tuple([arg for arg in argv if not arg.startswith("-")][:2])
+    named = words[:1] if words[:1] in _LEAVES else words
+    groups = {}
+    for path, (help_line, handler, options) in _LEAVES.items():
+        group = path[0] if len(path) == 2 else None
+        if group is not None and group not in groups:
+            group_help, dest = _GROUPS[group]
+            groups[group] = top.add_parser(group, help=group_help).add_subparsers(
+                dest=dest, required=True)
+        leaf = groups.get(group, top).add_parser(
+            path[-1], **({} if help_line is None else {"help": help_line}))
+        if path == named:
+            for flag, settings in options:
+                leaf.add_argument(flag, **settings)
+            leaf.set_defaults(handler=globals()[handler])
     return parser
 
 
@@ -309,6 +302,7 @@ def _codec_params(args, preset: str | None, n: int):
         from .d2_codec import D2Params
         return D2Params(n, value)
     if preset == "tn-neighbor":
+        from .balance import NeighborSpec
         return NeighborSpec(value)
     from .tn_codec import TnParams
     return TnParams(n, value)
@@ -330,15 +324,19 @@ def _cmd_decode_tn(args) -> int:
     return 0
 
 
-def _preset_spec(params, n: int) -> BalanceSpec:
-    """The spec of the d1 preset, or of the d2 preset at ``params``, at length ``n``."""
+def _preset_spec(params, n: int):
+    """The ``BalanceSpec`` of the d1 preset, or of the d2 preset at ``params``,
+    at length ``n``."""
     if params == "d1":
+        from .balance import d1_preset
         return d1_preset(n)
     from .d2_codec import d2_preset
     return d2_preset(n, params.N)
 
 
 def _cmd_verify(args) -> int:
+    from .balance import NeighborSpec, check_two_neighbor, verify_balance
+
     pi = _perm_arg(args.perm)
     params = _codec_params(args, args.preset, pi.n)
     if isinstance(params, NeighborSpec):
@@ -350,12 +348,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_disc(args) -> int:
+    from .balance import disc
+
     pi = _perm_arg(args.perm)
     print(str(disc(pi, args.b)))
     return 0
 
 
 def _census_spec(args):
+    from .balance import BalanceSpec
+
     params = _codec_params(args, args.preset, args.n)  # without --preset, refuses --N
     if params is not None:
         if args.blocks is not None or args.dev_max is not None:
@@ -377,6 +379,7 @@ def _census_spec(args):
 
 def _cmd_census(args) -> int:
     from .analysis import _check_limit, census
+    from .balance import NeighborSpec
 
     _check_limit(args.n, args.limit)  # before a preset builds n lengths
     spec = _census_spec(args)
@@ -437,10 +440,9 @@ def _cmd_claims(args) -> int:
     _emit_json(claim_suite(perms, config).to_json_dict())
     return 0
 
-
 def run(argv: list[str]) -> int:
     """Parse and execute; returns the process exit code."""
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -10,12 +10,10 @@ The decoder projects the codeword back onto the blocks.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import _EXPORTS
 from ._util import Record, exact_int
 from .errors import ParamInvalid
-from .perm_core import BalanceSpec, Permutation, _exhausted, _layout, _project
+from .perm_core import Permutation, _exhausted, _layout, _project
 
 __all__ = _EXPORTS["d2_codec"]
 
@@ -51,6 +49,10 @@ def d2_preset(n: int, num_blocks: int) -> BalanceSpec:
 
     ``num_blocks`` (N) must divide ``n`` and be a positive multiple of 4.
     """
+    from fractions import Fraction  # here, so that encoding and decoding load no verifier
+
+    from .balance import BalanceSpec
+
     blocks = D2Params(n, num_blocks).window_lengths
     return BalanceSpec(n, blocks, dict.fromkeys(blocks, Fraction(8 * (n + 1), num_blocks)))
 

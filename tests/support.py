@@ -7,6 +7,7 @@ arithmetic shortcuts with the production encoders they are checked against.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import random
 import sys
@@ -17,6 +18,7 @@ from fractions import Fraction
 from math import exp, factorial, log
 
 from bpc import (
+    DEFAULT_ENUM_LIMIT,
     BalanceSpec,
     BalanceViolation,
     BoundResult,
@@ -41,7 +43,21 @@ from bpc import (
     ViolationReport,
     encode_tn,
 )
-from bpc._util import check_factorial
+from bpc._util import check_factorial, decimal_int
+from bpc.cli import (
+    _cmd_census,
+    _cmd_claims,
+    _cmd_decode_d1,
+    _cmd_decode_d2,
+    _cmd_decode_tn,
+    _cmd_disc,
+    _cmd_encode_d1,
+    _cmd_encode_d2,
+    _cmd_encode_tn,
+    _cmd_min_disc,
+    _cmd_rate,
+    _cmd_verify,
+)
 
 
 def _factorial_passes(m: int) -> bool:
@@ -836,3 +852,118 @@ def appends_project(pi: Permutation, size: int) -> tuple[Permutation, ...]:
         appends[(v - 1) // size](v)
     return tuple(Permutation(tuple([v - offset for v in block]))
                  for offset, block in zip(range(0, pi.n, size), blocks))
+
+
+def reference_build_parser() -> argparse.ArgumentParser:
+    """The CLI parser built whole, every option of every command on every
+    run: ``bpc.cli._build_parser`` gives options only to the command its argv
+    names, and must read the same for --help and for every usage error."""
+    parser = argparse.ArgumentParser(
+        prog="bpc",
+        description="Balanced permutation codes: encode, decode, verify, analyze.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    enc = sub.add_parser("encode", help="encode inputs into a balanced permutation")
+    enc_sub = enc.add_subparsers(dest="codec", required=True)
+
+    e1 = enc_sub.add_parser("d1", help="two-source codec")
+    e1.add_argument("--n", type=decimal_int, required=True)
+    e1.add_argument("--gamma1")
+    e1.add_argument("--gamma2")
+    e1.add_argument("--i1", help="decimal rank of the low ordering")
+    e1.add_argument("--i2", help="decimal rank of the high ordering")
+    e1.add_argument("--streaming", action="store_true",
+                    help="use the transposition encoder (same output)")
+    e1.add_argument("--format", choices=("text", "json"), default="text")
+    e1.set_defaults(handler=_cmd_encode_d1)
+
+    e2 = enc_sub.add_parser("d2", help="block codec")
+    e2.add_argument("--input", required=True,
+                    help="JSON file with n, N, sigmas ('-' for stdin)")
+    e2.add_argument("--tie-upper", action="store_true",
+                    help="route exact balance ties to the upper pair")
+    e2.set_defaults(handler=_cmd_encode_d2)
+
+    et = enc_sub.add_parser("tn", help="neighbor-constrained codec")
+    et.add_argument("--input", required=True,
+                    help="JSON file with n, k, sigmas, selector ('-' for stdin)")
+    et.set_defaults(handler=_cmd_encode_tn)
+
+    dec = sub.add_parser("decode", help="decode a permutation back to its inputs")
+    dec_sub = dec.add_subparsers(dest="codec", required=True)
+
+    d1p = dec_sub.add_parser("d1")
+    d1p.add_argument("--perm", required=True, help="permutation text ('-' for stdin)")
+    d1p.add_argument("--message", action="store_true",
+                     help="emit the two decimal ranks instead of orderings")
+    d1p.add_argument("--format", choices=("text", "json"), default="text")
+    d1p.set_defaults(handler=_cmd_decode_d1)
+
+    d2p = dec_sub.add_parser("d2")
+    d2p.add_argument("--perm", required=True)
+    d2p.add_argument("--n", type=decimal_int, required=True)
+    d2p.add_argument("--N", type=decimal_int, required=True)
+    d2p.set_defaults(handler=_cmd_decode_d2)
+
+    dtp = dec_sub.add_parser("tn")
+    dtp.add_argument("--perm", required=True)
+    dtp.add_argument("--n", type=decimal_int, required=True)
+    dtp.add_argument("--k", type=decimal_int, required=True)
+    dtp.set_defaults(handler=_cmd_decode_tn)
+
+    ver = sub.add_parser("verify", help="check a permutation against a preset")
+    ver.add_argument("--preset", choices=("d1", "d2", "tn-neighbor"), required=True)
+    ver.add_argument("--N", type=decimal_int)
+    ver.add_argument("--k", type=decimal_int)
+    ver.add_argument("--perm", required=True)
+    ver.set_defaults(handler=_cmd_verify)
+
+    dsc = sub.add_parser("disc", help="discrepancy of a permutation at one length")
+    dsc.add_argument("--perm", required=True)
+    dsc.add_argument("--b", type=decimal_int, required=True)
+    dsc.set_defaults(handler=_cmd_disc)
+
+    ana = sub.add_parser("analyze", help="pruned-search censuses and rate reports")
+    ana_sub = ana.add_subparsers(dest="what", required=True)
+
+    cen = ana_sub.add_parser("census", help="count permutations passing checks")
+    cen.add_argument("--n", type=decimal_int, required=True)
+    cen.add_argument("--preset", choices=("d1", "d2"))
+    cen.add_argument("--N", type=decimal_int)
+    cen.add_argument("--blocks", help="comma-separated window lengths")
+    cen.add_argument("--dev-max", dest="dev_max",
+                     help="allowed deviations (one per block, or one for all)")
+    cen.add_argument("--neighbor-k", dest="neighbor_k", type=decimal_int)
+    cen.add_argument("--cap", type=decimal_int, default=0,
+                     help="how many achievers to list")
+    cen.add_argument("--limit", type=decimal_int, default=DEFAULT_ENUM_LIMIT)
+    cen.add_argument("--threads", type=decimal_int, default=0)
+    cen.set_defaults(handler=_cmd_census)
+
+    mnd = ana_sub.add_parser("min-disc", help="minimum discrepancy over S_n")
+    mnd.add_argument("--n", type=decimal_int, required=True)
+    mnd.add_argument("--b", type=decimal_int, required=True)
+    mnd.add_argument("--limit", type=decimal_int, default=DEFAULT_ENUM_LIMIT)
+    mnd.add_argument("--threads", type=decimal_int, default=0)
+    mnd.set_defaults(handler=_cmd_min_disc)
+
+    rat = ana_sub.add_parser("rate", help="code-size and rate report")
+    rat.add_argument("--config", choices=("d1", "d2", "tn"), required=True)
+    rat.add_argument("--n", required=True,
+                     help="length, or comma-separated list for a table")
+    rat.add_argument("--N", type=decimal_int)
+    rat.add_argument("--epsilon")
+    rat.add_argument("--k", type=decimal_int)
+    rat.add_argument("--epsilon-k", dest="epsilon_k")
+    rat.add_argument("--format", choices=("json", "csv"), default="json")
+    rat.set_defaults(handler=_cmd_rate)
+
+    clm = ana_sub.add_parser("claims", help="batch-check codeword bounds")
+    clm.add_argument("--config", choices=("d1", "d2", "tn"), required=True)
+    clm.add_argument("--N", type=decimal_int)
+    clm.add_argument("--k", type=decimal_int)
+    clm.add_argument("--perms", required=True,
+                     help="file of permutations, one per line ('-' for stdin)")
+    clm.set_defaults(handler=_cmd_claims)
+
+    return parser

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import io
 import json
 import math
@@ -14,10 +16,12 @@ from support import (
     default_digit_limit,
     ex3_input,
     ex4_input,
+    reference_build_parser,
 )
 from bpc import d2_input_to_json_dict, tn_input_to_json_dict
 
 EX1_TEXT = "3 12 4 11 1 10 2 9 8 5 7 6"
+D1_GAMMA = ("encode", "d1", "--n", "12", "--gamma1", "3,4,1,2,5,6", "--gamma2", "6,5,4,3,2,1")
 
 
 def run(capsys, *argv):
@@ -783,6 +787,60 @@ def _probe(code: str, *args: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
+def _leaf_paths(parser, path=()):
+    """The command path of every leaf under ``parser``, with its parser."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return [(path, parser)]
+    return [leaf for name, child in subparsers[0].choices.items()
+            for leaf in _leaf_paths(child, path + (name,))]
+
+
+def _parse(parser, argv):
+    """(exit code or the parsed namespace, stdout, stderr) of ``parser`` on ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _parser_cases():
+    """--help at every level, no command, unknown commands and codecs, and
+    per leaf a missing required option, an unknown option, a bad choice and a
+    bad integer, plus a few commands that parse."""
+    leaves = _leaf_paths(reference_build_parser())
+    groups = sorted({path[:1] for path, _ in leaves if len(path) == 2})
+    cases = [(), ("--help",), ("-h",), ("frobnicate",), ("encode", "d9"), ("decode", "--x"),
+             ("analyze", "nothing", "--n", "4"), ("encode", "--bogus", "d1", "--n", "4"),
+             ("--bogus", "disc"), ("disc", "--perm", "1 2", "--b", "1", "extra"),
+             D1_GAMMA, ("verify", "--preset", "d1", "--perm", EX1_TEXT),
+             ("analyze", "rate", "--config", "d2", "--n", "16", "--epsilon-k", "1/2"),
+             ("analyze", "census", "--n", "6", "--dev-max", "1", "--blocks", "2")]
+    cases += [group + ("--help",) for group in groups] + [group for group in groups]
+    for path, leaf in leaves:
+        cases += [path + ("--help",), path, path + ("--bogus",), path + ("--bogus", "1")]
+        for action in leaf._actions:
+            if action.choices is not None:
+                cases.append(path + (action.option_strings[-1], "bogus"))
+            if action.type is not None:
+                cases.append(path + (action.option_strings[-1], "x"))
+    return cases
+
+
+class TestParserMatchesReference:
+    """The parser that fills only the command its argv names reads like the
+    parser built whole (``support.reference_build_parser``): the same stdout,
+    stderr and exit code, or the same namespace, on every case."""
+
+    @pytest.mark.parametrize("argv", _parser_cases(), ids=" ".join)
+    def test_same_output_as_the_whole_parser(self, argv):
+        argv = list(argv)
+        assert _parse(cli._build_parser(argv), argv) == _parse(reference_build_parser(), argv)
+
+
 class TestImportCost:
     def test_cli_import_leaves_the_process_pool_unloaded(self):
         probe = ("import sys, bpc.cli; "
@@ -814,6 +872,9 @@ class TestImportCost:
                         "RateReport census claim_suite d1_claim_suite d2_claim_suite min_disc "
                         "rate_report rate_report_d1 rate_report_d2 rate_report_tn "
                         "tn_claim_suite tn_code_size",
+            "balance": "BalanceSpec BalanceViolation NeighborSpec NeighborViolation "
+                       "ViolationReport check_two_neighbor d1_preset disc prefix_deviation "
+                       "prefix_deviations_doubled verify_balance window_sum",
             "d1_codec": "D1Input TranspositionStep TranspositionTrace d1_message_decode "
                         "d1_message_encode d1_message_input decode_d1 encode_d1 "
                         "encode_d1_streaming interleave",
@@ -821,11 +882,8 @@ class TestImportCost:
                         "d2_preset decode_d2 encode_d2",
             "errors": "BpcError IndexOutOfRange LimitExceeded NotCodeword NotPermutation "
                       "OddLength ParamInvalid SelectorViolation SourceExhausted SpecMismatch",
-            "perm_core": "BalanceSpec BalanceViolation NeighborSpec NeighborViolation "
-                         "Permutation ViolationReport check_two_neighbor d1_preset disc "
-                         "format_permutation identity make_permutation parse_permutation "
-                         "prefix_deviation prefix_deviations_doubled rank unrank "
-                         "verify_balance window_sum",
+            "perm_core": "Permutation format_permutation identity make_permutation "
+                         "parse_permutation rank unrank",
             "tn_codec": "TnInput TnParams decode_tn encode_tn random_valid_input "
                         "tn_input_from_json_dict tn_input_to_json_dict",
         }
@@ -842,8 +900,8 @@ class TestImportCost:
         with pytest.raises(ImportError):
             from bpc import no_such_name  # noqa: F401
 
-    @pytest.mark.parametrize("module", ["analysis", "d1_codec", "d2_codec", "errors",
-                                        "perm_core", "tn_codec"])
+    @pytest.mark.parametrize("module", ["analysis", "balance", "d1_codec", "d2_codec",
+                                        "errors", "perm_core", "tn_codec"])
     def test_each_module_lists_its_names_from_the_package_table(self, module):
         import importlib
 
@@ -855,18 +913,38 @@ class TestImportCost:
         exec(f"from bpc.{module} import *", namespace)
         assert sorted(set(namespace) - {"__builtins__"}) == sorted(home.__all__)
 
-    @pytest.mark.parametrize("argv", [
-        ("encode", "d1", "--n", "12", "--gamma1", "3,4,1,2,5,6", "--gamma2", "6,5,4,3,2,1"),
-        ("verify", "--preset", "d1", "--perm", EX1_TEXT),
-        ("disc", "--perm", EX1_TEXT, "--b", "3"),
-    ])
-    def test_command_loads_only_what_it_runs(self, argv):
-        probe = ("import sys\n"
+    @pytest.mark.parametrize("argv, stdin", [
+        (D1_GAMMA, ""),
+        (("encode", "d1", "--n", "12", "--i1", "5", "--i2", "7"), ""),
+        (D1_GAMMA + ("--streaming", "--format", "json"), ""),
+        (("decode", "d1", "--perm", EX1_TEXT), ""),
+        (("decode", "d1", "--perm", EX1_TEXT, "--message"), ""),
+        (("encode", "d2", "--input", "-"), json.dumps(d2_input_to_json_dict(ex3_input()))),
+        (("encode", "tn", "--input", "-"), json.dumps(tn_input_to_json_dict(ex4_input()))),
+        (("decode", "d2", "--perm", " ".join(map(str, EX3_CODEWORD)), "--n", "32", "--N", "8"),
+         ""),
+        (("decode", "tn", "--perm", " ".join(map(str, EX4_CODEWORD)), "--n", "24", "--k", "4"),
+         ""),
+        (("verify", "--preset", "d1", "--perm", EX1_TEXT), ""),
+        (("disc", "--perm", EX1_TEXT, "--b", "3"), ""),
+    ], ids=["encode-d1-gamma", "encode-d1-rank", "encode-d1-streaming", "decode-d1",
+            "decode-d1-message", "encode-d2", "encode-tn", "decode-d2", "decode-tn",
+            "verify-d1", "disc"])
+    def test_command_loads_only_what_it_runs(self, argv, stdin):
+        # a codec command loads no verifier and no rational arithmetic, nor
+        # another codec; a check loads no codec; only analyze loads analysis
+        codecs = {"d1": "bpc.d1_codec", "d2": "bpc.d2_codec", "tn": "bpc.tn_codec"}
+        if argv[0] in ("encode", "decode"):
+            unloaded = ["bpc.analysis", "bpc.balance", "fractions", "decimal",
+                        *(module for codec, module in codecs.items() if codec != argv[1])]
+        else:
+            unloaded = ["bpc.analysis", *codecs.values()]
+        probe = ("import io, sys\n"
                  "from bpc.cli import run\n"
-                 "code = run(sys.argv[1:])\n"
-                 "print(code, sorted(m for m in ('bpc.analysis', 'bpc.d2_codec', 'bpc.tn_codec')"
-                 " if m in sys.modules))\n")
-        assert _probe(probe, *argv)[-1] == "0 []"
+                 "sys.stdin = io.StringIO(sys.argv[1])\n"
+                 "code = run(sys.argv[2:])\n"
+                 f"print(code, sorted(m for m in {unloaded!r} if m in sys.modules))\n")
+        assert _probe(probe, stdin, *argv)[-1] == "0 []"
 
 
 class TestExitCodes:

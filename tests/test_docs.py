@@ -64,7 +64,7 @@ def test_readme_command_lines_are_found():
 def test_readme_command_line_parses(line, capsys):
     argv = shlex.split(line)[1:]
     try:
-        cli._build_parser().parse_args(argv)
+        cli._build_parser(argv).parse_args(argv)
     except SystemExit:
         pytest.fail(f"the parser refuses {line!r}: {capsys.readouterr().err}")
     if "..." in line or any(option in argv for option in FILE_OPTIONS):

@@ -50,6 +50,7 @@ from bpc import (
     window_sum,
 )
 from bpc._util import exact_ints, scale_parameter
+from support import default_digit_limit
 
 P = Permutation
 SPEC = BalanceSpec(4, (2,), {2: Fraction(1)})
@@ -333,6 +334,22 @@ def test_a_bad_rational_is_refused_by_name(call, none_message, bad):
     else:
         expected = f"expected an exact rational, got {bad!r}"
     assert type(info.value) is ParamInvalid and str(info.value) == expected
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BalanceSpec(4, (2,), {2: [10 ** 5000]}),
+     "expected an exact rational, got [<16610-bit integer>]"),
+    (lambda: D2Params(8, [10 ** 5000]), "expected an integer, got [<16610-bit integer>]"),
+    (lambda: D2Params(8, list(range(10 ** 5))), "expected an integer, got [0, 1, 2, 3, 4, 5, ...]"),
+    (lambda: BalanceSpec(4, (2,), {2: b"x" * 10 ** 5}),
+     "expected an exact rational, got b'" + "x" * 11 + "..." + "x" * 13 + "'"),
+], ids=["BalanceSpec-huge-int", "D2Params-huge-int", "D2Params-long-list", "BalanceSpec-bytes"])
+def test_a_refused_value_is_named_in_short(call, message):
+    # the refusal names the value within reprlib's caps; an int past the
+    # digit limit, whose repr raises ValueError, by its bit length
+    with default_digit_limit(), pytest.raises(ParamInvalid) as info:
+        call()
+    assert type(info.value) is ParamInvalid and str(info.value) == message
 
 
 @pytest.mark.parametrize("label, call", [case[:2] for case in RATIONAL_CALLS],

@@ -1,6 +1,6 @@
 """The two-neighbor check in packed integer lanes.
 
-``perm_core._far_neighbors`` tests every adjacent gap at once in 32- or
+``balance._far_neighbors`` tests every adjacent gap at once in 32- or
 64-bit lanes of one big int; it is checked against a plain loop on arbitrary
 int sequences at both lane widths, and ``check_two_neighbor`` and
 ``tn_claim_suite``, which read it, against their slow references in
@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bpc import NeighborSpec, Permutation, TnParams, check_two_neighbor, tn_claim_suite
-from bpc.perm_core import _far_neighbors
+from bpc.balance import _far_neighbors
 from support import (
     random_permutation,
     reference_check_two_neighbor,

@@ -31,7 +31,7 @@ from bpc import (
     tn_claim_suite,
     verify_balance,
 )
-from bpc.perm_core import _window_violations
+from bpc.balance import _window_violations
 from support import (
     allowance_specs,
     brute_window_max_dev,
