@@ -8,10 +8,13 @@ loop over an explicit stack, not a recursion, so ``limit`` is the only bound
 on it: neither the caller's stack depth nor the interpreter's recursion limit
 changes an answer.  Code sizes are counted in closed form, the tn size
 included, so a rate is exact at every n.  Counts are exact integers;
-logarithms are taken only at the very end of a rate computation.  Searches
-may fan out over processes, one task per first symbol (the ``workers``
-argument; 0 runs in-process), and results are merged in first-symbol order
-so the output never depends on the degree of parallelism.
+logarithms are taken only at the very end of a rate computation.  The
+complement v -> n+1-v negates every window deviation and keeps every neighbor
+gap, so a census searches first symbols 1..ceil(n/2), counts each below the
+middle twice, and searches the rest only for achievers the cap still wants.
+Searches may fan out over processes, one task per searched first symbol (the
+``workers`` argument; 0 runs in-process), and results are merged in
+first-symbol order so the output never depends on the degree of parallelism.
 """
 
 from __future__ import annotations
@@ -137,9 +140,10 @@ def census(n: int, spec: BalanceSpec, neighbor: NeighborSpec | None = None,
     The cost is O(|blocks|) exact int tests per surviving prefix, not n! rescans.
     A length allowed b*(n-b) or more, the most any length-b window can deviate
     (doubled), is skipped; with nothing left to check the count is n! and no
-    search runs.  ``cap`` bounds how many achievers are materialized (always
-    the lexicographically first ones); the count is always exact.  ``limit``
-    is the only bound on the search: n past it raises ``LimitExceeded``.
+    search runs.  Otherwise it searches first symbols 1..ceil(n/2), each below
+    the middle counting twice, and lists the lexicographically first ``cap``
+    achievers, searching the rest only if the half lists fewer than both
+    ``cap`` and the exact count.  n past ``limit`` raises ``LimitExceeded``.
     """
     _check_limit(n, limit)
     if spec.n != n:
@@ -154,9 +158,13 @@ def census(n: int, spec: BalanceSpec, neighbor: NeighborSpec | None = None,
     if not limits and neighbor_k is None:
         count, achievers = factorial(n), itertools.permutations(range(1, n + 1))
     else:
+        half = (n + 1) // 2  # first symbols v and n+1-v count alike (module docstring)
         tasks = [(n, first, limits, neighbor_k, cap) for first in range(1, n + 1)]
-        parts = _fan_out(_search, tasks, workers)
-        count, achievers = sum(c for c, _ in parts), [a for _, ach in parts for a in ach]
+        parts = _fan_out(_search, tasks[:half], workers)
+        count = 2 * sum(c for c, _ in parts) - (parts[-1][0] if n % 2 else 0)
+        achievers = [a for _, ach in parts for a in ach]
+        if len(achievers) < min(cap, count):  # the first cap achievers run past the half
+            achievers += [a for _, ach in _fan_out(_search, tasks[half:], workers) for a in ach]
     listed = list(itertools.islice(achievers, min(cap, sys.maxsize)))  # islice: stop <= maxsize
     return CensusResult(n=n, spec=spec, neighbor=neighbor, count=count,
                         achievers=Permutation._trusted_rows(listed))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 
 from . import DEFAULT_ENUM_LIMIT
@@ -36,6 +35,7 @@ DEFECT = 3
 
 
 def _emit_json(obj) -> None:
+    import json
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
@@ -68,6 +68,8 @@ def _read_json(path: str):
     """The JSON document in the file at ``path`` ('-' for stdin); text that
     is not JSON, holds an int past the interpreter's digit limit, or nests
     deeper than the parser's recursion limit, is a usage error."""
+    import json
+
     text = _read_file_or_stdin(path)
     try:
         return json.loads(text)

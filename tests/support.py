@@ -566,6 +566,66 @@ def reference_min_disc(n: int, b: int) -> tuple[Fraction, int]:
     return Fraction(best, 2), count
 
 
+def reference_search(args):
+    """The census search as it was before the complement symmetry: one
+    first symbol per call, every one of the n searched.  Depth-first search,
+    in ascending order, over the permutations starting with ``first``; the
+    stack holds one iterator of untried symbols per placed position."""
+    n, first, limits, neighbor_k, cap = args
+    k = n if neighbor_k is None else neighbor_k  # no two symbols are n apart
+    ends = [[(i + 1 - b, lim) for b, lim in limits if b <= i + 1] for i in range(n)]
+    values, devs, free = [0] * n, [0] * (n + 1), [True] * (n + 1)
+    achievers = []
+    count = 0
+    stack = [iter((first,))]
+    while stack:
+        i = len(stack) - 1
+        for v in stack[i]:
+            d = devs[i] + 2 * v - n - 1
+            if (not free[v] or any(abs(d - devs[j]) > lim for j, lim in ends[i])
+                    or i >= 2 and abs(values[i - 1] - values[i - 2]) > k
+                    and abs(values[i - 1] - v) > k):
+                continue
+            break
+        else:  # position i is exhausted: back up and free the symbol before it
+            stack.pop()
+            free[values[i - 1]] = True  # (at i = 0 the search is over)
+            continue
+        values[i], devs[i + 1] = v, d
+        if i + 1 < n:
+            free[v] = False
+            stack.append(iter(range(1, n + 1)))
+        else:
+            count += 1
+            if len(achievers) < cap:
+                achievers.append(tuple(values))
+    return count, achievers
+
+
+def reference_search_census(n: int, spec, neighbor=None, cap: int = 0) -> CensusResult:
+    """``census`` on ``reference_search``, one task per first symbol 1..n,
+    with the closed form n! when nothing is left to check."""
+    limits = [(b, lim) for b, lim in spec._limits.items() if lim < b * (n - b)]
+    neighbor_k = neighbor.k if neighbor else None
+    if not limits and neighbor_k is None:
+        count, achievers = factorial(n), itertools.permutations(range(1, n + 1))
+    else:
+        parts = [reference_search((n, first, limits, neighbor_k, cap))
+                 for first in range(1, n + 1)]
+        count, achievers = sum(c for c, _ in parts), [a for _, ach in parts for a in ach]
+    return CensusResult(n=n, spec=spec, neighbor=neighbor, count=count,
+                        achievers=tuple(map(Permutation, itertools.islice(achievers, cap))))
+
+
+def reference_search_min_disc(n: int, b: int) -> tuple[Fraction, int]:
+    """``min_disc`` on ``reference_search_census``: the least doubled allowance,
+    stepping by 2 from the parity of b*(n+1), whose census is non-empty."""
+    for t in itertools.count(b * (n + 1) % 2, 2):
+        count = reference_search_census(n, BalanceSpec(n, (b,), {b: Fraction(t, 2)})).count
+        if count:
+            return Fraction(t, 2), count
+
+
 def reference_tn_code_size(params: TnParams) -> int:
     """Run the encoder on all k!**m orderings times every distinct selector
     (each set named k/2 times) and count the inputs it accepts."""

@@ -932,13 +932,16 @@ class TestImportCost:
             "verify-d1", "disc"])
     def test_command_loads_only_what_it_runs(self, argv, stdin):
         # a codec command loads no verifier and no rational arithmetic, nor
-        # another codec; a check loads no codec; only analyze loads analysis
+        # another codec; a check loads no codec; only analyze loads analysis;
+        # a command that reads and writes no JSON loads no json
         codecs = {"d1": "bpc.d1_codec", "d2": "bpc.d2_codec", "tn": "bpc.tn_codec"}
         if argv[0] in ("encode", "decode"):
             unloaded = ["bpc.analysis", "bpc.balance", "fractions", "decimal",
                         *(module for codec, module in codecs.items() if codec != argv[1])]
         else:
             unloaded = ["bpc.analysis", *codecs.values()]
+        if argv[0] == "disc" or argv[1] == "d1" and "json" not in argv:
+            unloaded.append("json")
         probe = ("import io, sys\n"
                  "from bpc.cli import run\n"
                  "sys.stdin = io.StringIO(sys.argv[1])\n"

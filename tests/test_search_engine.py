@@ -11,6 +11,7 @@ import pytest
 
 from bpc import (
     BalanceSpec,
+    CensusResult,
     LimitExceeded,
     NeighborSpec,
     ParamInvalid,
@@ -27,6 +28,8 @@ from support import (
     allowances,
     reference_census,
     reference_min_disc,
+    reference_search_census,
+    reference_search_min_disc,
     reference_tn_code_size,
 )
 
@@ -112,6 +115,74 @@ def test_census_worker_counts_agree():
                 == census(n, spec, neighbor=neighbor, cap=cap, workers=0))
 
 
+def searched_census_cases(n: int):
+    """Seeded specs at n = 8 or 9, each with a length it can violate: the
+    allowance is at most a third of the length's reach, so the reference
+    search stays short, and half the specs carry a neighbor bound."""
+    rng = random.Random(3300 + n)
+    cases = [(BalanceSpec(n, (2,), {2: Fraction(3, 2)}), None),  # the benchmark's sparse census
+             # 2 passing permutations at n = 8 and 4 at n = 9, fewer than a cap of 8
+             (BalanceSpec(n, (2, n - 3), {2: Fraction(3, 2), n - 3: Fraction(2)}), None)]
+    for neighbor in (False, True):
+        for _ in range(4):
+            blocks = tuple(sorted(rng.sample(range(2, n), rng.randint(1, 3))))
+            dev_max = {b: Fraction(rng.randint(0, b * (n - b) // 3), 2) for b in blocks}
+            cases.append((BalanceSpec(n, blocks, dev_max),
+                          NeighborSpec(rng.randint(1, n - 1)) if neighbor else None))
+    return cases
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_census_matches_the_search_over_every_first_symbol(n, monkeypatch):
+    # the census searches first symbols 1..ceil(n/2) and doubles their counts;
+    # the reference searches all n.  A second fan-out is the fallback
+    fan_outs = []
+    fan_out = analysis._fan_out
+
+    def recording_fan_out(scan, tasks, workers):
+        fan_outs.append([t[1] for t in tasks])
+        return fan_out(scan, tasks, workers)
+
+    monkeypatch.setattr(analysis, "_fan_out", recording_fan_out)
+    half, fallbacks, counts = (n + 1) // 2, 0, set()
+    for spec, neighbor in searched_census_cases(n):
+        want = reference_search_census(n, spec, neighbor=neighbor, cap=factorial(n))
+        counts.add(want.count)
+        for cap in (0, 1, 8, factorial(n)):
+            fan_outs.clear()
+            got = census(n, spec, neighbor=neighbor, cap=cap, workers=0)
+            assert got.to_json_dict() == CensusResult(
+                n, spec, neighbor, want.count, want.achievers[:cap]).to_json_dict(), (spec, cap)
+            assert fan_outs[0] == list(range(1, half + 1))
+            assert fan_outs[1:] in ([], [list(range(half + 1, n + 1))])
+            # the half's tasks list up to cap each; the rest is searched only
+            # when the count says that achievers the cap wants lie past them
+            held = sum(min(cap, sum(p.values[0] == first for p in want.achievers))
+                       for first in range(1, half + 1))
+            assert len(fan_outs) == 1 + (held < min(cap, want.count))
+            fallbacks += len(fan_outs) == 2
+    assert fallbacks and 0 in counts and any(0 < c < 8 for c in counts) and max(counts) > 8
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_counts_by_first_symbol_are_palindromic(n):
+    # the complement v -> n+1-v negates every window deviation and keeps every
+    # neighbor gap, so first symbols v and n+1-v start equally many passing
+    # permutations: the fact the census's doubled half-count rests on
+    rng = random.Random(3310 + n)
+    for _ in range(8):
+        spec, neighbor, _ = random_census_case(rng, n)
+        limits = list(spec._limits.items())
+        k = neighbor.k if neighbor else None
+        counts = [analysis._search((n, first, limits, k, 0))[0] for first in range(1, n + 1)]
+        assert counts == counts[::-1], (spec, neighbor)
+
+
+@pytest.mark.parametrize("b", range(2, 9))
+def test_min_disc_matches_the_search_over_every_first_symbol(b):
+    assert min_disc(8, b, workers=0) == reference_search_min_disc(8, b)
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_min_disc_matches_full_enumeration(n):
     for b in range(2, n + 1):
@@ -174,4 +245,7 @@ def test_pool_is_clamped_to_the_task_count(monkeypatch):
     spec = BalanceSpec(4, (2,), {2: Fraction(1)})
     assert census(4, spec, cap=24, workers=64) == census(4, spec, cap=24, workers=0)
     assert min_disc(4, 2, workers=3) == (Fraction(1), 8)
-    assert sizes == [4, 3, 3]  # min_disc runs the census at t = 0 and t = 2
+    # a census at n = 4 searches first symbols 1 and 2; the cap of 24 passes
+    # the 4 achievers they hold, so it searches 3 and 4 as well; min_disc runs
+    # the census at t = 0 and t = 2, each on first symbols 1 and 2
+    assert sizes == [2, 2, 2, 2]
